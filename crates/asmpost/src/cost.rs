@@ -155,8 +155,10 @@ mod tests {
             ],
             spill_count: 0,
         };
-        let mut profile = Profile::default();
-        profile.block_counts = vec![vec![1, 10]];
+        let profile = Profile {
+            block_counts: vec![vec![1, 10]],
+            ..Profile::default()
+        };
         let r = measure(&[f], &profile, &m);
         assert_eq!(r.cycles, m.alu_cost + 10 * m.load_cost);
         assert_eq!(r.size_bytes, 8);

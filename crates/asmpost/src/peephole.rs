@@ -512,6 +512,53 @@ pub fn keep_live_bases_preserved(before: &AsmFunc, after: &AsmFunc) -> bool {
     collect(before) == collect(after)
 }
 
+/// Def-before-use sanity check over a function's assembly: every register
+/// read must be preceded by a write on every path (parameters and the
+/// frame pointer are implicitly defined). Used by tests to prove the
+/// postprocessor never manufactures reads of undefined registers.
+pub fn defined_before_use(f: &AsmFunc, predefined: &[Reg]) -> bool {
+    use std::collections::HashSet;
+    // Forward dataflow: set of definitely-defined registers per block entry.
+    let nb = f.blocks.len();
+    let all: HashSet<Reg> = (0..=255u8).map(Reg).collect();
+    let mut defined_in: Vec<HashSet<Reg>> = vec![all; nb];
+    defined_in[0] = predefined.iter().copied().collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for bi in 0..nb {
+            let mut cur = defined_in[bi].clone();
+            for ins in &f.blocks[bi].instrs {
+                if let Some(d) = ins.writes() {
+                    cur.insert(d);
+                }
+            }
+            for s in successors(f, bi) {
+                let merged: HashSet<Reg> = defined_in[s].intersection(&cur).copied().collect();
+                if merged != defined_in[s] {
+                    defined_in[s] = merged;
+                    changed = true;
+                }
+            }
+        }
+    }
+    // Check every read.
+    for (bi, entry) in defined_in.iter().enumerate() {
+        let mut cur = entry.clone();
+        for ins in &f.blocks[bi].instrs {
+            for r in ins.reads() {
+                if !cur.contains(&r) {
+                    return false;
+                }
+            }
+            if let Some(d) = ins.writes() {
+                cur.insert(d);
+            }
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -823,51 +870,4 @@ mod tests {
         assert!(lv.live_in[1].contains(&Reg(1)));
         assert!(lv.live_after(&f, 0, 0, Reg(1)));
     }
-}
-
-/// Def-before-use sanity check over a function's assembly: every register
-/// read must be preceded by a write on every path (parameters and the
-/// frame pointer are implicitly defined). Used by tests to prove the
-/// postprocessor never manufactures reads of undefined registers.
-pub fn defined_before_use(f: &AsmFunc, predefined: &[Reg]) -> bool {
-    use std::collections::HashSet;
-    // Forward dataflow: set of definitely-defined registers per block entry.
-    let nb = f.blocks.len();
-    let all: HashSet<Reg> = (0..=255u8).map(Reg).collect();
-    let mut defined_in: Vec<HashSet<Reg>> = vec![all; nb];
-    defined_in[0] = predefined.iter().copied().collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bi in 0..nb {
-            let mut cur = defined_in[bi].clone();
-            for ins in &f.blocks[bi].instrs {
-                if let Some(d) = ins.writes() {
-                    cur.insert(d);
-                }
-            }
-            for s in successors(f, bi) {
-                let merged: HashSet<Reg> = defined_in[s].intersection(&cur).copied().collect();
-                if merged != defined_in[s] {
-                    defined_in[s] = merged;
-                    changed = true;
-                }
-            }
-        }
-    }
-    // Check every read.
-    for (bi, entry) in defined_in.iter().enumerate() {
-        let mut cur = entry.clone();
-        for ins in &f.blocks[bi].instrs {
-            for r in ins.reads() {
-                if !cur.contains(&r) {
-                    return false;
-                }
-            }
-            if let Some(d) = ins.writes() {
-                cur.insert(d);
-            }
-        }
-    }
-    true
 }

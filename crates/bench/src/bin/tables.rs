@@ -1,11 +1,16 @@
 //! Prints every table and figure of the paper.
 //!
-//! Usage: `tables [sparc2|sparc10|pentium90|codesize|postprocessor|analysis|all]
+//! Usage: `tables [sparc2|sparc10|pentium90|codesize|postprocessor|ablations|
+//!                 compare|analysis|spills|all]
 //!                [--tiny] [--jobs N] [--trace <file.jsonl>]
 //!                [--prof <file.prom>] [--folded <file.txt>]
 //!                [--bench-json <file.json>] [--repeat N]
 //!                [--timeline <file.json>] [--bench-cache <file.json>]
 //!                [--bench-opt <file.json>] [--snap-dir <dir>]`
+//!
+//! An unknown table or flag, a repeated flag, a flag missing its value,
+//! or a value starting with `-` exits with status 2 before anything is
+//! measured.
 //!
 //! The 4 workloads × 5 modes measurement matrix runs in parallel across
 //! `--jobs N` worker threads (default: all cores); every table and trace
@@ -60,105 +65,125 @@
 
 use gc_safety::{JsonlSink, TraceHandle};
 use gcbench::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 use workloads::Scale;
 
+/// The tables `tables` can print; the first positional argument picks
+/// one (default `all`).
+const TABLES: &[&str] = &[
+    "sparc2",
+    "sparc10",
+    "pentium90",
+    "codesize",
+    "postprocessor",
+    "ablations",
+    "compare",
+    "analysis",
+    "spills",
+    "all",
+];
+
+/// Every flag `tables` accepts, and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--tiny", false),
+    ("--jobs", true),
+    ("--trace", true),
+    ("--prof", true),
+    ("--folded", true),
+    ("--bench-json", true),
+    ("--repeat", true),
+    ("--timeline", true),
+    ("--bench-cache", true),
+    ("--bench-opt", true),
+    ("--snap-dir", true),
+];
+
+/// Parses the command line into the table name and the given flags
+/// (valueless flags map to an empty string). Rejects unknown flags,
+/// repeated flags, missing values, values that look like flags, extra
+/// positional arguments, and unknown table names — all before anything
+/// is measured.
+fn parse_args(args: &[String]) -> Result<(String, HashMap<&'static str, String>), String> {
+    let mut what: Option<String> = None;
+    let mut flags: HashMap<&'static str, String> = HashMap::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            if let Some(first) = &what {
+                return Err(format!("unexpected argument '{arg}' after table '{first}'"));
+            }
+            if !TABLES.contains(&arg.as_str()) {
+                return Err(format!(
+                    "unknown table '{arg}' (expected one of: {})",
+                    TABLES.join(", ")
+                ));
+            }
+            what = Some(arg.clone());
+            continue;
+        }
+        let Some(&(name, takes_value)) = FLAGS.iter().find(|(f, _)| f == arg) else {
+            return Err(format!("unknown flag '{arg}'"));
+        };
+        let value = if takes_value {
+            match it.next() {
+                Some(v) if !v.starts_with('-') => v.clone(),
+                Some(v) => return Err(format!("{name} requires a value, got flag-like '{v}'")),
+                None => return Err(format!("{name} requires a value")),
+            }
+        } else {
+            String::new()
+        };
+        if flags.insert(name, value).is_some() {
+            return Err(format!("{name} given more than once"));
+        }
+    }
+    Ok((what.unwrap_or_else(|| "all".to_string()), flags))
+}
+
+/// Exits with status 2 and a usage error.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The positive integer value of `flag`, or `default` when absent.
+fn positive(flags: &HashMap<&str, String>, flag: &str, default: usize) -> usize {
+    match flags.get(flag) {
+        None => default,
+        Some(n) => match n.parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => usage_error(&format!("{flag} takes a positive integer, got '{n}'")),
+        },
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
-    let scale = if args.iter().any(|a| a == "--tiny") {
+    let (what, flags) = parse_args(&args).unwrap_or_else(|e| usage_error(&e));
+    let what = what.as_str();
+    let flag = |name: &str| flags.get(name).map(String::as_str);
+    let scale = if flags.contains_key("--tiny") {
         Scale::Tiny
     } else {
         Scale::Paper
     };
-    let trace_path: Option<&str> = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let prof_path: Option<&str> = args
-        .iter()
-        .position(|a| a == "--prof")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let folded_path: Option<&str> = args
-        .iter()
-        .position(|a| a == "--folded")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let bench_json_path: Option<&str> = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let timeline_path: Option<&str> = args
-        .iter()
-        .position(|a| a == "--timeline")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let bench_cache_path: Option<&str> = args
-        .iter()
-        .position(|a| a == "--bench-cache")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let bench_opt_path: Option<&str> = args
-        .iter()
-        .position(|a| a == "--bench-opt")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let snap_dir: Option<&str> = args
-        .iter()
-        .position(|a| a == "--snap-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
+    let trace_path = flag("--trace");
+    let prof_path = flag("--prof");
+    let folded_path = flag("--folded");
+    let bench_json_path = flag("--bench-json");
+    let timeline_path = flag("--timeline");
+    let bench_cache_path = flag("--bench-cache");
+    let bench_opt_path = flag("--bench-opt");
+    let snap_dir = flag("--snap-dir");
     if folded_path.is_some() && prof_path.is_none() {
-        eprintln!("error: --folded requires --prof (profiling must be enabled)");
-        std::process::exit(2);
+        usage_error("--folded requires --prof (profiling must be enabled)");
     }
-    if bench_cache_path.is_some() && args.iter().any(|a| a == "--repeat") {
-        eprintln!("error: --bench-cache is incompatible with --repeat (it times single passes)");
-        std::process::exit(2);
+    if bench_cache_path.is_some() && flags.contains_key("--repeat") {
+        usage_error("--bench-cache is incompatible with --repeat (it times single passes)");
     }
-    let repeat = match args
-        .iter()
-        .position(|a| a == "--repeat")
-        .map(|i| args.get(i + 1))
-    {
-        Some(Some(n)) => match n.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: --repeat takes a positive integer, got '{n}'");
-                std::process::exit(2);
-            }
-        },
-        Some(None) => {
-            eprintln!("error: --repeat requires a value");
-            std::process::exit(2);
-        }
-        None => 1,
-    };
-    let jobs = match args
-        .iter()
-        .position(|a| a == "--jobs")
-        .map(|i| args.get(i + 1))
-    {
-        Some(Some(n)) => match n.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: --jobs takes a positive integer, got '{n}'");
-                std::process::exit(2);
-            }
-        },
-        Some(None) => {
-            eprintln!("error: --jobs requires a value");
-            std::process::exit(2);
-        }
-        None => default_jobs(),
-    };
+    let repeat = positive(&flags, "--repeat", 1);
+    let jobs = positive(&flags, "--jobs", default_jobs());
     let trace = match trace_path {
         Some(path) => {
             let file = match std::fs::File::create(path) {
@@ -235,10 +260,7 @@ fn main() {
             }
             println!("Analysis listing (F1):\n{}", analysis_listing());
         }
-        other => {
-            eprintln!("unknown table '{other}'");
-            std::process::exit(2);
-        }
+        other => unreachable!("parse_args admits only known tables, got '{other}'"),
     }
     let micro = if bench_json_path.is_some() || timeline_path.is_some() {
         Some(gc_microbench(scale == Scale::Tiny))

@@ -698,6 +698,9 @@ pub fn prof_report(data: &Dataset) -> String {
     out
 }
 
+/// Picks one histogram out of a cell's profile.
+type HistPick = fn(&ProfData) -> &gc_safety::Histogram;
+
 /// Prometheus text exposition for a profiled [`Dataset`]: every cell's
 /// counters, histograms, site totals, census gauges, and MMU windows,
 /// labelled `{workload=..., mode=...}`, plus the process-wide compilation
@@ -721,7 +724,7 @@ pub fn prometheus_export(data: &Dataset) -> String {
             d.collections,
         );
     }
-    let hists: [(&str, &str, fn(&ProfData) -> &gc_safety::Histogram); 5] = [
+    let hists: [(&str, &str, HistPick); 5] = [
         (
             "gcprof_alloc_size_bytes",
             "Requested allocation sizes",
@@ -1005,9 +1008,12 @@ pub fn prometheus_export(data: &Dataset) -> String {
     w.finish()
 }
 
-/// Every snapped cell in row order: `(workload, mode, snapshots)` for
-/// cells whose [`gcsnap::SnapHandle`] collected anything.
-fn snap_cells(data: &Dataset) -> Vec<(&'static str, Mode, Vec<(String, gcsnap::Snapshot)>)> {
+/// One snapped matrix cell: workload, mode, and its labeled snapshots.
+type SnapCell = (&'static str, Mode, Vec<(String, gcsnap::Snapshot)>);
+
+/// Every snapped cell in row order, for cells whose
+/// [`gcsnap::SnapHandle`] collected anything.
+fn snap_cells(data: &Dataset) -> Vec<SnapCell> {
     let mut out = Vec::new();
     for (name, results) in &data.rows {
         for (mode, m) in results {

@@ -1,0 +1,120 @@
+//! The `tables` command line rejects malformed invocations up front:
+//! unknown tables and flags, missing or flag-like values, and repeated
+//! flags all exit with status 2 before any measurement runs, and never
+//! mistake the next flag for a file name.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// A fresh working directory per case, so stray output files show up.
+fn workdir(case: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("tables_cli_{case}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create work dir");
+    dir
+}
+
+fn tables(dir: &PathBuf, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("tables runs")
+}
+
+/// Runs `args` and asserts a usage error: exit 2, nothing on stdout, the
+/// expected message on stderr, and no file written in the work dir.
+fn assert_rejected(case: &str, args: &[&str], message: &str) {
+    let dir = workdir(case);
+    let out = tables(&dir, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} measured before rejecting: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        stderr.contains(message),
+        "{args:?}: expected '{message}' in {stderr}"
+    );
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read work dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert!(written.is_empty(), "{args:?} wrote {written:?}");
+}
+
+#[test]
+fn flag_like_values_are_not_taken_as_file_names() {
+    assert_rejected(
+        "trace_tiny",
+        &["sparc2", "--trace", "--tiny"],
+        "--trace requires a value, got flag-like '--tiny'",
+    );
+}
+
+#[test]
+fn trailing_flag_without_value_is_rejected() {
+    assert_rejected(
+        "trailing_prof",
+        &["sparc2", "--tiny", "--prof"],
+        "--prof requires a value",
+    );
+}
+
+#[test]
+fn unknown_flags_are_rejected() {
+    assert_rejected(
+        "unknown_flag",
+        &["sparc2", "--tiny", "--jbos", "2"],
+        "unknown flag '--jbos'",
+    );
+}
+
+#[test]
+fn unknown_tables_are_rejected_before_measuring() {
+    assert_rejected(
+        "unknown_table",
+        &["nosuch", "--tiny"],
+        "unknown table 'nosuch'",
+    );
+}
+
+#[test]
+fn malformed_counts_and_repeats_are_rejected() {
+    assert_rejected(
+        "jobs_zero",
+        &["sparc2", "--tiny", "--jobs", "0"],
+        "--jobs takes a positive integer, got '0'",
+    );
+    assert_rejected(
+        "twice",
+        &["sparc2", "--tiny", "--tiny"],
+        "--tiny given more than once",
+    );
+    assert_rejected(
+        "two_tables",
+        &["sparc2", "sparc10", "--tiny"],
+        "unexpected argument 'sparc10'",
+    );
+    assert_rejected(
+        "folded_alone",
+        &["sparc2", "--tiny", "--folded", "f.txt"],
+        "--folded requires --prof",
+    );
+}
+
+#[test]
+fn well_formed_invocations_still_run() {
+    // `analysis` prints the annotator listing without measuring the
+    // matrix, so it exercises the accepted-flags path cheaply.
+    let dir = workdir("analysis");
+    let out = tables(&dir, &["analysis", "--tiny", "--jobs", "1"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!out.stdout.is_empty(), "the listing is printed");
+}

@@ -341,8 +341,12 @@ enum PageKind {
     LargeCont { back: u32 },
 }
 
-/// What one sweep pass observed: reclamation totals, page counts per
-/// phase, and (when the heap is instrumented) per-class timing.
+/// Slots in a per-class sweep breakdown: one per size class plus a
+/// trailing slot for large objects.
+const SWEEP_SLOTS: usize = SIZE_CLASSES.len() + 1;
+
+/// What a cycle's sweep has retired so far: reclamation totals, page
+/// counts, and (when the heap is instrumented) per-class timing.
 #[derive(Debug, Default)]
 struct SweepOutcome {
     /// Objects returned to the free lists.
@@ -353,72 +357,66 @@ struct SweepOutcome {
     pages_swept: u64,
     /// Pages left holding at least one live object.
     pages_live: u64,
-    /// Sweep nanoseconds per size class (`0` = the large-object pass);
-    /// empty unless the sweep ran timed.
-    class_ns: Vec<(u32, u64)>,
+    /// Sweep nanoseconds per size class; zero unless the sweep ran timed.
+    class_ns: [u64; SWEEP_SLOTS],
+    /// Which classes the sweep visited a page of.
+    class_seen: [bool; SWEEP_SLOTS],
 }
 
-/// An in-progress incremental mark cycle: the grey worklist plus the
-/// accounting that becomes one [`CollectionRecord`] when the cycle
-/// finishes. Tri-color over the existing structures — white = allocated
-/// and unmarked, grey = marked but still on this worklist, black =
-/// marked and scanned (popped).
+/// One collection in progress, whatever its cause. Every collection runs
+/// the same pipeline — scan the roots into the grey worklist, drain it
+/// under a byte budget, sweep a page list, complete — and the cause only
+/// picks the budgets and the scope:
+///
+/// * stop-the-world (threshold, explicit, emergency): unbounded budgets,
+///   all of it inside the stop that began it;
+/// * nursery: the same, restricted to young pages, with the objects on
+///   carded old pages greyed as extra roots;
+/// * incremental: the drain and the sweep spread over allocation safe
+///   points in [`HeapConfig::mark_budget_bytes`] and
+///   [`HeapConfig::sweep_chunk_pages`] steps.
+///
+/// Tri-color over the existing structures — white = allocated and
+/// unmarked, grey = marked but still on the worklist, black = marked and
+/// scanned (popped).
 #[derive(Debug)]
-struct MarkCycle {
-    /// Marked-but-unscanned objects as (base, rounded size).
+struct Cycle {
+    /// Ranges still to scan as (start, bytes): marked objects, the
+    /// unscanned tails of segmented ones, and (nursery) carded old
+    /// objects.
     grey: Vec<(u64, u64)>,
-    /// Site label of the allocation whose threshold check began the
-    /// cycle.
+    /// Nursery cycle: only young pages are traced and swept.
+    young_only: bool,
+    /// Site label of the allocation that triggered the collection.
     site: Option<String>,
     /// Allocation debt captured (and reset) when the cycle began.
     bytes_since_gc: u64,
     roots_scanned: u64,
     words_marked: u64,
     objects_marked: u64,
-    /// Root-scan share across all stops so far (initial scan + re-scans).
+    /// Root-scan share across all stops so far.
     root_scan_ns: u64,
     /// Worklist-drain share across all stops so far.
     heap_scan_ns: u64,
-    /// Total wall clock of completed mark stops (a demanded finish's
-    /// final stop is added by [`GcHeap::finish_now`]; sweep chunk stops
-    /// accumulate in [`SweepCycle::sweep_stops_ns`] instead).
-    steps_ns: u64,
-    /// Bounded stops taken so far (initial root scan + increments).
+    /// Wall clock of the cycle's completed stops.
+    stops_ns: u64,
+    /// Bounded mark stops taken (initial root scan + increments); `0`
+    /// for a cycle finished inside the stop that began it.
     increments: u64,
-    /// Heap words scanned per completed stop.
+    /// Heap words scanned per bounded mark stop.
     increment_words: Vec<u64>,
     /// Per-stop pause entries for the MMU timeline (profiled runs only).
     increment_pauses: Vec<gcprof::Pause>,
     /// Blacklist level at cycle start, for the trace event's delta.
     blacklisted_before: u64,
-}
-
-/// A finished mark cycle whose sweep is being retired in bounded chunks.
-///
-/// The stop that ends marking snapshots every carved page and resets the
-/// allocator's per-class queues; each subsequent allocation safe point
-/// sweeps [`HeapConfig::sweep_chunk_pages`] pages from the snapshot, and
-/// the final chunk promotes the nursery and emits the cycle's single
-/// [`CollectionRecord`]. Pages carved while the sweep is in flight are
-/// not in the snapshot, so their (all live-born) objects are never
-/// confused with garbage.
-#[derive(Debug)]
-struct SweepCycle {
-    /// The finished marking's accounting (grey is empty).
-    cycle: MarkCycle,
-    /// Cause the completed collection will be attributed to.
-    cause: CollectCause,
-    /// Carved pages at mark end, ascending; `pos` is the walk cursor.
+    /// The pages to sweep, ascending, fixed when marking ends; `pos` is
+    /// the walk cursor. Pages carved while a spread sweep is in flight
+    /// are not listed, so their (all live-born) objects are never
+    /// confused with garbage.
     pages: Vec<usize>,
     pos: usize,
-    /// Reclamation totals accumulated across chunks.
-    out: SweepOutcome,
-    /// Per-class sweep nanoseconds (`SIZE_CLASSES.len()` is the
-    /// large-object slot), accumulated across timed chunks.
-    class_ns: Vec<u64>,
-    class_seen: Vec<bool>,
-    /// Wall clock of completed sweep chunk stops.
-    sweep_stops_ns: u64,
+    /// Reclamation totals accumulated across sweep stops.
+    swept: SweepOutcome,
 }
 
 /// The conservative garbage-collected heap.
@@ -447,11 +445,11 @@ pub struct GcHeap {
     stats: HeapStats,
     trace: TraceHandle,
     prof: ProfHandle,
-    /// In-progress incremental mark cycle, if any.
-    cycle: Option<MarkCycle>,
-    /// Finished cycle whose sweep is still being retired in chunks, if
-    /// any. Never `Some` while `cycle` is.
-    sweeping: Option<SweepCycle>,
+    /// Incremental cycle whose marking is in progress, if any.
+    cycle: Option<Cycle>,
+    /// Finished incremental cycle whose sweep is still being retired in
+    /// chunks, if any. Never `Some` while `cycle` is.
+    sweeping: Option<Cycle>,
     /// Young-generation bit per page: set when the page is carved, cleared
     /// when a collection promotes the whole nursery.
     young: Vec<u64>,
@@ -792,7 +790,7 @@ impl GcHeap {
                 // (the emergency needs the whole heap swept), else run a
                 // full stop-the-world collection, then retry once.
                 if self.cycle.is_some() {
-                    self.finish_cycle(mem, roots, CollectCause::Emergency);
+                    self.collect_as(mem, roots, CollectCause::Emergency, site);
                     return self.alloc(mem, size);
                 }
                 if self.sweeping.is_some() {
@@ -995,10 +993,11 @@ impl GcHeap {
         self.collect_as(mem, roots, CollectCause::Explicit, None);
     }
 
-    /// Runs a full stop-the-world mark-sweep collection attributed to
-    /// `cause` — and, when the caller knows it, to the allocation-site
-    /// label whose request triggered it. The per-collection trace event
-    /// and the [`CollectionRecord`] handed to the profile both carry the
+    /// Runs a collection attributed to `cause` — and, when the caller
+    /// knows it, to the allocation-site label whose request triggered it
+    /// — inside one stop: a full mark-sweep, or a young-only one for
+    /// [`CollectCause::Nursery`]. The per-collection trace event and the
+    /// [`CollectionRecord`] handed to the profile both carry the
     /// attribution plus a phase breakdown finer than mark/sweep:
     /// root-scan vs. heap-scan nanoseconds inside the mark, per-size-class
     /// sweep nanoseconds, and pages visited/live per phase.
@@ -1009,100 +1008,412 @@ impl GcHeap {
         cause: CollectCause,
         site: Option<&str>,
     ) {
-        if self.cycle.is_some() {
+        if let Some(c) = self.cycle.take() {
             // A collection demanded mid-cycle finishes the cycle under
             // the demanded cause — two overlapping collections would
-            // break the tri-color invariant (and the statistics).
-            self.finish_cycle(mem, roots, cause);
+            // break the tri-color invariant (and the statistics). The
+            // mutator ran since the cycle's root scan, so roots are
+            // scanned again.
+            self.finish(mem, c, Some(roots), cause, &Instant::now());
             return;
         }
-        if self.sweeping.is_some() {
-            // A finished cycle's sweep is still in flight: retire it
-            // first (it completes as its own collection), then run the
-            // demanded one on the fully swept heap.
-            self.finish_pending_sweep(mem);
-        }
-        if cause == CollectCause::Nursery {
-            self.collect_nursery(mem, roots, site);
-            return;
-        }
+        // A finished cycle's sweep still in flight completes as its own
+        // collection first; the demanded one then runs on the fully
+        // swept heap.
+        self.finish_pending_sweep(mem);
         let t0 = Instant::now();
-        self.stats.collections += 1;
-        self.bump_cause(cause);
-        let bytes_since_gc = self.bytes_since_gc;
-        self.bytes_since_gc = 0;
-        let blacklisted_before = self.stats.blacklisted_pages;
-        // --- mark: root scan ---
-        let mut roots_scanned: u64 = 0;
-        let mut words_marked: u64 = 0;
-        let mut objects_marked: u64 = 0;
-        // Worklist entries carry (base, rounded size) so tracing an
-        // object needs no extent lookup.
-        let mut worklist: Vec<(u64, u64)> = Vec::new();
+        let c = self.start_cycle(mem, roots, site, cause == CollectCause::Nursery);
+        self.finish(mem, c, None, cause, &t0);
+    }
+
+    /// Begins a collection: captures the allocation debt and scans the
+    /// roots into a fresh grey worklist. A nursery cycle also greys every
+    /// allocated object on a carded old page, so its old→young pointers
+    /// are traced: any pointer to a young object was stored after the
+    /// page was carved, i.e. after the last collection, so the barrier
+    /// carded its page.
+    fn start_cycle(
+        &mut self,
+        mem: &Memory,
+        roots: &RootSet,
+        site: Option<&str>,
+        young_only: bool,
+    ) -> Cycle {
+        let mut c = Cycle {
+            grey: Vec::new(),
+            young_only,
+            site: site.map(str::to_string),
+            bytes_since_gc: std::mem::take(&mut self.bytes_since_gc),
+            roots_scanned: 0,
+            words_marked: 0,
+            objects_marked: 0,
+            root_scan_ns: 0,
+            heap_scan_ns: 0,
+            stops_ns: 0,
+            increments: 0,
+            increment_words: Vec::new(),
+            increment_pauses: Vec::new(),
+            blacklisted_before: self.stats.blacklisted_pages,
+            pages: Vec::new(),
+            pos: 0,
+            swept: SweepOutcome::default(),
+        };
+        self.scan_roots(mem, roots, &mut c);
+        if young_only {
+            for w in 0..self.cards.len() {
+                let mut bits = self.cards[w];
+                while bits != 0 {
+                    let idx = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if idx >= self.next_page {
+                        continue;
+                    }
+                    let page_start = self.map.page_addr(idx);
+                    match self.map.desc(idx) {
+                        PageDesc::Small(sp) => {
+                            let obj = u64::from(sp.obj_size);
+                            for bw in 0..sp.words() {
+                                let mut a = sp.alloc_word(bw);
+                                while a != 0 {
+                                    let slot = bw * 64 + a.trailing_zeros() as usize;
+                                    a &= a - 1;
+                                    c.grey.push((page_start + slot as u64 * obj, obj));
+                                }
+                            }
+                        }
+                        PageDesc::LargeHead {
+                            size,
+                            allocated: true,
+                            ..
+                        } => c.grey.push((page_start, *size)),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        c
+    }
+
+    /// Scans the root set into `c`'s grey worklist; returns the number
+    /// of root words scanned.
+    fn scan_roots(&mut self, mem: &Memory, roots: &RootSet, c: &mut Cycle) -> u64 {
+        let t0 = Instant::now();
+        let (mut scanned, mut marked) = (0u64, 0u64);
+        let young_only = c.young_only;
+        let grey = &mut c.grey;
         for &(start, end) in &roots.ranges {
             mem.scan_words(start, end, |word| {
-                roots_scanned += 1;
-                objects_marked += u64::from(self.mark_candidate(word, true, false, &mut worklist));
+                scanned += 1;
+                marked += u64::from(self.mark_candidate(word, true, young_only, grey));
             });
         }
         for &word in &roots.words {
-            roots_scanned += 1;
-            objects_marked += u64::from(self.mark_candidate(word, true, false, &mut worklist));
+            scanned += 1;
+            marked += u64::from(self.mark_candidate(word, true, young_only, grey));
         }
-        let root_scan_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // --- mark: heap scan (worklist drain) ---
-        while let Some((start, size)) = worklist.pop() {
-            mem.scan_words(start, start + size, |word| {
-                words_marked += 1;
-                objects_marked += u64::from(self.mark_candidate(word, false, false, &mut worklist));
+        let ns = elapsed_ns(&t0);
+        c.roots_scanned += scanned;
+        c.objects_marked += marked;
+        c.root_scan_ns += ns;
+        self.stats.total_root_scan_ns += ns;
+        scanned
+    }
+
+    /// Scans grey objects until `budget` bytes have been scanned or the
+    /// worklist is dry; returns the bytes and words scanned. An object
+    /// bigger than the remaining budget is scanned in budget-sized
+    /// segments: the unscanned tail goes back on the worklist as a bare
+    /// range, so one large object can never blow a single stop. The
+    /// segment size saturates, so `u64::MAX` drains everything.
+    fn drain(&mut self, mem: &Memory, c: &mut Cycle, budget: u64) -> (u64, u64) {
+        let t0 = Instant::now();
+        let (mut scanned, mut words, mut marked) = (0u64, 0u64, 0u64);
+        let young_only = c.young_only;
+        let grey = &mut c.grey;
+        while scanned < budget {
+            let Some((start, size)) = grey.pop() else {
+                break;
+            };
+            let take = size.min((budget - scanned).saturating_add(7) & !7);
+            if take < size {
+                grey.push((start + take, size - take));
+            }
+            mem.scan_words(start, start + take, |word| {
+                words += 1;
+                marked += u64::from(self.mark_candidate(word, false, young_only, grey));
+            });
+            scanned += take;
+        }
+        let ns = elapsed_ns(&t0);
+        c.words_marked += words;
+        c.objects_marked += marked;
+        c.heap_scan_ns += ns;
+        self.stats.total_heap_scan_ns += ns;
+        (scanned, words)
+    }
+
+    /// Finishes `c` inside the current stop (begun at `t0`): drains the
+    /// worklist without a budget — around a root re-scan when the cycle
+    /// began in an earlier stop — then sweeps every listed page and
+    /// completes the collection under `cause`.
+    fn finish(
+        &mut self,
+        mem: &mut Memory,
+        mut c: Cycle,
+        rescan: Option<&RootSet>,
+        cause: CollectCause,
+        t0: &Instant,
+    ) {
+        self.drain(mem, &mut c, u64::MAX);
+        if let Some(roots) = rescan {
+            self.scan_roots(mem, roots, &mut c);
+            self.drain(mem, &mut c, u64::MAX);
+        }
+        let mark_ns = elapsed_ns(t0);
+        self.begin_sweep(&mut c);
+        self.sweep_pages(mem, &mut c, usize::MAX);
+        self.end_stop(&mut c, elapsed_ns(t0), mark_ns, false);
+        self.complete_cycle(c, cause);
+    }
+
+    /// Ends marking and lists the pages `c` will sweep. A full cycle
+    /// resets the allocator's recycled-slot queues (their free-slot
+    /// knowledge predates the new marks) and lists every carved page; a
+    /// nursery cycle lists only the young pages and detaches any cursor
+    /// sitting on one — a young page was carved since the last
+    /// collection, so no sweep has queued it and a cursor is its only
+    /// reference. Old pages are then untouched, so their mark bitmaps
+    /// stay clear for the next full mark and the lazy queues they sit on
+    /// stay valid.
+    fn begin_sweep(&mut self, c: &mut Cycle) {
+        if c.young_only {
+            for ci in 0..SIZE_CLASSES.len() {
+                if self.cursor[ci].is_some_and(|p| self.is_young(p)) {
+                    self.cursor[ci] = None;
+                }
+            }
+            c.pages = self.young_list.clone();
+            c.pages.sort_unstable();
+        } else {
+            for ci in 0..SIZE_CLASSES.len() {
+                self.cursor[ci] = None;
+                self.partial[ci].clear();
+                self.dirty[ci].clear();
+            }
+            self.stats.sweep_debt_pages = 0;
+            c.pages = (0..self.next_page)
+                .filter(|&i| !matches!(self.side[i], PageKind::Free))
+                .collect();
+        }
+    }
+
+    /// Sweeps `c`'s listed pages until `budget` pages have actually been
+    /// *touched*, and returns whether the list is exhausted. Metering by
+    /// pages touched rather than by list entries matters for large
+    /// objects: freeing a dead run poisons the whole run, so its head
+    /// entry is charged the run length, and one bounded stop frees at
+    /// most one oversized object instead of a chunkful of them. The
+    /// stop that exhausts the list promotes the nursery.
+    fn sweep_pages(&mut self, mem: &mut Memory, c: &mut Cycle, budget: usize) -> bool {
+        let timed = self.attribution_enabled();
+        let (objects, bytes) = (c.swept.objects_swept, c.swept.bytes_swept);
+        let mut touched = 0usize;
+        while touched < budget && c.pos < c.pages.len() {
+            touched += self.sweep_one_page(mem, c.pages[c.pos], timed, &mut c.swept);
+            c.pos += 1;
+        }
+        let objects = c.swept.objects_swept - objects;
+        self.stats.objects_freed += objects;
+        self.stats.objects_live -= objects;
+        self.stats.bytes_live -= c.swept.bytes_swept - bytes;
+        if c.pos < c.pages.len() {
+            return false;
+        }
+        if c.young_only {
+            // Surviving young pages joined their queues out of order with
+            // the old pages already there; restore ascending order.
+            for q in &mut self.dirty {
+                q.make_contiguous().sort_unstable();
+            }
+        }
+        self.promote_young();
+        true
+    }
+
+    /// Sweeps one page and returns how many pages it touched.
+    ///
+    /// Per small page this is word arithmetic — `garbage = alloc & !mark`
+    /// drives poisoning (trailing-zeros per dead slot) and a popcount
+    /// keeps the statistics exact, then the mark bitmap folds into the
+    /// allocation bitmap. Fully empty pages (a word compare) are
+    /// reclaimed into the page pool on the spot (without this, a
+    /// size-class phase shift — fill with class A, drop it, switch to
+    /// class B — can exhaust the heap while every page is pure free
+    /// slots, because free slots only ever serve their own class);
+    /// blacklisted pages become `Free` but are never handed out again —
+    /// the cost of blacklisting is lost capacity. Pages left with free
+    /// slots are queued per class for *lazy* adoption: the allocator
+    /// discovers their free slots on demand instead of the pause
+    /// rebuilding free lists, and the backlog is `sweep_debt_pages`.
+    /// Statistics, poisoning, and the census are therefore exact the
+    /// moment a sweep finishes. A dead large object's pages are all
+    /// released (contiguity cannot be guaranteed once recycled, so those
+    /// pages feed small-object allocation only) and count as touched,
+    /// because poisoning costs proportional to the run.
+    fn sweep_one_page(
+        &mut self,
+        mem: &mut Memory,
+        idx: usize,
+        timed: bool,
+        out: &mut SweepOutcome,
+    ) -> usize {
+        let t_page = timed.then(Instant::now);
+        let poison = self.config.poison;
+        let page_start = self.map.page_addr(idx);
+        let (slot, touched) = match self.side[idx] {
+            PageKind::Free => return 0,
+            PageKind::LargeCont { .. } => (SIZE_CLASSES.len(), 0),
+            PageKind::Small { ci, .. } => {
+                let PageDesc::Small(sp) = self.map.desc_mut(idx) else {
+                    unreachable!("sweeping a non-small page")
+                };
+                let obj = u64::from(sp.obj_size);
+                let mut freed: u64 = 0;
+                for w in 0..sp.words() {
+                    let mut garbage = sp.garbage_word(w);
+                    freed += u64::from(garbage.count_ones());
+                    while poison && garbage != 0 {
+                        let slot = w * 64 + garbage.trailing_zeros() as usize;
+                        garbage &= garbage - 1;
+                        mem.fill(page_start + slot as u64 * obj, 0xDD, obj as usize)
+                            .expect("freed object is mapped");
+                    }
+                }
+                sp.fold_marks();
+                out.objects_swept += freed;
+                out.bytes_swept += freed * obj;
+                let (empty, has_free) = (sp.is_empty(), sp.has_free_slot());
+                if empty {
+                    *self.map.desc_mut(idx) = PageDesc::Free;
+                    self.side[idx] = PageKind::Free;
+                    self.stats.pages_reclaimed += 1;
+                    if !self.bl_contains(idx) {
+                        self.free_pages.push(idx);
+                    }
+                } else {
+                    out.pages_live += 1;
+                    if has_free {
+                        self.dirty[ci as usize].push_back(idx);
+                        self.stats.sweep_debt_pages += 1;
+                    }
+                }
+                (ci as usize, 1)
+            }
+            PageKind::LargeHead => {
+                let PageDesc::LargeHead {
+                    size,
+                    marked,
+                    allocated,
+                } = self.map.desc_mut(idx)
+                else {
+                    unreachable!("sweeping a non-head page")
+                };
+                let (size, allocated, dead) = (*size, *allocated, *allocated && !*marked);
+                *marked = false;
+                let run = (size / PAGE_SIZE) as usize;
+                if dead {
+                    out.objects_swept += 1;
+                    out.bytes_swept += size;
+                    if poison {
+                        mem.fill(page_start, 0xDD, size as usize)
+                            .expect("freed object is mapped");
+                    }
+                    for i in idx..idx + run {
+                        *self.map.desc_mut(i) = PageDesc::Free;
+                        self.side[i] = PageKind::Free;
+                        self.free_pages.push(i);
+                    }
+                } else if allocated {
+                    out.pages_live += run as u64;
+                }
+                (SIZE_CLASSES.len(), if dead { run } else { 1 })
+            }
+        };
+        out.pages_swept += 1;
+        out.class_seen[slot] = true;
+        if let Some(t) = t_page {
+            out.class_ns[slot] += elapsed_ns(&t);
+        }
+        touched
+    }
+
+    /// Charges one stop of `c` to the pause statistics: `mark_ns` of it
+    /// to marking, the rest to sweeping. A `bounded` stop — one the
+    /// cycle hands back to the mutator after — also lands on the MMU
+    /// timeline as its own pause.
+    fn end_stop(&mut self, c: &mut Cycle, stop_ns: u64, mark_ns: u64, bounded: bool) {
+        c.stops_ns += stop_ns;
+        self.stats.total_pause_ns += stop_ns;
+        self.stats.max_pause_ns = self.stats.max_pause_ns.max(stop_ns);
+        self.stats.total_mark_ns += mark_ns;
+        self.stats.total_sweep_ns += stop_ns.saturating_sub(mark_ns);
+        if bounded && self.prof.is_enabled() {
+            c.increment_pauses.push(gcprof::Pause {
+                end_ns: self.prof.now_ns(),
+                pause_ns: stop_ns,
             });
         }
-        let mark_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let heap_scan_ns = mark_ns.saturating_sub(root_scan_ns);
-        // --- sweep ---
-        let detail = self.attribution_enabled();
-        let sw = self.sweep(mem, detail);
-        self.promote_young();
-        let pause_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let sweep_ns = pause_ns.saturating_sub(mark_ns);
-        self.stats.total_pause_ns += pause_ns;
-        self.stats.max_pause_ns = self.stats.max_pause_ns.max(pause_ns);
-        self.stats.total_mark_ns += mark_ns;
-        self.stats.total_sweep_ns += sweep_ns;
-        self.stats.total_root_scan_ns += root_scan_ns;
-        self.stats.total_heap_scan_ns += heap_scan_ns;
-        if !detail {
+    }
+
+    /// Completes a collection: the only place that counts one and reports
+    /// it. The single [`CollectionRecord`] (and its trace event) covers
+    /// every stop of the cycle; its pause is their sum, and the sweep
+    /// share is the remainder after the measured root/heap-scan time, so
+    /// the phase partition holds exactly.
+    fn complete_cycle(&mut self, c: Cycle, cause: CollectCause) {
+        self.stats.collections += 1;
+        self.bump_cause(cause);
+        if !self.attribution_enabled() {
             return;
         }
         let stats = self.stats;
+        let sw = &c.swept;
+        let mark_ns = c.root_scan_ns + c.heap_scan_ns;
         let rec = CollectionRecord {
             cause,
-            site: site.map(str::to_string),
-            bytes_since_gc,
+            site: c.site,
+            bytes_since_gc: c.bytes_since_gc,
             bytes_live: stats.bytes_live,
             freed_bytes: sw.bytes_swept,
-            roots_scanned,
-            words_marked,
+            roots_scanned: c.roots_scanned,
+            words_marked: c.words_marked,
             pages_live: sw.pages_live,
             pages_swept: sw.pages_swept,
             sweep_debt_pages: stats.sweep_debt_pages,
-            pause_ns,
+            pause_ns: c.stops_ns,
             mark_ns,
-            sweep_ns,
-            root_scan_ns,
-            heap_scan_ns,
-            class_sweep_ns: sw.class_ns,
-            ..CollectionRecord::default()
+            sweep_ns: c.stops_ns.saturating_sub(mark_ns),
+            root_scan_ns: c.root_scan_ns,
+            heap_scan_ns: c.heap_scan_ns,
+            // Size 0 stands for the large-object slot.
+            class_sweep_ns: (0..SWEEP_SLOTS)
+                .filter(|&s| sw.class_seen[s])
+                .map(|s| (SIZE_CLASSES.get(s).copied().unwrap_or(0), sw.class_ns[s]))
+                .collect(),
+            increments: c.increments,
+            increment_words: c.increment_words,
+            increment_pauses: c.increment_pauses,
+            young_pages_swept: if c.young_only { sw.pages_swept } else { 0 },
         };
         self.trace.emit(|| {
             Event::new("gc", "collection")
                 .field("n", stats.collections)
                 .field("cause", cause.as_str())
                 .field("site", rec.site.clone().unwrap_or_default())
-                .field("bytes_since_gc", bytes_since_gc)
-                .field("roots_scanned", roots_scanned)
-                .field("words_marked", words_marked)
-                .field("objects_marked", objects_marked)
+                .field("bytes_since_gc", rec.bytes_since_gc)
+                .field("roots_scanned", rec.roots_scanned)
+                .field("words_marked", rec.words_marked)
+                .field("objects_marked", c.objects_marked)
                 .field("objects_swept", sw.objects_swept)
                 .field("bytes_swept", sw.bytes_swept)
                 .field("pages_swept", sw.pages_swept)
@@ -1110,19 +1421,19 @@ impl GcHeap {
                 .field("sweep_debt_pages", stats.sweep_debt_pages)
                 .field(
                     "blacklist_hits",
-                    stats.blacklisted_pages - blacklisted_before,
+                    stats.blacklisted_pages - c.blacklisted_before,
                 )
                 .field("objects_live", stats.objects_live)
                 .field("bytes_live", stats.bytes_live)
-                .field("pause_ns", pause_ns)
-                .field("mark_ns", mark_ns)
-                .field("sweep_ns", sweep_ns)
-                .field("root_scan_ns", root_scan_ns)
-                .field("heap_scan_ns", heap_scan_ns)
+                .field("pause_ns", rec.pause_ns)
+                .field("mark_ns", rec.mark_ns)
+                .field("sweep_ns", rec.sweep_ns)
+                .field("root_scan_ns", rec.root_scan_ns)
+                .field("heap_scan_ns", rec.heap_scan_ns)
                 .field("class_sweep_ns", rec.class_sweep_encoded())
-                .field("increments", 0u64)
+                .field("increments", rec.increments)
                 .field("increment_words", rec.increment_words_encoded())
-                .field("young_pages_swept", 0u64)
+                .field("young_pages_swept", rec.young_pages_swept)
         });
         self.prof.record_collection(move || rec);
     }
@@ -1295,8 +1606,11 @@ impl GcHeap {
             let p = ((addr - self.heap_base) >> PAGE_SHIFT) as usize;
             self.card_page(p);
         }
-        if self.cycle.is_some() {
-            self.grey_value(value);
+        if let Some(mut c) = self.cycle.take() {
+            let marked = u64::from(self.mark_candidate(value, false, false, &mut c.grey));
+            c.objects_marked += marked;
+            self.stats.barrier_marks += marked;
+            self.cycle = Some(c);
         }
     }
 
@@ -1318,16 +1632,14 @@ impl GcHeap {
                 self.card_page(p);
             }
         }
-        if let Some(mut cycle) = self.cycle.take() {
-            let mut grey = std::mem::take(&mut cycle.grey);
-            let mut marks = 0u64;
+        if let Some(mut c) = self.cycle.take() {
+            let mut marked = 0u64;
             mem.scan_words(addr & !7, (end + 7) & !7, |word| {
-                marks += u64::from(self.mark_candidate(word, false, false, &mut grey));
+                marked += u64::from(self.mark_candidate(word, false, false, &mut c.grey));
             });
-            cycle.objects_marked += marks;
-            self.stats.barrier_marks += marks;
-            cycle.grey = grey;
-            self.cycle = Some(cycle);
+            c.objects_marked += marked;
+            self.stats.barrier_marks += marked;
+            self.cycle = Some(c);
         }
     }
 
@@ -1344,92 +1656,22 @@ impl GcHeap {
         self.cards[p / 64] |= 1 << (p % 64);
     }
 
-    /// The Dijkstra half of [`GcHeap::write_barrier`]: greys the stored
-    /// value's object if it is still white.
-    fn grey_value(&mut self, value: u64) {
-        let Some(mut cycle) = self.cycle.take() else {
-            return;
-        };
-        let mut grey = std::mem::take(&mut cycle.grey);
-        if self.mark_candidate(value, false, false, &mut grey) {
-            cycle.objects_marked += 1;
-            self.stats.barrier_marks += 1;
-        }
-        cycle.grey = grey;
-        self.cycle = Some(cycle);
-    }
-
     /// Starts an incremental mark cycle: one bounded stop that scans the
     /// roots into the grey worklist. Subsequent allocation safe points
     /// drive [`GcHeap::mark_step`] until the cycle finishes.
     fn begin_cycle(&mut self, mem: &Memory, roots: &RootSet, site: Option<&str>) {
         let t0 = Instant::now();
-        let blacklisted_before = self.stats.blacklisted_pages;
-        let bytes_since_gc = self.bytes_since_gc;
-        self.bytes_since_gc = 0;
-        let mut grey: Vec<(u64, u64)> = Vec::new();
-        let mut roots_scanned = 0u64;
-        let mut objects_marked = 0u64;
-        for &(start, end) in &roots.ranges {
-            mem.scan_words(start, end, |word| {
-                roots_scanned += 1;
-                objects_marked += u64::from(self.mark_candidate(word, true, false, &mut grey));
-            });
-        }
-        for &word in &roots.words {
-            roots_scanned += 1;
-            objects_marked += u64::from(self.mark_candidate(word, true, false, &mut grey));
-        }
-        let root_ns = elapsed_ns(&t0);
-        let mut cycle = MarkCycle {
-            grey,
-            site: site.map(str::to_string),
-            bytes_since_gc,
-            roots_scanned,
-            words_marked: 0,
-            objects_marked,
-            root_scan_ns: root_ns,
-            heap_scan_ns: 0,
-            steps_ns: 0,
-            increments: 0,
-            increment_words: Vec::new(),
-            increment_pauses: Vec::new(),
-            blacklisted_before,
-        };
-        let stop_ns = elapsed_ns(&t0);
-        cycle.steps_ns = stop_ns;
-        cycle.increments = 1;
-        cycle.increment_words.push(0);
-        if self.prof.is_enabled() {
-            cycle.increment_pauses.push(gcprof::Pause {
-                end_ns: self.prof.now_ns(),
-                pause_ns: stop_ns,
-            });
-        }
-        self.stats.total_pause_ns += stop_ns;
-        self.stats.max_pause_ns = self.stats.max_pause_ns.max(stop_ns);
-        self.stats.total_mark_ns += stop_ns;
-        self.stats.total_root_scan_ns += root_ns;
-        self.stats.mark_increments += 1;
-        let n = self.stats.collections + 1;
-        let grey_len = cycle.grey.len() as u64;
-        self.trace.emit(|| {
-            Event::new("gc", "mark-increment")
-                .field("n", n)
-                .field("increment", 1u64)
-                .field("roots_scanned", roots_scanned)
-                .field("words_scanned", 0u64)
-                .field("grey", grey_len)
-                .field("pause_ns", stop_ns)
-        });
-        self.cycle = Some(cycle);
+        let mut c = self.start_cycle(mem, roots, site, false);
+        let roots_scanned = c.roots_scanned;
+        self.end_increment(&mut c, &t0, roots_scanned, 0);
+        self.cycle = Some(c);
     }
 
     /// One bounded stop of an in-progress cycle: drains the grey worklist
     /// up to the byte budget. A stop that finds the worklist already dry
     /// re-scans the roots instead, and — if grey stays dry — ends marking
-    /// in the same stop and installs the chunked sweep (retired by
-    /// [`GcHeap::sweep_step`] at the next safe points).
+    /// in the same stop and lists the pages for the chunked sweep
+    /// (retired by [`GcHeap::sweep_step`] at the next safe points).
     ///
     /// Termination: the grey worklist only ever receives still-white
     /// objects, objects born mid-cycle are black, and marks are never
@@ -1438,292 +1680,66 @@ impl GcHeap {
     /// dry worklist that survives a root re-scan proves every object
     /// reachable at that instant is marked (heap stores were greyed by
     /// the barrier as they happened).
-    fn mark_step(&mut self, mem: &mut Memory, roots: &RootSet) {
+    fn mark_step(&mut self, mem: &Memory, roots: &RootSet) {
         let t0 = Instant::now();
-        let mut cycle = self
+        let mut c = self
             .cycle
             .take()
             .expect("mark_step requires an active cycle");
-        let mut grey = std::mem::take(&mut cycle.grey);
-        let budget = self.config.mark_budget_bytes.max(1);
-        let mut scanned = 0u64;
-        let mut words = 0u64;
-        while scanned < budget {
-            let Some((start, size)) = grey.pop() else {
-                break;
-            };
-            // An object bigger than the remaining budget is scanned in
-            // budget-sized segments: the unscanned tail goes back on the
-            // worklist as a bare range, so one large object can never
-            // blow a single stop.
-            let take = size.min((budget - scanned).next_multiple_of(8));
-            if take < size {
-                grey.push((start + take, size - take));
-            }
-            mem.scan_words(start, start + take, |word| {
-                words += 1;
-                cycle.objects_marked +=
-                    u64::from(self.mark_candidate(word, false, false, &mut grey));
-            });
-            scanned += take;
-        }
-        let drain_ns = elapsed_ns(&t0);
-        cycle.words_marked += words;
-        cycle.heap_scan_ns += drain_ns;
-        self.stats.total_heap_scan_ns += drain_ns;
+        let (scanned, words) = self.drain(mem, &mut c, self.config.mark_budget_bytes.max(1));
         // The termination re-scan runs only in a stop whose drain had
         // nothing to do — piggybacking it on a full-budget drain would
         // double that stop's cost.
-        if grey.is_empty() && scanned == 0 {
-            // The final (bounded) root re-scan: pointers the mutator kept
-            // only in roots since the initial scan are caught here.
-            let mut rescanned = 0u64;
-            for &(start, end) in &roots.ranges {
-                mem.scan_words(start, end, |word| {
-                    rescanned += 1;
-                    cycle.objects_marked +=
-                        u64::from(self.mark_candidate(word, true, false, &mut grey));
-                });
-            }
-            for &word in &roots.words {
-                rescanned += 1;
-                cycle.objects_marked +=
-                    u64::from(self.mark_candidate(word, true, false, &mut grey));
-            }
-            let rescan_ns = elapsed_ns(&t0).saturating_sub(drain_ns);
-            cycle.roots_scanned += rescanned;
-            cycle.root_scan_ns += rescan_ns;
-            self.stats.total_root_scan_ns += rescan_ns;
-            if grey.is_empty() {
-                cycle.grey = grey;
-                // Marking is over. Still inside this stop: reset the
-                // allocator's recycled-slot queues (their free-slot
-                // knowledge predates the new marks) and snapshot the
-                // carved pages; the sweep walk itself is retired in
-                // chunks at the next safe points instead of here.
-                for ci in 0..SIZE_CLASSES.len() {
-                    self.cursor[ci] = None;
-                    self.partial[ci].clear();
-                    self.dirty[ci].clear();
-                }
-                self.stats.sweep_debt_pages = 0;
-                let pages: Vec<usize> = (0..self.next_page)
-                    .filter(|&i| !matches!(self.side[i], PageKind::Free))
-                    .collect();
-                let stop_ns = elapsed_ns(&t0);
-                cycle.steps_ns += stop_ns;
-                cycle.increments += 1;
-                cycle.increment_words.push(words);
-                if self.prof.is_enabled() {
-                    cycle.increment_pauses.push(gcprof::Pause {
-                        end_ns: self.prof.now_ns(),
-                        pause_ns: stop_ns,
-                    });
-                }
-                self.stats.total_pause_ns += stop_ns;
-                self.stats.max_pause_ns = self.stats.max_pause_ns.max(stop_ns);
-                self.stats.total_mark_ns += stop_ns;
-                self.stats.mark_increments += 1;
-                let n = self.stats.collections + 1;
-                let increment = cycle.increments;
-                self.trace.emit(|| {
-                    Event::new("gc", "mark-increment")
-                        .field("n", n)
-                        .field("increment", increment)
-                        .field("roots_scanned", rescanned)
-                        .field("words_scanned", words)
-                        .field("grey", 0u64)
-                        .field("pause_ns", stop_ns)
-                });
-                self.sweeping = Some(SweepCycle {
-                    cycle,
-                    cause: CollectCause::IncrementFinish,
-                    pages,
-                    pos: 0,
-                    out: SweepOutcome::default(),
-                    class_ns: vec![0; SIZE_CLASSES.len() + 1],
-                    class_seen: vec![false; SIZE_CLASSES.len() + 1],
-                    sweep_stops_ns: 0,
-                });
+        if scanned == 0 {
+            let rescanned = self.scan_roots(mem, roots, &mut c);
+            if c.grey.is_empty() {
+                self.begin_sweep(&mut c);
+                self.end_increment(&mut c, &t0, rescanned, words);
+                self.sweeping = Some(c);
                 return;
             }
         }
-        // A plain increment: record the stop and hand back to the
-        // mutator.
-        let stop_ns = elapsed_ns(&t0);
-        cycle.grey = grey;
-        cycle.steps_ns += stop_ns;
-        cycle.increments += 1;
-        cycle.increment_words.push(words);
-        if self.prof.is_enabled() {
-            cycle.increment_pauses.push(gcprof::Pause {
-                end_ns: self.prof.now_ns(),
-                pause_ns: stop_ns,
-            });
-        }
-        self.stats.total_pause_ns += stop_ns;
-        self.stats.max_pause_ns = self.stats.max_pause_ns.max(stop_ns);
-        self.stats.total_mark_ns += stop_ns;
+        self.end_increment(&mut c, &t0, 0, words);
+        self.cycle = Some(c);
+    }
+
+    /// Closes one bounded mark stop of a spread cycle: its pause, its
+    /// entry in the cycle's increment list, and its trace event.
+    fn end_increment(&mut self, c: &mut Cycle, t0: &Instant, roots_scanned: u64, words: u64) {
+        let stop_ns = elapsed_ns(t0);
+        self.end_stop(c, stop_ns, stop_ns, true);
+        c.increments += 1;
+        c.increment_words.push(words);
         self.stats.mark_increments += 1;
-        let n = self.stats.collections + 1;
-        let increment = cycle.increments;
-        let grey_len = cycle.grey.len() as u64;
+        let (n, increment, grey) = (self.stats.collections + 1, c.increments, c.grey.len());
         self.trace.emit(|| {
             Event::new("gc", "mark-increment")
                 .field("n", n)
                 .field("increment", increment)
-                .field("roots_scanned", 0u64)
+                .field("roots_scanned", roots_scanned)
                 .field("words_scanned", words)
-                .field("grey", grey_len)
+                .field("grey", grey as u64)
                 .field("pause_ns", stop_ns)
         });
-        self.cycle = Some(cycle);
     }
 
-    /// Finishes the in-progress cycle immediately under `cause`
-    /// (an emergency or an externally demanded collection): drains grey
-    /// without a budget, re-scans the roots, drains again, then sweeps.
-    fn finish_cycle(&mut self, mem: &mut Memory, roots: &RootSet, cause: CollectCause) {
-        let t0 = Instant::now();
-        let mut cycle = self
-            .cycle
-            .take()
-            .expect("finish_cycle requires an active cycle");
-        let mut grey = std::mem::take(&mut cycle.grey);
-        let mut words = 0u64;
-        let mut objs = 0u64;
-        while let Some((start, size)) = grey.pop() {
-            mem.scan_words(start, start + size, |word| {
-                words += 1;
-                objs += u64::from(self.mark_candidate(word, false, false, &mut grey));
-            });
-        }
-        let drain1_ns = elapsed_ns(&t0);
-        let mut rescanned = 0u64;
-        for &(start, end) in &roots.ranges {
-            mem.scan_words(start, end, |word| {
-                rescanned += 1;
-                objs += u64::from(self.mark_candidate(word, true, false, &mut grey));
-            });
-        }
-        for &word in &roots.words {
-            rescanned += 1;
-            objs += u64::from(self.mark_candidate(word, true, false, &mut grey));
-        }
-        let rescan_ns = elapsed_ns(&t0).saturating_sub(drain1_ns);
-        while let Some((start, size)) = grey.pop() {
-            mem.scan_words(start, start + size, |word| {
-                words += 1;
-                objs += u64::from(self.mark_candidate(word, false, false, &mut grey));
-            });
-        }
-        let mark_stop_ns = elapsed_ns(&t0);
-        cycle.objects_marked += objs;
-        cycle.words_marked += words;
-        cycle.roots_scanned += rescanned;
-        cycle.root_scan_ns += rescan_ns;
-        cycle.heap_scan_ns += mark_stop_ns.saturating_sub(rescan_ns);
-        self.stats.total_root_scan_ns += rescan_ns;
-        self.stats.total_heap_scan_ns += mark_stop_ns.saturating_sub(rescan_ns);
-        cycle.grey = grey;
-        self.finish_now(mem, cycle, cause, &t0, mark_stop_ns);
-    }
-
-    /// The synchronous tail of a demanded finish: sweep, promotion, and
-    /// the cycle's completion, all in the current stop.
-    fn finish_now(
-        &mut self,
-        mem: &mut Memory,
-        cycle: MarkCycle,
-        cause: CollectCause,
-        t0: &Instant,
-        mark_stop_ns: u64,
-    ) {
-        let detail = self.attribution_enabled();
-        let sw = self.sweep(mem, detail);
-        self.promote_young();
-        let stop_ns = elapsed_ns(t0);
-        self.stats.total_pause_ns += stop_ns;
-        self.stats.max_pause_ns = self.stats.max_pause_ns.max(stop_ns);
-        self.stats.total_mark_ns += mark_stop_ns;
-        self.stats.total_sweep_ns += stop_ns.saturating_sub(mark_stop_ns);
-        let pause_ns = cycle.steps_ns + stop_ns;
-        self.complete_cycle(cycle, cause, &sw, pause_ns);
-    }
-
-    /// Retires one bounded chunk of a pending sweep: pages from the
-    /// mark-end snapshot until [`HeapConfig::sweep_chunk_pages`] pages
-    /// have actually been *touched*. Metering by pages touched rather
-    /// than by list entries matters for large objects: freeing a dead
-    /// run poisons the whole run, so its head entry is charged the run
-    /// length, and one stop frees at most one oversized object instead
-    /// of a chunkful of them. The final chunk promotes the nursery and
-    /// completes the collection (statistics plus the cycle's single
-    /// [`CollectionRecord`]).
+    /// Retires one bounded chunk of a pending sweep:
+    /// [`HeapConfig::sweep_chunk_pages`] touched pages from the list
+    /// fixed when marking ended. The chunk that exhausts the list
+    /// completes the collection.
     fn sweep_step(&mut self, mem: &mut Memory) {
         let t0 = Instant::now();
-        let timed = self.attribution_enabled();
-        let mut sc = self
+        let mut c = self
             .sweeping
             .take()
             .expect("sweep_step requires a pending sweep");
-        let budget = self.config.sweep_chunk_pages.max(1);
-        let mut out = SweepOutcome::default();
-        let mut class_ns = vec![0u64; SIZE_CLASSES.len() + 1];
-        let mut class_seen = vec![false; SIZE_CLASSES.len() + 1];
-        let mut debt = 0u64;
-        let mut touched = 0usize;
-        while touched < budget && sc.pos < sc.pages.len() {
-            let idx = sc.pages[sc.pos];
-            sc.pos += 1;
-            let (d, t) =
-                self.sweep_one_page(mem, idx, timed, &mut out, &mut class_ns, &mut class_seen);
-            debt += d;
-            touched += t;
-        }
-        self.stats.objects_freed += out.objects_swept;
-        self.stats.objects_live -= out.objects_swept;
-        self.stats.bytes_live -= out.bytes_swept;
-        self.stats.sweep_debt_pages += debt;
-        sc.out.objects_swept += out.objects_swept;
-        sc.out.bytes_swept += out.bytes_swept;
-        sc.out.pages_swept += out.pages_swept;
-        sc.out.pages_live += out.pages_live;
-        for s in 0..class_ns.len() {
-            sc.class_ns[s] += class_ns[s];
-            sc.class_seen[s] |= class_seen[s];
-        }
-        let done = sc.pos >= sc.pages.len();
-        if done {
-            self.promote_young();
-        }
-        let stop_ns = elapsed_ns(&t0);
-        sc.sweep_stops_ns += stop_ns;
-        self.stats.total_pause_ns += stop_ns;
-        self.stats.max_pause_ns = self.stats.max_pause_ns.max(stop_ns);
-        self.stats.total_sweep_ns += stop_ns;
+        let done = self.sweep_pages(mem, &mut c, self.config.sweep_chunk_pages.max(1));
+        self.end_stop(&mut c, elapsed_ns(&t0), 0, true);
         self.stats.sweep_increments += 1;
-        if self.prof.is_enabled() {
-            sc.cycle.increment_pauses.push(gcprof::Pause {
-                end_ns: self.prof.now_ns(),
-                pause_ns: stop_ns,
-            });
-        }
         if done {
-            let mut sw = sc.out;
-            if timed || sc.class_seen.iter().any(|&s| s) {
-                sw.class_ns = sc
-                    .class_seen
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &seen)| seen)
-                    .map(|(s, _)| (SIZE_CLASSES.get(s).copied().unwrap_or(0), sc.class_ns[s]))
-                    .collect();
-            }
-            let pause_ns = sc.cycle.steps_ns + sc.sweep_stops_ns;
-            self.complete_cycle(sc.cycle, sc.cause, &sw, pause_ns);
+            self.complete_cycle(c, CollectCause::IncrementFinish);
         } else {
-            self.sweeping = Some(sc);
+            self.sweeping = Some(c);
         }
     }
 
@@ -1733,532 +1749,6 @@ impl GcHeap {
         while self.sweeping.is_some() {
             self.sweep_step(mem);
         }
-    }
-
-    /// The shared completion of a finishing cycle: collection counters
-    /// and the (single) [`CollectionRecord`] covering every stop of the
-    /// cycle — bounded mark stops, sweep chunks, and whatever final stop
-    /// demanded the finish. `pause_ns` is the sum of all of them; the
-    /// sweep share is the remainder after the measured root/heap-scan
-    /// time so the phase partition holds exactly.
-    fn complete_cycle(
-        &mut self,
-        cycle: MarkCycle,
-        cause: CollectCause,
-        sw: &SweepOutcome,
-        pause_ns: u64,
-    ) {
-        self.stats.collections += 1;
-        self.bump_cause(cause);
-        if !self.attribution_enabled() {
-            return;
-        }
-        let stats = self.stats;
-        let root_scan_ns = cycle.root_scan_ns;
-        let heap_scan_ns = cycle.heap_scan_ns;
-        let mark_ns = root_scan_ns + heap_scan_ns;
-        let sweep_ns = pause_ns.saturating_sub(mark_ns);
-        let rec = CollectionRecord {
-            cause,
-            site: cycle.site,
-            bytes_since_gc: cycle.bytes_since_gc,
-            bytes_live: stats.bytes_live,
-            freed_bytes: sw.bytes_swept,
-            roots_scanned: cycle.roots_scanned,
-            words_marked: cycle.words_marked,
-            pages_live: sw.pages_live,
-            pages_swept: sw.pages_swept,
-            sweep_debt_pages: stats.sweep_debt_pages,
-            pause_ns,
-            mark_ns,
-            sweep_ns,
-            root_scan_ns,
-            heap_scan_ns,
-            class_sweep_ns: sw.class_ns.clone(),
-            increments: cycle.increments,
-            increment_words: cycle.increment_words,
-            increment_pauses: cycle.increment_pauses,
-            young_pages_swept: 0,
-        };
-        let objects_marked = cycle.objects_marked;
-        let blacklisted_before = cycle.blacklisted_before;
-        self.trace.emit(|| {
-            Event::new("gc", "collection")
-                .field("n", stats.collections)
-                .field("cause", cause.as_str())
-                .field("site", rec.site.clone().unwrap_or_default())
-                .field("bytes_since_gc", rec.bytes_since_gc)
-                .field("roots_scanned", rec.roots_scanned)
-                .field("words_marked", rec.words_marked)
-                .field("objects_marked", objects_marked)
-                .field("objects_swept", sw.objects_swept)
-                .field("bytes_swept", sw.bytes_swept)
-                .field("pages_swept", sw.pages_swept)
-                .field("pages_live", sw.pages_live)
-                .field("sweep_debt_pages", stats.sweep_debt_pages)
-                .field(
-                    "blacklist_hits",
-                    stats.blacklisted_pages - blacklisted_before,
-                )
-                .field("objects_live", stats.objects_live)
-                .field("bytes_live", stats.bytes_live)
-                .field("pause_ns", pause_ns)
-                .field("mark_ns", mark_ns)
-                .field("sweep_ns", sweep_ns)
-                .field("root_scan_ns", root_scan_ns)
-                .field("heap_scan_ns", heap_scan_ns)
-                .field("class_sweep_ns", rec.class_sweep_encoded())
-                .field("increments", rec.increments)
-                .field("increment_words", rec.increment_words_encoded())
-                .field("young_pages_swept", 0u64)
-        });
-        self.prof.record_collection(move || rec);
-    }
-
-    /// A stop-the-world nursery collection: marks from the roots and the
-    /// remembered-set cards, tracing only young pages (old objects are
-    /// implicitly live), then sweeps only young pages. Old pages are
-    /// neither marked nor touched, so their mark bitmaps stay clear for
-    /// the next full collection.
-    fn collect_nursery(&mut self, mem: &mut Memory, roots: &RootSet, site: Option<&str>) {
-        let t0 = Instant::now();
-        self.stats.collections += 1;
-        self.bump_cause(CollectCause::Nursery);
-        let bytes_since_gc = self.bytes_since_gc;
-        self.bytes_since_gc = 0;
-        let blacklisted_before = self.stats.blacklisted_pages;
-        let mut roots_scanned = 0u64;
-        let mut words_marked = 0u64;
-        let mut objects_marked = 0u64;
-        let mut worklist: Vec<(u64, u64)> = Vec::new();
-        for &(start, end) in &roots.ranges {
-            mem.scan_words(start, end, |word| {
-                roots_scanned += 1;
-                objects_marked += u64::from(self.mark_candidate(word, true, true, &mut worklist));
-            });
-        }
-        for &word in &roots.words {
-            roots_scanned += 1;
-            objects_marked += u64::from(self.mark_candidate(word, true, true, &mut worklist));
-        }
-        let root_scan_ns = elapsed_ns(&t0);
-        // The remembered set: every allocated object on a carded old page
-        // is re-scanned for old→young pointers. Any pointer to a young
-        // object was stored after the page was carved, i.e. after the
-        // last collection, so the barrier carded its page.
-        let mut extents: Vec<(u64, u64)> = Vec::new();
-        for w in 0..self.cards.len() {
-            let mut bits = self.cards[w];
-            while bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if idx >= self.next_page {
-                    continue;
-                }
-                let page_start = self.map.page_addr(idx);
-                match self.map.desc(idx) {
-                    PageDesc::Small(sp) => {
-                        let obj = u64::from(sp.obj_size);
-                        for bw in 0..sp.words() {
-                            let mut a = sp.alloc_word(bw);
-                            while a != 0 {
-                                let slot = bw * 64 + a.trailing_zeros() as usize;
-                                a &= a - 1;
-                                extents.push((page_start + slot as u64 * obj, obj));
-                            }
-                        }
-                    }
-                    PageDesc::LargeHead {
-                        size,
-                        allocated: true,
-                        ..
-                    } => extents.push((page_start, *size)),
-                    _ => {}
-                }
-            }
-        }
-        for &(start, size) in &extents {
-            mem.scan_words(start, start + size, |word| {
-                words_marked += 1;
-                objects_marked += u64::from(self.mark_candidate(word, false, true, &mut worklist));
-            });
-        }
-        while let Some((start, size)) = worklist.pop() {
-            mem.scan_words(start, start + size, |word| {
-                words_marked += 1;
-                objects_marked += u64::from(self.mark_candidate(word, false, true, &mut worklist));
-            });
-        }
-        let mark_ns = elapsed_ns(&t0);
-        let heap_scan_ns = mark_ns.saturating_sub(root_scan_ns);
-        let detail = self.attribution_enabled();
-        let sw = self.sweep_young(mem, detail);
-        self.promote_young();
-        let pause_ns = elapsed_ns(&t0);
-        let sweep_ns = pause_ns.saturating_sub(mark_ns);
-        self.stats.total_pause_ns += pause_ns;
-        self.stats.max_pause_ns = self.stats.max_pause_ns.max(pause_ns);
-        self.stats.total_mark_ns += mark_ns;
-        self.stats.total_sweep_ns += sweep_ns;
-        self.stats.total_root_scan_ns += root_scan_ns;
-        self.stats.total_heap_scan_ns += heap_scan_ns;
-        if !detail {
-            return;
-        }
-        let stats = self.stats;
-        let rec = CollectionRecord {
-            cause: CollectCause::Nursery,
-            site: site.map(str::to_string),
-            bytes_since_gc,
-            bytes_live: stats.bytes_live,
-            freed_bytes: sw.bytes_swept,
-            roots_scanned,
-            words_marked,
-            pages_live: sw.pages_live,
-            pages_swept: sw.pages_swept,
-            sweep_debt_pages: stats.sweep_debt_pages,
-            pause_ns,
-            mark_ns,
-            sweep_ns,
-            root_scan_ns,
-            heap_scan_ns,
-            class_sweep_ns: sw.class_ns,
-            young_pages_swept: sw.pages_swept,
-            ..CollectionRecord::default()
-        };
-        self.trace.emit(|| {
-            Event::new("gc", "collection")
-                .field("n", stats.collections)
-                .field("cause", CollectCause::Nursery.as_str())
-                .field("site", rec.site.clone().unwrap_or_default())
-                .field("bytes_since_gc", bytes_since_gc)
-                .field("roots_scanned", roots_scanned)
-                .field("words_marked", words_marked)
-                .field("objects_marked", objects_marked)
-                .field("objects_swept", sw.objects_swept)
-                .field("bytes_swept", sw.bytes_swept)
-                .field("pages_swept", sw.pages_swept)
-                .field("pages_live", sw.pages_live)
-                .field("sweep_debt_pages", stats.sweep_debt_pages)
-                .field(
-                    "blacklist_hits",
-                    stats.blacklisted_pages - blacklisted_before,
-                )
-                .field("objects_live", stats.objects_live)
-                .field("bytes_live", stats.bytes_live)
-                .field("pause_ns", pause_ns)
-                .field("mark_ns", mark_ns)
-                .field("sweep_ns", sweep_ns)
-                .field("root_scan_ns", root_scan_ns)
-                .field("heap_scan_ns", heap_scan_ns)
-                .field("class_sweep_ns", rec.class_sweep_encoded())
-                .field("increments", 0u64)
-                .field("increment_words", rec.increment_words_encoded())
-                .field("young_pages_swept", sw.pages_swept)
-        });
-        self.prof.record_collection(move || rec);
-    }
-
-    /// Sweeps one small page (shared by the full and nursery sweeps):
-    /// poisons and counts garbage slots, folds marks into the allocation
-    /// bitmap, and accumulates the outcome totals. Returns
-    /// `(now empty, has free slot)`.
-    fn sweep_small_page(
-        &mut self,
-        mem: &mut Memory,
-        idx: usize,
-        out: &mut SweepOutcome,
-    ) -> (bool, bool) {
-        let poison = self.config.poison;
-        let page_start = self.map.page_addr(idx);
-        let PageDesc::Small(sp) = self.map.desc_mut(idx) else {
-            unreachable!("sweeping a non-small page")
-        };
-        let obj = u64::from(sp.obj_size);
-        let mut freed: u64 = 0;
-        for w in 0..sp.words() {
-            let garbage = sp.garbage_word(w);
-            if garbage == 0 {
-                continue;
-            }
-            freed += u64::from(garbage.count_ones());
-            if poison {
-                let mut g = garbage;
-                while g != 0 {
-                    let slot = w * 64 + g.trailing_zeros() as usize;
-                    g &= g - 1;
-                    mem.fill(page_start + slot as u64 * obj, 0xDD, obj as usize)
-                        .expect("freed object is mapped");
-                }
-            }
-        }
-        sp.fold_marks();
-        out.objects_swept += freed;
-        out.bytes_swept += freed * obj;
-        if !sp.is_empty() {
-            out.pages_live += 1;
-        }
-        (sp.is_empty(), sp.has_free_slot())
-    }
-
-    /// Sweeps one large object head (shared by the full and nursery
-    /// sweeps); returns the number of pages to release (zero when the
-    /// object survives).
-    fn sweep_large_head(&mut self, mem: &mut Memory, idx: usize, out: &mut SweepOutcome) -> usize {
-        let poison = self.config.poison;
-        let page_start = self.map.page_addr(idx);
-        let PageDesc::LargeHead {
-            size,
-            marked,
-            allocated,
-        } = self.map.desc_mut(idx)
-        else {
-            unreachable!("sweeping a non-head page")
-        };
-        let mut free_pages = 0usize;
-        if *allocated && !*marked {
-            *allocated = false;
-            out.objects_swept += 1;
-            out.bytes_swept += *size;
-            free_pages = (*size / PAGE_SIZE) as usize;
-            if poison {
-                mem.fill(page_start, 0xDD, *size as usize)
-                    .expect("freed object is mapped");
-            }
-        }
-        if *allocated {
-            out.pages_live += *size / PAGE_SIZE;
-        }
-        *marked = false;
-        free_pages
-    }
-
-    /// The nursery sweep: only pages carved since the last collection are
-    /// visited, ascending. Surviving young pages with free slots join
-    /// their class's dirty queue (adding to the sweep debt rather than
-    /// rebuilding it); empty ones are reclaimed. Old pages are untouched,
-    /// so their mark bitmaps stay clear for the next full mark, and the
-    /// lazy queues they sit on remain valid.
-    fn sweep_young(&mut self, mem: &mut Memory, timed: bool) -> SweepOutcome {
-        let mut out = SweepOutcome::default();
-        let mut class_ns = vec![0u64; SIZE_CLASSES.len() + 1];
-        let mut class_seen = vec![false; SIZE_CLASSES.len() + 1];
-        let mut pages = self.young_list.clone();
-        pages.sort_unstable();
-        // A young page can be referenced by its class's cursor (it was
-        // carved after the last sweep rebuilt the queues, so it cannot
-        // sit in partial/dirty); detach cursors before slots vanish under
-        // them.
-        for ci in 0..SIZE_CLASSES.len() {
-            if let Some(p) = self.cursor[ci] {
-                if self.is_young(p) {
-                    self.cursor[ci] = None;
-                }
-            }
-        }
-        let mut queued: Vec<(usize, usize)> = Vec::new();
-        for idx in pages {
-            let t_page = if timed { Some(Instant::now()) } else { None };
-            let kind = self.side[idx];
-            let mut reclaim_small = false;
-            let mut free_large_pages = 0usize;
-            match kind {
-                PageKind::Free | PageKind::LargeCont { .. } => {}
-                PageKind::Small { ci, .. } => {
-                    let (empty, has_free) = self.sweep_small_page(mem, idx, &mut out);
-                    if empty {
-                        reclaim_small = true;
-                    } else if has_free {
-                        queued.push((ci as usize, idx));
-                    }
-                }
-                PageKind::LargeHead => {
-                    free_large_pages = self.sweep_large_head(mem, idx, &mut out);
-                }
-            }
-            if reclaim_small {
-                *self.map.desc_mut(idx) = PageDesc::Free;
-                self.side[idx] = PageKind::Free;
-                self.stats.pages_reclaimed += 1;
-                if !self.bl_contains(idx) {
-                    self.free_pages.push(idx);
-                }
-            }
-            for i in 0..free_large_pages {
-                *self.map.desc_mut(idx + i) = PageDesc::Free;
-                self.side[idx + i] = PageKind::Free;
-                self.free_pages.push(idx + i);
-            }
-            let slot = match kind {
-                PageKind::Free => None,
-                PageKind::Small { ci, .. } => Some(ci as usize),
-                PageKind::LargeHead | PageKind::LargeCont { .. } => Some(SIZE_CLASSES.len()),
-            };
-            if let Some(s) = slot {
-                out.pages_swept += 1;
-                class_seen[s] = true;
-                if let Some(t) = t_page {
-                    class_ns[s] += elapsed_ns(&t);
-                }
-            }
-        }
-        for &(ci, page) in &queued {
-            self.dirty[ci].push_back(page);
-            self.stats.sweep_debt_pages += 1;
-        }
-        // Keep each touched dirty queue in ascending page order — young
-        // indices can interleave with leftovers from the previous full
-        // sweep when recycled pages were carved into the nursery.
-        let mut touched: Vec<usize> = queued.iter().map(|&(ci, _)| ci).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for ci in touched {
-            self.dirty[ci].make_contiguous().sort_unstable();
-        }
-        if timed {
-            out.class_ns = class_seen
-                .iter()
-                .enumerate()
-                .filter(|&(_, &seen)| seen)
-                .map(|(s, _)| (SIZE_CLASSES.get(s).copied().unwrap_or(0), class_ns[s]))
-                .collect();
-        }
-        self.stats.objects_freed += out.objects_swept;
-        self.stats.objects_live -= out.objects_swept;
-        self.stats.bytes_live -= out.bytes_swept;
-        out
-    }
-
-    /// Sweeps one carved page — the body of the full page-walk, shared
-    /// by the stop-the-world sweep and the chunked sweep of a finishing
-    /// incremental cycle. Fully empty small pages are reclaimed into the
-    /// page pool in the same pass (without this, a size-class phase
-    /// shift — fill with class A, drop it, switch to class B — can
-    /// exhaust the heap while every page is pure free slots, because
-    /// free slots only ever serve their own class); blacklisted pages
-    /// become `Free` but are never handed out again — the cost of
-    /// blacklisting is lost capacity. Small pages left with free slots
-    /// join their class's lazy queue; a dead large object's pages are
-    /// all released (contiguity cannot be guaranteed once recycled, so
-    /// those pages feed small-object allocation only). Returns the
-    /// lazy-queue debt added (0 or 1) and the number of pages the call
-    /// actually touched — a dead large object counts its whole run,
-    /// because poisoning it costs proportional to the run, not to the
-    /// single head entry in a page list.
-    fn sweep_one_page(
-        &mut self,
-        mem: &mut Memory,
-        idx: usize,
-        timed: bool,
-        out: &mut SweepOutcome,
-        class_ns: &mut [u64],
-        class_seen: &mut [bool],
-    ) -> (u64, usize) {
-        let t_page = if timed { Some(Instant::now()) } else { None };
-        let kind = self.side[idx];
-        let mut reclaim_small = false;
-        let mut queue_small = false;
-        let mut free_large_pages = 0usize;
-        match kind {
-            PageKind::Free | PageKind::LargeCont { .. } => {}
-            PageKind::Small { .. } => {
-                let (empty, has_free) = self.sweep_small_page(mem, idx, out);
-                if empty {
-                    reclaim_small = true;
-                } else if has_free {
-                    queue_small = true;
-                }
-            }
-            PageKind::LargeHead => {
-                free_large_pages = self.sweep_large_head(mem, idx, out);
-            }
-        }
-        let mut debt = 0u64;
-        if reclaim_small {
-            *self.map.desc_mut(idx) = PageDesc::Free;
-            self.side[idx] = PageKind::Free;
-            self.stats.pages_reclaimed += 1;
-            if !self.bl_contains(idx) {
-                self.free_pages.push(idx);
-            }
-        } else if queue_small {
-            let PageKind::Small { ci, .. } = self.side[idx] else {
-                unreachable!("queued page is small")
-            };
-            self.dirty[ci as usize].push_back(idx);
-            debt = 1;
-        }
-        for i in 0..free_large_pages {
-            *self.map.desc_mut(idx + i) = PageDesc::Free;
-            self.side[idx + i] = PageKind::Free;
-            self.free_pages.push(idx + i);
-        }
-        let slot = match kind {
-            PageKind::Free => None,
-            PageKind::Small { ci, .. } => Some(ci as usize),
-            PageKind::LargeHead | PageKind::LargeCont { .. } => Some(SIZE_CLASSES.len()),
-        };
-        if let Some(s) = slot {
-            out.pages_swept += 1;
-            class_seen[s] = true;
-            if let Some(t) = t_page {
-                class_ns[s] += elapsed_ns(&t);
-            }
-        }
-        let touched = match kind {
-            PageKind::Free | PageKind::LargeCont { .. } => 0,
-            PageKind::Small { .. } => 1,
-            PageKind::LargeHead => free_large_pages.max(1),
-        };
-        (debt, touched)
-    }
-
-    /// The sweep: a single ascending pass over every carved page.
-    ///
-    /// Per small page this is word arithmetic — `garbage = alloc & !mark`
-    /// drives poisoning (trailing-zeros per dead slot) and a popcount
-    /// keeps the statistics exact, then the mark bitmap folds into the
-    /// allocation bitmap. Fully empty pages (a word compare) are
-    /// reclaimed into the page pool on the spot; pages left with free
-    /// slots are queued per class for *lazy* adoption — the allocator
-    /// discovers their free slots on demand instead of this pause
-    /// rebuilding free lists. Statistics, poisoning, and the census are
-    /// therefore exact the moment `collect` returns; only free-slot
-    /// discovery is deferred, and its backlog is `sweep_debt_pages`.
-    fn sweep(&mut self, mem: &mut Memory, timed: bool) -> SweepOutcome {
-        let mut out = SweepOutcome::default();
-        // Per-class sweep nanoseconds (`timed` only): one slot per size
-        // class plus a trailing slot for the large-object pass.
-        let mut class_ns = vec![0u64; SIZE_CLASSES.len() + 1];
-        let mut class_seen = vec![false; SIZE_CLASSES.len() + 1];
-        for ci in 0..SIZE_CLASSES.len() {
-            self.cursor[ci] = None;
-            self.partial[ci].clear();
-            self.dirty[ci].clear();
-        }
-        let mut debt: u64 = 0;
-        for idx in 0..self.next_page {
-            let (d, _) =
-                self.sweep_one_page(mem, idx, timed, &mut out, &mut class_ns, &mut class_seen);
-            debt += d;
-        }
-        if timed {
-            out.class_ns = class_seen
-                .iter()
-                .enumerate()
-                .filter(|&(_, &seen)| seen)
-                .map(|(s, _)| {
-                    // Size 0 stands for the large-object pass.
-                    let size = SIZE_CLASSES.get(s).copied().unwrap_or(0);
-                    (size, class_ns[s])
-                })
-                .collect();
-        }
-        self.stats.objects_freed += out.objects_swept;
-        self.stats.objects_live -= out.objects_swept;
-        self.stats.bytes_live -= out.bytes_swept;
-        self.stats.sweep_debt_pages = debt;
-        out
     }
 
     /// Eagerly retires all outstanding lazy-sweep debt: every page
@@ -3082,7 +2572,7 @@ mod tests {
             assert!(heap.barrier_active());
             // One budgeted step scans exactly `a` (16 bytes = the whole
             // budget): `a` is black, `d` still grey, the cycle open.
-            heap.mark_step(&mut mem, &roots);
+            heap.mark_step(&mem, &roots);
             assert!(heap.marking_active());
             // The mutator stores the only pointer to white `b` into
             // black `a`; no root holds `b`.
@@ -3091,7 +2581,7 @@ mod tests {
                 heap.write_barrier(a, b);
             }
             while heap.marking_active() {
-                heap.mark_step(&mut mem, &roots);
+                heap.mark_step(&mem, &roots);
             }
             // Marking is over; retire the chunked sweep so the verdict
             // on `b` is final.
@@ -3342,7 +2832,7 @@ impl GcHeap {
     /// The walk enumerates allocation bits exactly the way
     /// [`GcHeap::census`] counts them, so the two views agree at every
     /// observation point, including with lazy-sweep debt outstanding and
-    /// mid-`MarkCycle`.
+    /// mid-cycle.
     fn snapshot_skeleton(&self) -> (Vec<gcsnap::Node>, Vec<String>) {
         let mut nodes: Vec<gcsnap::Node> = Vec::new();
         let mut sites: Vec<String> = Vec::new();

@@ -125,13 +125,17 @@ pub struct CollectionRecord {
     /// object size `0` is the large-object pass. Empty when the heap
     /// skipped per-class timing (no trace or prof handle attached).
     pub class_sweep_ns: Vec<(u32, u64)>,
-    /// Bounded mark increments the cycle ran between the initial root
-    /// scan and the finish step. `0` for a stop-the-world collection.
+    /// Bounded mark stops the cycle took: the initial root scan counts
+    /// as increment 1, then every budgeted drain stop, including the one
+    /// whose root re-scan ended marking. The stop that demands a finish
+    /// and the sweep chunks are not counted. `0` for a collection that
+    /// finished in the stop that began it (stop-the-world or nursery).
     pub increments: u64,
-    /// Heap words scanned by each bounded increment, in increment order
-    /// (deterministic — safe for byte-compared timelines). The initial
-    /// root scan and the finish step are not listed here; their work is
-    /// in `roots_scanned`/`words_marked`.
+    /// Heap words scanned by each bounded mark stop, in increment order
+    /// (deterministic — safe for byte-compared timelines); the initial
+    /// root scan is listed as `0`. A demanded finish step is not listed;
+    /// its work is only in `roots_scanned`/`words_marked`, which cover
+    /// the whole cycle.
     pub increment_words: Vec<u64>,
     /// Wall-clock stop for each bounded increment, as MMU-ready pauses on
     /// the profile timeline. Same masking discipline as the `*_ns`

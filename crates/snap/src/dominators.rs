@@ -282,7 +282,7 @@ mod tests {
                 node: r,
             })
             .collect();
-        rs.sort_by(|a, b| a.node.cmp(&b.node));
+        rs.sort_by_key(|r| r.node);
         Snapshot {
             sites: Vec::new(),
             nodes,

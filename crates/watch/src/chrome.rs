@@ -310,7 +310,7 @@ mod tests {
 
     fn rec(n: u64) -> CollectionRecord {
         CollectionRecord {
-            cause: if n % 2 == 0 {
+            cause: if n.is_multiple_of(2) {
                 CollectCause::Threshold
             } else {
                 CollectCause::Explicit

@@ -39,6 +39,21 @@ fn gen_ops(rng: &mut Rng, max_len: usize) -> Vec<Op> {
     (0..len).map(|_| gen_op(rng)).collect()
 }
 
+/// Mostly allocation and linking with a rare explicit collect, so the
+/// heap's own safe points drive most collections.
+fn gen_churn_ops(rng: &mut Rng, max_len: usize) -> Vec<Op> {
+    let len = 1 + rng.index(max_len - 1);
+    (0..len)
+        .map(|_| match rng.index(20) {
+            0 => Op::Collect,
+            1..=4 => Op::Unroot(rng.next_u8()),
+            5..=9 => Op::Link(rng.next_u8(), rng.next_u8()),
+            10..=11 => Op::Unlink(rng.next_u8()),
+            _ => Op::Alloc(8 + rng.below(592) as u16),
+        })
+        .collect()
+}
+
 #[derive(Debug, Default)]
 struct Shadow {
     /// All ever-allocated objects: address → outgoing links (slot → target).
@@ -73,25 +88,71 @@ fn is_live_base(heap: &GcHeap, addr: u64) -> bool {
     heap.base(addr) == Some(addr)
 }
 
-fn run_ops(ops: &[Op], policy: PointerPolicy) {
+impl Shadow {
+    /// Forgets every object the heap no longer holds at its base, and
+    /// every link into one. Only unreachable objects may be dead — the
+    /// per-op check runs first.
+    fn prune_dead(&mut self, heap: &GcHeap) {
+        let dead: Vec<u64> = self
+            .objects
+            .keys()
+            .copied()
+            .filter(|&o| !is_live_base(heap, o))
+            .collect();
+        for d in dead {
+            self.forget(d);
+        }
+    }
+
+    fn forget(&mut self, d: u64) {
+        self.objects.remove(&d);
+        self.rooted.retain(|&r| r != d);
+        for links in self.objects.values_mut() {
+            links.retain(|_, &mut t| t != d);
+        }
+    }
+
+    /// The reachable objects in address order — the only objects a
+    /// mutator can name, so the only ones ops may store into or link to.
+    fn reachable_sorted(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = self.reachable().into_iter().collect();
+        v.sort();
+        v
+    }
+}
+
+/// Runs `ops` against a heap with `config`, checking the collector
+/// against the shadow graph: after every op no shadow-reachable object
+/// may have been freed, and after an explicit collection exactly the
+/// reachable objects survive. Allocation goes through the safe point
+/// (`alloc_with_roots`), so a config with a finite threshold collects
+/// on its own — stop-the-world, nursery, or incremental — and link
+/// stores are reported to the write barrier whenever it is active.
+fn run_ops(ops: &[Op], config: &HeapConfig) {
     let mut mem = Memory::new(1 << 14, 1 << 14, 1 << 22);
-    let mut heap = GcHeap::new(
-        &mem,
-        HeapConfig {
-            policy,
-            gc_threshold: u64::MAX,
-            ..HeapConfig::default()
-        },
-    );
+    let mut heap = GcHeap::new(&mem, config.clone());
     let mut shadow = Shadow::default();
-    let mut order: Vec<u64> = Vec::new(); // allocation order, live or dead
-    for op in ops {
+    let roots_of = |shadow: &Shadow| {
+        let mut roots = RootSet::new();
+        for &r in &shadow.rooted {
+            roots.add_word(r);
+        }
+        roots
+    };
+    for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Alloc(size) => {
-                if let Ok(addr) = heap.alloc(&mut mem, *size as u64) {
+                let before = shadow.reachable();
+                if let Ok(addr) = heap.alloc_with_roots(&mut mem, *size as u64, &roots_of(&shadow))
+                {
+                    // A base handed out again was freed on the way in.
+                    assert!(
+                        !before.contains(&addr),
+                        "op {i}: reachable object {addr:#x} was freed and its base reused"
+                    );
+                    shadow.forget(addr);
                     shadow.objects.insert(addr, HashMap::new());
                     shadow.rooted.push(addr);
-                    order.push(addr);
                 }
             }
             Op::Unroot(i) => {
@@ -101,34 +162,21 @@ fn run_ops(ops: &[Op], policy: PointerPolicy) {
                 }
             }
             Op::Link(a, b) => {
-                let live: Vec<u64> = shadow
-                    .objects
-                    .keys()
-                    .copied()
-                    .filter(|&o| is_live_base(&heap, o))
-                    .collect();
+                let live = shadow.reachable_sorted();
                 if live.len() >= 2 {
-                    let mut live = live;
-                    live.sort();
                     let src = live[*a as usize % live.len()];
                     let dst = live[*b as usize % live.len()];
                     // Store the pointer at the first word (base-aligned so
                     // both pointer policies see it).
                     mem.write(src, 8, dst).expect("object memory is mapped");
+                    if heap.barrier_active() {
+                        heap.write_barrier(src, dst);
+                    }
                     shadow.objects.get_mut(&src).expect("known").insert(0, dst);
                 }
             }
             Op::Unlink(a) => {
-                let live: Vec<u64> = {
-                    let mut v: Vec<u64> = shadow
-                        .objects
-                        .keys()
-                        .copied()
-                        .filter(|&o| is_live_base(&heap, o))
-                        .collect();
-                    v.sort();
-                    v
-                };
+                let live = shadow.reachable_sorted();
                 if !live.is_empty() {
                     let src = live[*a as usize % live.len()];
                     mem.write(src, 8, 0).expect("mapped");
@@ -136,46 +184,50 @@ fn run_ops(ops: &[Op], policy: PointerPolicy) {
                 }
             }
             Op::Collect => {
-                // Prune shadow facts about already-dead objects so the
-                // graph matches the heap.
-                let dead: Vec<u64> = shadow
-                    .objects
-                    .keys()
-                    .copied()
-                    .filter(|&o| !is_live_base(&heap, o))
-                    .collect();
-                for d in dead {
-                    shadow.objects.remove(&d);
-                    shadow.rooted.retain(|&r| r != d);
-                    for links in shadow.objects.values_mut() {
-                        links.retain(|_, &mut t| t != d);
-                    }
-                }
-                let mut roots = RootSet::new();
-                for &r in &shadow.rooted {
-                    roots.add_word(r);
-                }
+                let roots = roots_of(&shadow);
                 heap.collect(&mut mem, &roots);
+                if config.incremental {
+                    // The first collect may only have finished a cycle
+                    // already in flight, whose allocate-black survivors
+                    // and floating garbage it legitimately retains.
+                    heap.collect(&mut mem, &roots);
+                }
                 let reachable = shadow.reachable();
                 for &obj in shadow.objects.keys() {
                     let alive = is_live_base(&heap, obj);
                     if reachable.contains(&obj) {
-                        assert!(alive, "reachable object {obj:#x} was collected");
+                        assert!(alive, "op {i}: reachable object {obj:#x} was collected");
                     } else {
-                        assert!(!alive, "unreachable object {obj:#x} survived");
+                        assert!(!alive, "op {i}: unreachable object {obj:#x} survived");
                     }
                 }
             }
         }
+        for obj in shadow.reachable() {
+            assert!(
+                is_live_base(&heap, obj),
+                "op {i} ({op:?}): reachable object {obj:#x} was freed"
+            );
+        }
+        shadow.prune_dead(&heap);
+    }
+}
+
+fn stop_the_world(policy: PointerPolicy) -> HeapConfig {
+    HeapConfig {
+        policy,
+        gc_threshold: u64::MAX,
+        ..HeapConfig::default()
     }
 }
 
 #[test]
 fn collection_matches_shadow_reachability() {
+    let config = stop_the_world(PointerPolicy::InteriorEverywhere);
     for case in 0..64 {
         let mut rng = Rng::for_case("shadow_reachability", case);
         let ops = gen_ops(&mut rng, 80);
-        run_ops(&ops, PointerPolicy::InteriorEverywhere);
+        run_ops(&ops, &config);
     }
 }
 
@@ -183,10 +235,31 @@ fn collection_matches_shadow_reachability() {
 fn base_only_policy_matches_when_links_are_bases() {
     // All shadow links store base pointers, so the Extensions-section
     // policy must agree with shadow reachability too.
+    let config = stop_the_world(PointerPolicy::InteriorFromRootsOnly);
     for case in 0..64 {
         let mut rng = Rng::for_case("base_only_policy", case);
         let ops = gen_ops(&mut rng, 80);
-        run_ops(&ops, PointerPolicy::InteriorFromRootsOnly);
+        run_ops(&ops, &config);
+    }
+}
+
+/// The same shadow check on the bounded-pause collector, with a
+/// threshold and budgets small enough that the ops' own allocations
+/// trigger nursery collections and incremental cycles whose marking and
+/// sweeping span several ops — so heap links meet the nursery's card
+/// scan and the incremental store barrier, not just explicit collects.
+#[test]
+fn bounded_pause_collection_matches_shadow_reachability() {
+    let config = HeapConfig {
+        gc_threshold: 1024,
+        mark_budget_bytes: 128,
+        sweep_chunk_pages: 1,
+        ..HeapConfig::bounded_pause()
+    };
+    for case in 0..128 {
+        let mut rng = Rng::for_case("bounded_pause_reachability", case);
+        let ops = gen_churn_ops(&mut rng, 240);
+        run_ops(&ops, &config);
     }
 }
 
