@@ -297,56 +297,32 @@ impl AsmInstr {
         }
     }
 
-    /// Registers read by this instruction.
-    pub fn reads(&self) -> Vec<Reg> {
-        let mut out = Vec::new();
-        let push_ri = |ri: &RegImm, out: &mut Vec<Reg>| {
-            if let RegImm::Reg(r) = ri {
-                out.push(*r);
-            }
+    /// Registers read by this instruction (at most three, in operand
+    /// order; no allocation).
+    pub fn reads(&self) -> impl Iterator<Item = Reg> {
+        let ri = |o: &RegImm| match o {
+            RegImm::Reg(r) => Some(*r),
+            RegImm::Imm(_) => None,
         };
-        match self {
-            AsmInstr::Alu { rs, op2, .. } => {
-                out.push(*rs);
-                push_ri(op2, &mut out);
-            }
-            AsmInstr::Mov { src, .. } => push_ri(src, &mut out),
-            AsmInstr::SetImm { .. } => {}
-            AsmInstr::Ld { base, off, .. } => {
-                out.push(*base);
-                push_ri(off, &mut out);
-            }
-            AsmInstr::St { rs, base, off, .. } => {
-                out.push(*rs);
-                out.push(*base);
-                push_ri(off, &mut out);
-            }
-            AsmInstr::SetCc { a, b, .. } | AsmInstr::Bcc { a, b, .. } => {
-                out.push(*a);
-                push_ri(b, &mut out);
-            }
-            AsmInstr::Ba { .. } | AsmInstr::Ret => {}
-            AsmInstr::Call { target, .. } => {
-                if let AsmCallTarget::Indirect(r) = target {
-                    out.push(*r);
-                }
-            }
-            AsmInstr::KeepLive { value, base } => {
-                out.push(*value);
-                if let Some(b) = base {
-                    out.push(*b);
-                }
-            }
-            AsmInstr::CheckSame { value, base } => {
-                out.push(*value);
-                out.push(*base);
-            }
-            AsmInstr::BlockCopy { dst, src, .. } => {
-                out.push(*dst);
-                out.push(*src);
-            }
-        }
-        out
+        let regs = match self {
+            AsmInstr::Alu { rs, op2, .. } => [Some(*rs), ri(op2), None],
+            AsmInstr::Mov { src, .. } => [ri(src), None, None],
+            AsmInstr::Ld { base, off, .. } => [Some(*base), ri(off), None],
+            AsmInstr::St { rs, base, off, .. } => [Some(*rs), Some(*base), ri(off)],
+            AsmInstr::SetCc { a, b, .. } | AsmInstr::Bcc { a, b, .. } => [Some(*a), ri(b), None],
+            AsmInstr::Call {
+                target: AsmCallTarget::Indirect(r),
+                ..
+            } => [Some(*r), None, None],
+            AsmInstr::KeepLive { value, base } => [Some(*value), *base, None],
+            AsmInstr::CheckSame { value, base } => [Some(*value), Some(*base), None],
+            AsmInstr::BlockCopy { dst, src, .. } => [Some(*dst), Some(*src), None],
+            AsmInstr::SetImm { .. }
+            | AsmInstr::Ba { .. }
+            | AsmInstr::Ret
+            | AsmInstr::Call { .. } => [None; 3],
+        };
+        regs.into_iter().flatten()
     }
 
     /// Register written by this instruction, if any.
@@ -488,7 +464,7 @@ mod tests {
         };
         assert_eq!(kl.size_bytes(), 0);
         assert_eq!(kl.cost(&Machine::sparc10()), 0);
-        assert_eq!(kl.reads(), vec![Reg(1), Reg(2)]);
+        assert_eq!(kl.reads().collect::<Vec<_>>(), vec![Reg(1), Reg(2)]);
         assert_eq!(kl.writes(), None);
     }
 
@@ -522,7 +498,7 @@ mod tests {
             rs: Reg(1),
             op2: RegImm::Reg(Reg(2)),
         };
-        assert_eq!(add.reads(), vec![Reg(1), Reg(2)]);
+        assert_eq!(add.reads().collect::<Vec<_>>(), vec![Reg(1), Reg(2)]);
         assert_eq!(add.writes(), Some(Reg(3)));
         let st = AsmInstr::St {
             rs: Reg(0),
@@ -530,7 +506,7 @@ mod tests {
             off: RegImm::Imm(4),
             width: 8,
         };
-        assert_eq!(st.reads(), vec![Reg(0), Reg(1)]);
+        assert_eq!(st.reads().collect::<Vec<_>>(), vec![Reg(0), Reg(1)]);
         assert_eq!(st.writes(), None);
     }
 

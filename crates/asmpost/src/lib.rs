@@ -28,58 +28,3 @@ pub use peephole::{
     keep_live_bases_preserved, postprocess, postprocess_program, postprocess_program_traced,
     PeepholeStats,
 };
-
-#[cfg(test)]
-mod postprocess_integration {
-    use crate::peephole::{defined_before_use, keep_live_bases_preserved};
-    use crate::{codegen_program, postprocess, Machine, Reg};
-    use cvm::{compile, CompileOptions};
-
-    /// Registers implicitly defined at function entry: the frame pointer
-    /// plus every allocatable and scratch register (parameters arrive in
-    /// allocated registers, and scratch is written before reads by
-    /// construction — we only care that the *peephole* does not introduce
-    /// NEW undefined reads relative to the input).
-    fn entry_regs(machine: &Machine) -> Vec<Reg> {
-        (0..machine.regs as u8).map(Reg).collect()
-    }
-
-    #[test]
-    fn postprocessing_workload_asm_preserves_sanity() {
-        let machine = Machine::sparc10();
-        for w in workloads_srcs() {
-            let prog = compile(w, &CompileOptions::optimized_safe()).expect("compiles");
-            let funcs = codegen_program(&prog, &machine);
-            for f in funcs {
-                let mut post = f.clone();
-                let pre_ok = defined_before_use(&f, &entry_regs(&machine));
-                postprocess(&mut post);
-                assert!(
-                    keep_live_bases_preserved(&f, &post),
-                    "{}: a KEEP_LIVE base changed",
-                    f.name
-                );
-                if pre_ok {
-                    assert!(
-                        defined_before_use(&post, &entry_regs(&machine)),
-                        "{}: peephole introduced an undefined read:\n{}",
-                        f.name,
-                        post.listing()
-                    );
-                }
-                assert!(post.size_bytes() <= f.size_bytes(), "{}", f.name);
-            }
-        }
-    }
-
-    fn workloads_srcs() -> Vec<&'static str> {
-        vec![
-            "struct n { long v; struct n *next; };\n\
-             long sum(struct n *h) { long s = 0; while (h) { s += h->v; h = h->next; } return s; }\n\
-             int main(void) { return 0; }",
-            "void copy(char *s, char *t) { char *p; char *q; p = s; q = t; while (*p++ = *q++); }\n\
-             int main(void) { return 0; }",
-            "char f(char *x, long i) { return x[i + 3]; } int main(void) { return 0; }",
-        ]
-    }
-}

@@ -9,8 +9,10 @@
 //! extends the base's live range to the protection point (the paper's
 //! fix).
 //!
-//! The same analysis drives the peephole postprocessor's "register `z`
-//! should have no other uses" safety constraint.
+//! Code generation uses it for the register allocator's live ranges. The
+//! peephole postprocessor's "register `z` should have no other uses"
+//! constraint is not checked here: asmpost solves its own register
+//! liveness over the generated assembly (`asmpost::peephole::AsmLiveness`).
 
 use crate::ir::{FuncIr, Instr, Temp};
 use std::collections::HashMap;
