@@ -48,12 +48,14 @@
 //! with `bench snap diff`.
 //!
 //! With `--bench-cache`, the compilation-cache benchmark runs after the
-//! tables: the measurement matrix and a fuzz campaign, each cold (caches
-//! cleared) then warm, writing per-pass wall times and per-stage
-//! hit/miss deltas to `<file.json>` (schema `cache/1`, gated by `bench
-//! compare --budgets budgets-cache.toml`). The warm passes double as a
-//! soundness smoke — byte-identical artifacts, equal fuzz verdicts, zero
-//! misses — so the run fails loudly on any cache unsoundness.
+//! tables: the measurement matrix and a fuzz campaign, each cold (the
+//! compile cache cleared) then warm, writing per-pass wall times and the
+//! compile cache's hit/miss deltas to `<file.json>` (schema `cache/1`,
+//! gated by `bench compare --budgets budgets-cache.toml`). The warm
+//! passes double as a soundness smoke — byte-identical artifacts, equal
+//! fuzz verdicts, zero misses — so the run fails loudly on any cache
+//! unsoundness. The passes run untraced even under `--trace`: a traced
+//! build compiles live and never consults the cache.
 //! Incompatible with `--repeat` (the cache bench times single passes).
 //!
 //! With `--bench-opt`, the optimizer benchmark writes `<file.json>`
@@ -465,23 +467,19 @@ fn main() {
             }
         }
     }
-    // The process-cumulative cache counters, one ("cache", "stats")
-    // event per stage plus a total, so traces record how much of the run
-    // the compilation cache absorbed. Emitted last: the counters cover
-    // everything above, including the cache bench passes.
-    if trace.is_enabled() {
-        let stats = gc_safety::cache_stats();
-        for s in stats.iter().chain(std::iter::once(&gccache::total(&stats))) {
-            trace.emit(|| {
-                gc_safety::Event::new("cache", "stats")
-                    .field("stage", s.stage)
-                    .field("hits", s.hits)
-                    .field("misses", s.misses)
-                    .field("evictions", s.evictions)
-                    .field("entries", s.entries)
-            });
-        }
-    }
+    // The process-cumulative compile-cache counters as one ("cache",
+    // "stats") event, so traces record how much of the run the cache
+    // absorbed. Emitted last: the counters cover everything above,
+    // including the cache bench passes.
+    trace.emit(|| {
+        let s = gc_safety::cache_stats();
+        gc_safety::Event::new("cache", "stats")
+            .field("stage", s.stage)
+            .field("hits", s.hits)
+            .field("misses", s.misses)
+            .field("evictions", s.evictions)
+            .field("entries", s.entries)
+    });
     if let Some(path) = trace_path {
         // `File` writes are unbuffered, so the JSONL is already on disk
         // even though `data` still holds handle clones.

@@ -956,54 +956,37 @@ pub fn prometheus_export(data: &Dataset) -> String {
     // miss one key — which is why every family sits under the stripped
     // `gccache_` prefix.
     let cache = gc_safety::cache_stats();
+    let stage = ("stage", cache.stage);
     w.family(
         "gccache_lookups_total",
-        "Compilation cache lookups by stage and result",
+        "Compilation cache lookups by result",
         "counter",
     );
-    for s in &cache {
-        w.sample(
-            "gccache_lookups_total",
-            &[("stage", s.stage), ("result", "hit")],
-            s.hits,
-        );
-        w.sample(
-            "gccache_lookups_total",
-            &[("stage", s.stage), ("result", "miss")],
-            s.misses,
-        );
+    for (result, n) in [("hit", cache.hits), ("miss", cache.misses)] {
+        w.sample("gccache_lookups_total", &[stage, ("result", result)], n);
     }
-    w.family(
-        "gccache_evictions_total",
-        "Compilation cache entries dropped by FIFO eviction",
-        "counter",
-    );
-    for s in &cache {
-        w.sample(
+    for (name, help, kind, v) in [
+        (
             "gccache_evictions_total",
-            &[("stage", s.stage)],
-            s.evictions,
-        );
-    }
-    w.family(
-        "gccache_entries",
-        "Compilation cache resident entries",
-        "gauge",
-    );
-    for s in &cache {
-        w.sample("gccache_entries", &[("stage", s.stage)], s.entries);
-    }
-    w.family(
-        "gccache_hit_rate_permille",
-        "Compilation cache hit rate per stage",
-        "gauge",
-    );
-    for s in &cache {
-        w.sample(
+            "Compilation cache entries dropped by FIFO eviction",
+            "counter",
+            cache.evictions,
+        ),
+        (
+            "gccache_entries",
+            "Compilation cache resident entries",
+            "gauge",
+            cache.entries,
+        ),
+        (
             "gccache_hit_rate_permille",
-            &[("stage", s.stage)],
-            s.hit_rate_permille(),
-        );
+            "Compilation cache hit rate",
+            "gauge",
+            cache.hit_rate_permille(),
+        ),
+    ] {
+        w.family(name, help, kind);
+        w.sample(name, &[stage], v);
     }
     w.finish()
 }
@@ -1305,8 +1288,8 @@ pub fn timeline_cells(data: &Dataset, micro: &[MicroCell]) -> Vec<gcwatch::Timel
 }
 
 /// One timed pass of the cache benchmark: a workload (`"matrix"` or
-/// `"campaign"`) run either `"cold"` (caches just cleared) or `"warm"`
-/// (immediately after an identical cold pass), with the per-stage
+/// `"campaign"`) run either `"cold"` (cache just cleared) or `"warm"`
+/// (immediately after an identical cold pass), with the compile cache's
 /// counter *deltas* attributable to this pass. `wall_ns` is wall-clock
 /// and moves run to run; the hit/miss deltas are deterministic for a
 /// fixed workload and cache state.
@@ -1319,42 +1302,33 @@ pub struct CachePass {
     pub mode: &'static str,
     /// Wall-clock duration of the pass.
     pub wall_ns: u64,
-    /// Per-stage hit/miss/eviction deltas for the pass; `entries` is the
-    /// absolute resident count when the pass finished.
-    pub stages: Vec<gc_safety::StageStats>,
+    /// Hit/miss/eviction deltas for the pass; `entries` is the absolute
+    /// resident count when the pass finished.
+    pub stats: gc_safety::StageStats,
 }
 
-/// Per-stage counter deltas between two [`gc_safety::cache_stats`]
-/// snapshots: hits/misses/evictions are `after − before` (the global
-/// counters are process-cumulative and survive [`gc_safety::cache_clear`]),
-/// `entries` is `after`'s absolute count.
-fn stage_deltas(
-    before: &[gc_safety::StageStats],
-    after: &[gc_safety::StageStats],
-) -> Vec<gc_safety::StageStats> {
-    after
-        .iter()
-        .map(|a| {
-            let b = before.iter().find(|b| b.stage == a.stage);
-            let base = |f: fn(&gc_safety::StageStats) -> u64| b.map(f).unwrap_or(0);
-            gc_safety::StageStats {
-                stage: a.stage,
-                hits: a.hits.saturating_sub(base(|s| s.hits)),
-                misses: a.misses.saturating_sub(base(|s| s.misses)),
-                evictions: a.evictions.saturating_sub(base(|s| s.evictions)),
-                entries: a.entries,
-            }
-        })
-        .collect()
+/// Counter deltas between two [`gc_safety::cache_stats`] snapshots:
+/// hits/misses/evictions are `after − before` (the counters are
+/// process-cumulative and survive [`gc_safety::cache_clear`]), `entries`
+/// is `after`'s absolute count.
+fn stats_delta(
+    before: gc_safety::StageStats,
+    after: gc_safety::StageStats,
+) -> gc_safety::StageStats {
+    gc_safety::StageStats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        evictions: after.evictions - before.evictions,
+        ..after
+    }
 }
 
 /// The compilation-cache trajectory (`BENCH_cache.json`): a JSON array
 /// with one flat object per [`CachePass`]. Schema `cache/1`; each cell
-/// carries the pass wall time, per-stage `<stage>_hits` /
-/// `<stage>_misses` / `<stage>_evictions` / `<stage>_entries` deltas,
-/// their totals, and `hit_rate_permille` — the field the
-/// `budgets-cache.toml` floors key on. `wall_ns` is wall-clock; every
-/// count is deterministic per pass.
+/// carries the pass wall time, the compile cache's `hits` / `misses` /
+/// `evictions` deltas, its resident `entries`, and `hit_rate_permille` —
+/// the field the `budgets-cache.toml` floors key on. `wall_ns` is
+/// wall-clock; every count is deterministic per pass.
 pub fn bench_cache_json(passes: &[CachePass]) -> String {
     let mut lines = Vec::new();
     for pass in passes {
@@ -1364,17 +1338,11 @@ pub fn bench_cache_json(passes: &[CachePass]) -> String {
         w.str_field("workload", pass.workload);
         w.str_field("mode", pass.mode);
         w.uint_field("wall_ns", pass.wall_ns);
-        for s in &pass.stages {
-            w.uint_field(&format!("{}_hits", s.stage), s.hits);
-            w.uint_field(&format!("{}_misses", s.stage), s.misses);
-            w.uint_field(&format!("{}_evictions", s.stage), s.evictions);
-            w.uint_field(&format!("{}_entries", s.stage), s.entries);
-        }
-        let t = gccache::total(&pass.stages);
-        w.uint_field("hits", t.hits);
-        w.uint_field("misses", t.misses);
-        w.uint_field("evictions", t.evictions);
-        w.uint_field("hit_rate_permille", t.hit_rate_permille());
+        w.uint_field("hits", pass.stats.hits);
+        w.uint_field("misses", pass.stats.misses);
+        w.uint_field("evictions", pass.stats.evictions);
+        w.uint_field("entries", pass.stats.entries);
+        w.uint_field("hit_rate_permille", pass.stats.hit_rate_permille());
         lines.push(format!("  {}", w.finish()));
     }
     format!("[\n{}\n]\n", lines.join(",\n"))
@@ -1440,17 +1408,17 @@ fn cache_bench_artifacts(data: &Dataset) -> String {
 
 /// Runs the cache benchmark and returns the [`bench_cache_json`]
 /// document: the measurement matrix and a `fuzz_count`-case fuzz
-/// campaign, each run cold (caches cleared) and then warm, timing every
-/// pass and attributing per-stage hit/miss deltas to it.
+/// campaign, each run cold (cache cleared) and then warm, timing every
+/// pass and attributing the compile cache's hit/miss deltas to it.
 ///
 /// This is also the cache's soundness smoke: the warm matrix must
-/// reproduce the cold pass's deterministic artifacts byte-for-byte
-/// ([`cache_bench_artifacts`]) with zero cache misses, and the warm
-/// campaign must return a [`gcfuzz::Report`] equal to the cold one.
-/// Keep `fuzz_count` modest (≲ 80): the campaign compiles each case
-/// under four distinct option sets, and the warm-pass zero-miss
-/// assertion needs all of them resident in the 512-entry compile and
-/// lower caches.
+/// reproduce the cold pass's deterministic artifacts byte-for-byte (the
+/// slowdown, codesize and postprocessor tables and the folded stacks)
+/// with zero cache misses, and the warm campaign must return a
+/// [`gcfuzz::Report`] equal to the cold one. Keep `fuzz_count` modest
+/// (≲ 80): the campaign compiles each case under four distinct option
+/// sets, and the warm-pass zero-miss assertion needs all of them
+/// resident in the 512-entry compile cache.
 ///
 /// # Errors
 ///
@@ -1473,17 +1441,13 @@ pub fn run_cache_bench(
         let start = std::time::Instant::now();
         let out = run()?;
         let wall_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let after = gc_safety::cache_stats();
         passes.push(CachePass {
             workload,
             mode,
             wall_ns,
-            stages: stage_deltas(&before, &after),
+            stats: stats_delta(before, gc_safety::cache_stats()),
         });
         Ok(out)
-    }
-    if !gccache::enabled() {
-        return Err("cache bench: the compilation cache is disabled".into());
     }
     let mut passes = Vec::new();
     let matrix = || collect_instrumented_jobs(scale, &TraceHandle::disabled(), true, jobs);
@@ -1500,7 +1464,7 @@ pub fn run_cache_bench(
                 .into(),
         );
     }
-    let t = gccache::total(&passes.last().expect("warm matrix pass").stages);
+    let t = passes.last().expect("warm matrix pass").stats;
     if t.misses != 0 || t.hits == 0 {
         return Err(format!(
             "cache bench: warm matrix pass expected pure hits, got {} hits / {} misses",
@@ -1527,7 +1491,7 @@ pub fn run_cache_bench(
                 .into(),
         );
     }
-    let t = gccache::total(&passes.last().expect("warm campaign pass").stages);
+    let t = passes.last().expect("warm campaign pass").stats;
     if t.misses != 0 || t.hits == 0 {
         return Err(format!(
             "cache bench: warm campaign pass expected pure hits, got {} hits / {} misses",
@@ -1578,9 +1542,10 @@ int main(void) {
 "#;
 
 /// Per-pass fire totals and fixpoint-driver statistics over the
-/// optimizer sweep: every paper workload plus [`OPT_KERNEL_SOURCE`],
-/// compiled to pre-optimizer IR under each optimizer-running mode, then
-/// driven to fixpoint with a ledger attached. Everything here is a
+/// optimizer sweep: every paper workload plus a synthetic kernel with
+/// one region shaped for each gated pass, compiled to pre-optimizer IR
+/// under each optimizer-running mode, then driven to fixpoint with a
+/// ledger attached. Everything here is a
 /// deterministic function of the sources and the pass registry — no
 /// wall-clock, no thread schedule — so the numbers are byte-identical
 /// at any `--jobs` and across cold/warm compilation caches.

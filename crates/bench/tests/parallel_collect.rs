@@ -258,10 +258,10 @@ fn warm_cache_exports_are_byte_identical_to_cold() {
 }
 
 #[test]
-fn warm_cache_replays_the_cold_trace_stream() {
-    // Traced builds either run live or replay a stored stream captured
-    // from an identical source — so modulo wall-clock fields the two
-    // runs' merged streams must be event-for-event identical.
+fn warm_traced_run_reproduces_the_cold_trace_stream() {
+    // Traced builds never consult the compile cache — every stage runs
+    // live into the trace — so modulo wall-clock fields the two runs'
+    // merged streams must be event-for-event identical.
     let (cold_trace, cold_sink) = TraceHandle::memory();
     collect_traced_jobs(Scale::Tiny, &cold_trace, 2).expect("cold traced collect");
     let (warm_trace, warm_sink) = TraceHandle::memory();

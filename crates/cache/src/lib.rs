@@ -1,12 +1,12 @@
 //! # gccache — concurrent memoization for the compilation pipeline
 //!
-//! A dependency-free sharded cache: each stage of the pipeline keeps a
-//! [`Cache`] keyed by the structural hash of its input (plus an options
-//! fingerprint) and memoizes the stage artifact. The paper's preprocessor
-//! is a pure function of its input, so so is every downstream stage — a
-//! hit is behaviourally indistinguishable from a recompute, provided the
-//! caller re-binds any *positional* data (spans, `line:col` labels) to
-//! the requesting program; see `DESIGN.md` §13.
+//! A dependency-free sharded cache. The pipeline keeps exactly one: cvm's
+//! compile cache, which maps a program's structural hash plus its
+//! compile options to the finished IR. The paper's preprocessor is a pure
+//! function of its input, so so is the whole compile — a hit is
+//! behaviourally indistinguishable from a recompute, provided the caller
+//! re-binds any *positional* data (spans, `line:col` labels) to the
+//! requesting program; see `DESIGN.md` §13.
 //!
 //! Design points:
 //!
@@ -17,45 +17,27 @@
 //!   push tens of thousands of distinct programs through the pipeline,
 //!   and insertion-order eviction keeps memory flat while the bench
 //!   matrix's tiny working set never evicts.
-//! * **Per-stage counters** (hits / misses / evictions / entries) behind
-//!   relaxed atomics, snapshot via [`Cache::stats`]. Counters are *not*
+//! * **Counters** (hits / misses / evictions / entries) behind relaxed
+//!   atomics, snapshot via [`Cache::stats`]. Counters are *not*
 //!   deterministic across `--jobs` levels — racing workers legitimately
 //!   both miss the same key — so exports treat them like wall-clock data.
-//! * A process-global **kill switch** ([`set_enabled`]): disabling turns
-//!   every lookup into a silent miss and every insert into a no-op, which
-//!   is how cold runs and A/B measurements are taken in-process.
 
 #![warn(missing_docs)]
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables or disables every [`Cache`] in the process.
-///
-/// While disabled, `get*` returns `None` without counting and `insert`
-/// drops its value, so a disabled run is byte-for-byte a cold pipeline.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether caching is currently enabled (the default).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
-/// A point-in-time snapshot of one stage cache's counters.
+/// A point-in-time snapshot of one cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageStats {
-    /// Stage label (`"annotate"`, `"lower"`, `"compile"`, `"asm"`, …).
+    /// The name the cache was created with (`"compile"` for cvm's).
     pub stage: &'static str,
-    /// Lookups that returned a usable artifact.
+    /// Lookups that found an entry.
     pub hits: u64,
-    /// Lookups that found nothing usable (including predicate rejections).
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Entries dropped by FIFO eviction.
     pub evictions: u64,
@@ -76,24 +58,6 @@ impl StageStats {
             n => self.hits * 1000 / n,
         }
     }
-}
-
-/// Sums a slice of stage snapshots into one aggregate row.
-pub fn total(stats: &[StageStats]) -> StageStats {
-    let mut t = StageStats {
-        stage: "total",
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        entries: 0,
-    };
-    for s in stats {
-        t.hits += s.hits;
-        t.misses += s.misses;
-        t.evictions += s.evictions;
-        t.entries += s.entries;
-    }
-    t
 }
 
 struct Shard<K, V> {
@@ -144,38 +108,25 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
 
     /// Looks `key` up, counting a hit or miss.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.get_if(key, |_| true)
-    }
-
-    /// Looks `key` up, but only accepts the stored value when `usable`
-    /// approves it; a rejected value counts as a miss (the caller must
-    /// recompute). Used for trace-carrying entries that only replay for
-    /// an exact source-text match.
-    pub fn get_if(&self, key: &K, usable: impl FnOnce(&V) -> bool) -> Option<V> {
-        if !enabled() {
-            return None;
-        }
-        let shard = self.shard(key).lock().expect("cache shard poisoned");
-        let found = shard.map.get(key).filter(|v| usable(v)).cloned();
-        drop(shard);
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self
+            .shard(key)
+            .lock()
+            .expect("cache shard poisoned")
+            .map
+            .get(key)
+            .cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Inserts (or refreshes) an entry, evicting the oldest entry of the
     /// shard when the capacity bound is exceeded.
     pub fn insert(&self, key: K, value: V) {
-        if !enabled() {
-            return;
-        }
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         if shard.map.insert(key.clone(), value).is_none() {
             shard.order.push_back(key);
@@ -222,61 +173,12 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     }
 }
 
-/// A deterministic 64-bit FNV-1a hasher, exposed so callers can
-/// fingerprint source text and options without pulling in a hashing
-/// dependency. Implements [`std::hash::Hasher`], so `#[derive(Hash)]`
-/// types feed it directly.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-}
-
-/// FNV-1a fingerprint of a byte string (used for exact source-text
-/// identity checks on trace-carrying cache entries).
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The kill switch is process-global and the test harness is threaded:
-    // every test that depends on the enabled state serializes on this.
-    static SWITCH: Mutex<()> = Mutex::new(());
-
     #[test]
     fn hit_miss_and_counters() {
-        let _g = SWITCH.lock().unwrap();
         let c: Cache<u64, String> = Cache::new("t", 64);
         assert_eq!(c.get(&1), None);
         c.insert(1, "one".into());
@@ -287,18 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn predicate_rejection_counts_as_miss() {
-        let _g = SWITCH.lock().unwrap();
-        let c: Cache<u64, u64> = Cache::new("t", 64);
-        c.insert(7, 42);
-        assert_eq!(c.get_if(&7, |v| *v != 42), None);
-        assert_eq!(c.stats().misses, 1);
-        assert_eq!(c.get_if(&7, |v| *v == 42), Some(42));
-    }
-
-    #[test]
     fn fifo_eviction_is_bounded_and_counted() {
-        let _g = SWITCH.lock().unwrap();
         let c: Cache<u64, u64> = Cache::new("t", SHARDS); // one entry per shard
         for k in 0..(SHARDS as u64 * 4) {
             c.insert(k, k);
@@ -309,7 +200,6 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_without_duplicating_order() {
-        let _g = SWITCH.lock().unwrap();
         let c: Cache<u64, u64> = Cache::new("t", 64);
         c.insert(1, 10);
         c.insert(1, 20);
@@ -318,35 +208,14 @@ mod tests {
     }
 
     #[test]
-    fn kill_switch_makes_every_lookup_a_silent_miss() {
-        let _g = SWITCH.lock().unwrap();
+    fn clear_keeps_cumulative_counters() {
         let c: Cache<u64, u64> = Cache::new("t", 64);
         c.insert(1, 10);
-        set_enabled(false);
-        assert_eq!(c.get(&1), None);
-        c.insert(2, 20);
-        set_enabled(true);
-        assert_eq!(c.get(&2), None, "insert while disabled dropped");
-        assert_eq!(c.get(&1), Some(10), "prior entries survive the toggle");
-    }
-
-    #[test]
-    fn fnv_is_deterministic_and_spreads() {
-        assert_eq!(fingerprint(b"abc"), fingerprint(b"abc"));
-        assert_ne!(fingerprint(b"abc"), fingerprint(b"abd"));
-        assert_ne!(fingerprint(b""), fingerprint(b"\0"));
-    }
-
-    #[test]
-    fn totals_sum_stage_rows() {
-        let a = StageStats {
-            stage: "a",
-            hits: 1,
-            misses: 2,
-            evictions: 3,
-            entries: 4,
-        };
-        let t = total(&[a, a]);
-        assert_eq!((t.hits, t.misses, t.evictions, t.entries), (2, 4, 6, 8));
+        assert_eq!(c.get(&1), Some(10));
+        c.clear();
+        assert!(c.is_empty());
+        assert_eq!(c.get(&1), None, "cleared entries are gone");
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 0));
     }
 }

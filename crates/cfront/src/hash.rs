@@ -92,13 +92,12 @@ pub fn function_hash(f: &FuncDef) -> u64 {
 }
 
 struct StructHasher {
-    h: gccache_fnv::Fnv1a,
+    h: fnv::Fnv1a,
 }
 
-// A tiny inlined FNV-1a so cfront stays dependency-free (gccache depends
-// on nothing, but cfront is the bottom of the crate graph and should not
-// grow edges for 10 lines of arithmetic).
-mod gccache_fnv {
+// A tiny inlined FNV-1a: cfront is the bottom of the crate graph and
+// should not grow edges for 10 lines of arithmetic.
+mod fnv {
     pub struct Fnv1a(pub u64);
     impl Fnv1a {
         pub fn new() -> Self {
@@ -124,7 +123,7 @@ mod gccache_fnv {
 impl StructHasher {
     fn new() -> Self {
         StructHasher {
-            h: gccache_fnv::Fnv1a::new(),
+            h: fnv::Fnv1a::new(),
         }
     }
 

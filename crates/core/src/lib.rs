@@ -4,10 +4,10 @@
 //! Garbage-Collector-Safety*, PLDI 1996:
 //!
 //! * [`base`] — the inductive BASE / BASEADDR definition;
-//! * [`annotate`] — the algorithm that wraps pointer-valued expressions in
-//!   `KEEP_LIVE(e, BASE(e))` (GC-safe mode) or `GC_same_obj(e, BASE(e))`
-//!   (pointer-arithmetic-checking mode), with the paper's optimizations
-//!   1–4 individually switchable.
+//! * [`annotate`](mod@annotate) — the algorithm that wraps pointer-valued
+//!   expressions in `KEEP_LIVE(e, BASE(e))` (GC-safe mode) or
+//!   `GC_same_obj(e, BASE(e))` (pointer-arithmetic-checking mode), with
+//!   the paper's optimizations 1–4 individually switchable.
 //!
 //! The same insertion points serve both purposes — that is the paper's
 //! central claim, and it is visible in the code: [`annotate::Config::mode`]
@@ -38,7 +38,6 @@ pub use gctrace::TraceHandle;
 
 use cfront::sema::SemaInfo;
 use cfront::{FrontError, Program};
-use std::sync::{Arc, OnceLock};
 
 /// A fully annotated, re-type-checked program plus annotation metadata.
 #[derive(Debug, Clone)]
@@ -79,43 +78,10 @@ pub fn annotate_program_traced(
     annotate_parsed_traced(program, source, config, trace)
 }
 
-/// One memoized annotation artifact: everything [`annotate_program`]
-/// produces, plus the exact source text it was produced from and — when
-/// the producing run was traced — the audit-event stream.
-///
-/// The edit list and `annotated_source` are *positional* (character
-/// offsets into the source), so entries are only reusable for the exact
-/// text that produced them; the structural hash in the key merely makes a
-/// reformatted program replace its stale entry instead of piling up.
-struct AnnotEntry {
-    annotated: Annotated,
-    src_fp: u64,
-    events: Option<Vec<gctrace::Event>>,
-}
-
-fn annotate_cache() -> &'static gccache::Cache<(u64, Config), Arc<AnnotEntry>> {
-    static CACHE: OnceLock<gccache::Cache<(u64, Config), Arc<AnnotEntry>>> = OnceLock::new();
-    CACHE.get_or_init(|| gccache::Cache::new("annotate", 512))
-}
-
-/// Counters of the annotation-stage memoization cache.
-pub fn annotate_cache_stats() -> gccache::StageStats {
-    annotate_cache().stats()
-}
-
-/// Drops every memoized annotation artifact (counters are cumulative).
-pub fn annotate_cache_clear() {
-    annotate_cache().clear();
-}
-
-/// [`annotate_program_traced`] for an already-parsed program, memoized.
+/// [`annotate_program_traced`] for an already-parsed program.
 ///
 /// `source` must be the text `program` was parsed from: the returned edit
-/// list and `annotated_source` are positional. Cache hits replay the
-/// original run's audit events into `trace`, byte-identically; a traced
-/// request never accepts an entry whose events were not captured (an
-/// untraced producer), so a traced warm run is indistinguishable from a
-/// cold one.
+/// list and `annotated_source` are positional.
 ///
 /// # Errors
 ///
@@ -126,28 +92,8 @@ pub fn annotate_parsed_traced(
     config: &Config,
     trace: &TraceHandle,
 ) -> Result<Annotated, FrontError> {
-    let key = (cfront::program_hash(&program), config.clone());
-    let src_fp = gccache::fingerprint(source.as_bytes());
-    let traced = trace.is_enabled();
-    if let Some(entry) = annotate_cache().get_if(&key, |e| {
-        e.src_fp == src_fp && (!traced || e.events.is_some())
-    }) {
-        if let Some(events) = &entry.events {
-            for ev in events {
-                trace.emit(|| ev.clone());
-            }
-        }
-        return Ok(entry.annotated.clone());
-    }
-    let capture = trace
-        .sink()
-        .map(|inner| Arc::new(gctrace::CaptureSink::new(inner)));
-    let work_trace = match &capture {
-        Some(c) => TraceHandle::new(c.clone()),
-        None => TraceHandle::disabled(),
-    };
     let sema = cfront::analyze(&mut program)?;
-    let result = annotate_traced(&mut program, &sema, config, &work_trace);
+    let result = annotate_traced(&mut program, &sema, config, trace);
     let sema = cfront::analyze(&mut program)?;
     let annotated_source = result.edits.apply(source).map_err(|e| {
         FrontError::new(
@@ -156,21 +102,12 @@ pub fn annotate_parsed_traced(
             cfront::Span::point(0),
         )
     })?;
-    let annotated = Annotated {
+    Ok(Annotated {
         program,
         sema,
         result,
         annotated_source,
-    };
-    annotate_cache().insert(
-        key,
-        Arc::new(AnnotEntry {
-            annotated: annotated.clone(),
-            src_fp,
-            events: capture.map(|c| c.take()),
-        }),
-    );
-    Ok(annotated)
+    })
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Plays the role of gcc + the target machine in the paper's pipeline:
 //!
-//! * [`lower`] — AST → three-address [`ir`], with a register regime
-//!   (`-O`-style) and an everything-in-memory regime (`-g`-style);
+//! * [`lower`](mod@lower) — AST → three-address [`ir`], with a register
+//!   regime (`-O`-style) and an everything-in-memory regime (`-g`-style);
 //! * [`opt`] — the optimizer, including the pointer-*disguising* passes
 //!   the paper warns about (displacement reassociation, eager scheduling)
 //!   and full support for the `KEEP_LIVE` barrier semantics;
@@ -58,7 +58,6 @@ pub use gctrace::TraceHandle;
 
 use gcsafe::Config as AnnotConfig;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// End-to-end compilation options: the paper's measurement axes.
@@ -133,6 +132,16 @@ pub fn compile(source: &str, options: &CompileOptions) -> Result<ProgramIr, Stri
 /// optimizer's per-pass rewrite events, and — for annotated builds — the
 /// static verifier's per-function verdicts all flow to `trace`.
 ///
+/// Compiles are memoized in one process-global cache keyed by the
+/// structural program hash and the full [`CompileOptions`], so every
+/// formatting of a program shares one entry. An untraced compile looks
+/// the key up and inserts on a miss. A traced compile skips the lookup:
+/// its events embed source positions, so every stage runs live into
+/// `trace` and the result is then inserted — a warm traced compile emits
+/// exactly what a cold one does. Alloc-site labels are re-bound to the
+/// requesting source on every path, so a hit is byte-identical to a cold
+/// compile.
+///
 /// # Errors
 ///
 /// Same as [`compile`].
@@ -141,48 +150,70 @@ pub fn compile_traced(
     options: &CompileOptions,
     trace: &TraceHandle,
 ) -> Result<ProgramIr, String> {
-    compile_keyed_traced(source, options, trace).map(|(ir, _)| ir)
+    let parsed = cfront::parse(source).map_err(|e| e.render(source))?;
+    let key = (cfront::program_hash(&parsed), options.clone());
+    let spans = node_spans(&parsed);
+    let cached = if trace.is_enabled() {
+        None
+    } else {
+        compile_cache().get(&key)
+    };
+    let mut ir = match cached {
+        Some(ir) => (*ir).clone(),
+        None => {
+            let ir = compile_live(parsed, source, options, trace)?;
+            compile_cache().insert(key, Arc::new(ir.clone()));
+            ir
+        }
+    };
+    ir.rebind_alloc_sites(&spans, source);
+    Ok(ir)
 }
 
-/// One memoized end-to-end compilation: the optimized (and, for annotated
-/// builds, verified) IR, plus — when the producing run was traced — the
-/// exact source fingerprint and the full compile-time event stream
-/// (annotate audit, optimizer summaries, verifier verdicts) for replay.
-struct CompileEntry {
-    ir: ProgramIr,
-    events: Option<(u64, Vec<gctrace::Event>)>,
+/// Runs every stage for `parsed`: (annotate) → lower → optimize, plus the
+/// static verifier for annotated builds when someone is listening.
+fn compile_live(
+    parsed: cfront::Program,
+    source: &str,
+    options: &CompileOptions,
+    trace: &TraceHandle,
+) -> Result<ProgramIr, String> {
+    let (program, sema) = match &options.annotate {
+        Some(cfg) => {
+            let annotated = gcsafe::annotate_parsed_traced(parsed, source, cfg, trace)
+                .map_err(|e| e.render(source))?;
+            (annotated.program, annotated.sema)
+        }
+        None => {
+            let mut program = parsed;
+            let sema = cfront::analyze(&mut program).map_err(|e| e.render(source))?;
+            (program, sema)
+        }
+    };
+    let mut ir = lower(&program, &sema, options.lower).map_err(|e| e.to_string())?;
+    optimize_traced(&mut ir, options.opt, trace);
+    // The verifier is observability-only here: run it (and emit verdicts)
+    // only when someone is listening, and only for annotated builds where
+    // a clean verdict is the expected invariant.
+    if trace.is_enabled() && options.annotate.is_some() {
+        let _ = verify_program_traced(&ir, false, trace);
+    }
+    Ok(ir)
 }
 
-/// Lower-cache key: structural program hash, the annotation configuration
-/// (None for unannotated builds), and the lowering options.
-type LowerKey = (u64, Option<AnnotConfig>, LowerOptions);
-
-fn lower_cache() -> &'static gccache::Cache<LowerKey, Arc<ProgramIr>> {
-    static CACHE: OnceLock<gccache::Cache<LowerKey, Arc<ProgramIr>>> = OnceLock::new();
-    CACHE.get_or_init(|| gccache::Cache::new("lower", 512))
-}
-
-fn compile_cache() -> &'static gccache::Cache<(u64, CompileOptions), Arc<CompileEntry>> {
-    static CACHE: OnceLock<gccache::Cache<(u64, CompileOptions), Arc<CompileEntry>>> =
-        OnceLock::new();
+fn compile_cache() -> &'static gccache::Cache<(u64, CompileOptions), Arc<ProgramIr>> {
+    static CACHE: OnceLock<gccache::Cache<(u64, CompileOptions), Arc<ProgramIr>>> = OnceLock::new();
     CACHE.get_or_init(|| gccache::Cache::new("compile", 512))
 }
 
-/// Counter snapshots for every pipeline-stage cache this crate (and the
-/// annotator beneath it) maintains: `annotate`, `lower`, `compile`.
-pub fn pipeline_cache_stats() -> Vec<gccache::StageStats> {
-    vec![
-        gcsafe::annotate_cache_stats(),
-        lower_cache().stats(),
-        compile_cache().stats(),
-    ]
+/// Counters of the compile cache (see [`compile_traced`]).
+pub fn compile_cache_stats() -> gccache::StageStats {
+    compile_cache().stats()
 }
 
-/// Drops every memoized pipeline artifact (counters are cumulative).
-/// Safe at any time: a cleared cache only changes speed, never results.
-pub fn pipeline_cache_clear() {
-    gcsafe::annotate_cache_clear();
-    lower_cache().clear();
+/// Drops every memoized compile (counters are cumulative). Safe at any
+/// time: a cleared cache only changes speed, never results.
+pub fn compile_cache_clear() {
     compile_cache().clear();
 }
 
@@ -201,133 +232,6 @@ fn node_spans(program: &cfront::Program) -> HashMap<cfront::NodeId, usize> {
         }
     }
     spans
-}
-
-/// [`compile_traced`], additionally returning the compilation key — the
-/// fingerprint of (structural program hash, options) that downstream
-/// caches (per-machine asm in the facade) key their own artifacts on.
-///
-/// The pipeline is memoized per stage in process-global caches:
-///
-/// * **annotate** (in `gcsafe`) — keyed by structural hash + config,
-///   usable only for the exact source text (edit lists are positional);
-/// * **lower** — un-optimized [`ProgramIr`] keyed by structural hash +
-///   annotation config + lowering options, shared across formatting;
-/// * **compile** — the finished IR keyed by structural hash + the full
-///   [`CompileOptions`], shared across formatting.
-///
-/// Determinism contract: a cache hit is byte-identical to a cold compile.
-/// Alloc-site labels are re-bound to the requesting program's AST on
-/// every path, and traced requests only accept entries that carry the
-/// event stream of an identical source text, replaying it verbatim;
-/// otherwise the event-emitting stages run live and the entry is
-/// refreshed.
-///
-/// # Errors
-///
-/// Same as [`compile`].
-pub fn compile_keyed_traced(
-    source: &str,
-    options: &CompileOptions,
-    trace: &TraceHandle,
-) -> Result<(ProgramIr, u64), String> {
-    let parsed = cfront::parse(source).map_err(|e| e.render(source))?;
-    let h = cfront::program_hash(&parsed);
-    let spans = node_spans(&parsed);
-    let key = (h, options.clone());
-    let ckey = {
-        let mut f = gccache::Fnv1a::new();
-        key.hash(&mut f);
-        f.finish()
-    };
-    let src_fp = gccache::fingerprint(source.as_bytes());
-    let traced = trace.is_enabled();
-
-    if let Some(entry) = compile_cache().get_if(&key, |e| {
-        !traced || e.events.as_ref().is_some_and(|(fp, _)| *fp == src_fp)
-    }) {
-        if traced {
-            if let Some((_, events)) = &entry.events {
-                for ev in events {
-                    trace.emit(|| ev.clone());
-                }
-            }
-        }
-        let mut ir = entry.ir.clone();
-        ir.rebind_alloc_sites(&spans, source);
-        return Ok((ir, ckey));
-    }
-
-    // Cold path (or a traced request for which no replayable event stream
-    // exists). Tee the trace so the event stream can be stored alongside
-    // the artifact.
-    let capture = trace
-        .sink()
-        .map(|inner| Arc::new(gctrace::CaptureSink::new(inner)));
-    let work_trace = match &capture {
-        Some(c) => TraceHandle::new(c.clone()),
-        None => TraceHandle::disabled(),
-    };
-
-    let lkey = (h, options.annotate.clone(), options.lower);
-    let annotating = options.annotate.is_some();
-    // When traced and annotating, the annotate stage must run (or replay
-    // from its own cache) even if the lowered IR is already memoized —
-    // the audit events are part of the compile's observable output.
-    let lowered = if traced && annotating {
-        None
-    } else {
-        lower_cache().get(&lkey)
-    };
-    let mut ir = match lowered {
-        Some(ir) => (*ir).clone(),
-        None => {
-            let (program, sema) = match &options.annotate {
-                Some(cfg) => {
-                    let annotated =
-                        gcsafe::annotate_parsed_traced(parsed, source, cfg, &work_trace)
-                            .map_err(|e| e.render(source))?;
-                    (annotated.program, annotated.sema)
-                }
-                None => {
-                    let mut program = parsed;
-                    let sema = cfront::analyze(&mut program).map_err(|e| e.render(source))?;
-                    (program, sema)
-                }
-            };
-            // The annotate stage ran for its events; the lowered IR may
-            // still be memoized when the pre-annotate lookup was skipped.
-            let memoized = if traced && annotating {
-                lower_cache().get(&lkey)
-            } else {
-                None
-            };
-            match memoized {
-                Some(ir) => (*ir).clone(),
-                None => {
-                    let ir = lower(&program, &sema, options.lower).map_err(|e| e.to_string())?;
-                    lower_cache().insert(lkey, Arc::new(ir.clone()));
-                    ir
-                }
-            }
-        }
-    };
-    optimize_traced(&mut ir, options.opt, &work_trace);
-    // The verifier is observability-only here: run it (and emit verdicts)
-    // only when someone is listening, and only for annotated builds where
-    // a clean verdict is the expected invariant.
-    if work_trace.is_enabled() && annotating {
-        let _ = verify_program_traced(&ir, false, &work_trace);
-    }
-    compile_cache().insert(
-        key,
-        Arc::new(CompileEntry {
-            ir: ir.clone(),
-            events: capture.map(|c| (src_fp, c.take())),
-        }),
-    );
-    ir.rebind_alloc_sites(&spans, source);
-    Ok((ir, ckey))
 }
 
 /// Runs a compiled program.

@@ -1,31 +1,38 @@
-//! The pipeline caches' soundness contract, pinned from outside the
-//! crate: structurally-equal sources share memoized artifacts, but
+//! The compile cache's soundness contract, pinned from outside the
+//! crate: structurally-equal sources share one memoized IR, but
 //! everything positional — alloc-site labels, spans, trace streams — is
 //! bound to the *requesting* source text, never to whichever formatting
-//! happened to populate the cache first.
+//! happened to populate the cache first. Traced compiles never look the
+//! cache up: every stage runs live into the trace, so a stream is always
+//! the requesting source's own.
 //!
-//! The caches and their counters are process-global, and the test
-//! harness is threaded, so every test takes `SERIAL` and asserts on
-//! counter *deltas* around its own compiles.
+//! The cache and its counters are process-global, and the test harness
+//! is threaded, so every test takes `SERIAL` and asserts on counter
+//! *deltas* around its own compiles.
 
-use cvm::{compile, compile_traced, pipeline_cache_stats, CompileOptions};
-use gccache::StageStats;
+use cvm::{compile, compile_cache_stats, compile_traced, CompileOptions};
+use gctrace::{Event, TraceHandle, Value};
 use std::sync::Mutex;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn stage(stats: &[StageStats], name: &str) -> StageStats {
-    *stats
-        .iter()
-        .find(|s| s.stage == name)
-        .unwrap_or_else(|| panic!("no {name:?} stage in {stats:?}"))
+/// Runs `f`, returning its result and the (hits, misses) the compile
+/// cache accrued meanwhile.
+fn traffic<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let before = compile_cache_stats();
+    let out = f();
+    let after = compile_cache_stats();
+    (
+        out,
+        (after.hits - before.hits, after.misses - before.misses),
+    )
 }
 
-/// (hits, misses) accrued on `name` between the two snapshots.
-fn delta(before: &[StageStats], after: &[StageStats], name: &str) -> (u64, u64) {
-    let b = stage(before, name);
-    let a = stage(after, name);
-    (a.hits - b.hits, a.misses - b.misses)
+/// A traced compile's full event stream.
+fn traced(src: &str, opts: &CompileOptions) -> Vec<Event> {
+    let (trace, sink) = TraceHandle::memory();
+    compile_traced(src, opts, &trace).expect("compiles");
+    sink.snapshot()
 }
 
 /// 1-based (line, col) of the first occurrence of `needle` — what an
@@ -60,11 +67,9 @@ fn hash_equal_sources_share_cached_ir_but_rebind_site_labels() {
 
     let opts = CompileOptions::optimized();
     let prog_a = compile(src_a, &opts).unwrap();
-    let before = pipeline_cache_stats();
-    let prog_b = compile(src_b, &opts).unwrap();
-    let after = pipeline_cache_stats();
+    let (prog_b, delta) = traffic(|| compile(src_b, &opts).unwrap());
     assert_eq!(
-        delta(&before, &after, "compile"),
+        delta,
         (1, 0),
         "the second formatting must be served from the compile cache"
     );
@@ -90,7 +95,7 @@ fn hash_equal_sources_share_cached_ir_but_rebind_site_labels() {
 }
 
 #[test]
-fn warm_recompile_is_pure_compile_hits_and_skips_earlier_stages() {
+fn warm_recompile_is_pure_compile_hits() {
     let _guard = SERIAL.lock().unwrap();
     // Unique to this test so the first pass is genuinely cold.
     let src =
@@ -101,25 +106,20 @@ fn warm_recompile_is_pure_compile_hits_and_skips_earlier_stages() {
         CompileOptions::debug(),
         CompileOptions::debug_checked(),
     ];
-    let cold: Vec<_> = option_sets
-        .iter()
-        .map(|o| compile(src, o).unwrap())
-        .collect();
-    let before = pipeline_cache_stats();
-    let warm: Vec<_> = option_sets
-        .iter()
-        .map(|o| compile(src, o).unwrap())
-        .collect();
-    let after = pipeline_cache_stats();
+    let compile_all = || -> Vec<_> {
+        option_sets
+            .iter()
+            .map(|o| compile(src, o).unwrap())
+            .collect()
+    };
+    let (cold, delta) = traffic(compile_all);
+    assert_eq!(delta, (0, option_sets.len() as u64), "first pass is cold");
+    let (warm, delta) = traffic(compile_all);
     assert_eq!(
-        delta(&before, &after, "compile"),
+        delta,
         (option_sets.len() as u64, 0),
         "every warm recompile must be a compile-cache hit"
     );
-    // A compile hit returns before annotate/lower are even consulted —
-    // the stage-skipping the incremental pipeline exists for.
-    assert_eq!(delta(&before, &after, "annotate"), (0, 0));
-    assert_eq!(delta(&before, &after, "lower"), (0, 0));
     for (c, w) in cold.iter().zip(&warm) {
         assert_eq!(c.funcs.len(), w.funcs.len());
         assert_eq!(c.alloc_sites, w.alloc_sites);
@@ -127,51 +127,69 @@ fn warm_recompile_is_pure_compile_hits_and_skips_earlier_stages() {
 }
 
 #[test]
-fn traced_warm_compile_replays_the_cold_event_stream() {
+fn traced_compiles_run_live_without_a_cache_lookup() {
     let _guard = SERIAL.lock().unwrap();
     let src =
         "int main(void) {\n    char *p = (char *) malloc(48);\n    p[1] = 7;\n    return 0;\n}\n";
     let opts = CompileOptions::optimized_safe();
-    let (cold_trace, cold_sink) = gctrace::TraceHandle::memory();
-    compile_traced(src, &opts, &cold_trace).unwrap();
-    let before = pipeline_cache_stats();
-    let (warm_trace, warm_sink) = gctrace::TraceHandle::memory();
-    compile_traced(src, &opts, &warm_trace).unwrap();
-    let after = pipeline_cache_stats();
-    assert_eq!(delta(&before, &after, "compile"), (1, 0));
-    let cold = cold_sink.snapshot();
-    let warm = warm_sink.snapshot();
-    assert!(!cold.is_empty(), "an annotated traced compile emits events");
+    let ((cold, warm), delta) = traffic(|| (traced(src, &opts), traced(src, &opts)));
+    assert_eq!(delta, (0, 0), "a traced compile never looks the cache up");
     assert!(
         cold.iter().any(|e| e.stage == "annotate"),
         "audit events present: {cold:?}"
     );
-    assert_eq!(
-        cold, warm,
-        "the warm compile must replay the stream verbatim"
+    assert!(
+        cold.iter().any(|e| e.stage == "verify"),
+        "verifier verdicts present: {cold:?}"
     );
+    assert_eq!(cold, warm, "a warm traced compile emits the cold stream");
 }
 
 #[test]
-fn traced_requests_reject_entries_from_other_formattings() {
+fn traced_compile_of_another_formatting_emits_its_own_positions() {
     let _guard = SERIAL.lock().unwrap();
     let src_a =
-        "int main(void) {\n    char *q = (char *) calloc(3, 9);\n    q[2] = 5;\n    return 0;\n}\n";
-    let src_b = "/* moved */\nint main(void) {\n        char *q = (char *) calloc(3, 9);\n        q[2] = 5;\n        return 0;\n}\n";
+        "char f(char *p, long i) {\n    return p[i - 1000];\n}\nint main(void) { return 0; }\n";
+    let src_b = "/* moved */\nchar f(char *p, long i)\n{\n        return p[i - 1000];\n}\nint main(void) { return 0; }\n";
     let opts = CompileOptions::optimized_safe();
-    let (trace_a, _sink_a) = gctrace::TraceHandle::memory();
-    compile_traced(src_a, &opts, &trace_a).unwrap();
-    // A traced request for a different formatting must not replay A's
-    // stream (audit events are positional): the fingerprint gate turns
-    // the lookup into a miss and the stages run live.
-    let before = pipeline_cache_stats();
-    let (trace_b, sink_b) = gctrace::TraceHandle::memory();
-    compile_traced(src_b, &opts, &trace_b).unwrap();
-    let after = pipeline_cache_stats();
-    assert_eq!(
-        delta(&before, &after, "compile"),
-        (0, 1),
-        "an exact-text-gated entry must not serve another formatting"
+    let a = traced(src_a, &opts);
+    let b = traced(src_b, &opts);
+    // Every span-carrying audit event names a slice of its own source:
+    // the same expression text, at that formatting's offsets.
+    let spans = |events: &[Event], src: &str| -> Vec<(usize, String)> {
+        events
+            .iter()
+            .filter_map(|e| match (e.get("span_start"), e.get("span_end")) {
+                (Some(Value::UInt(s)), Some(Value::UInt(t))) => {
+                    Some((*s as usize, src[*s as usize..*t as usize].to_string()))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let (sa, sb) = (spans(&a, src_a), spans(&b, src_b));
+    assert!(
+        sb.iter().any(|(_, text)| text == "p[i - 1000]"),
+        "the subscript is wrapped: {b:?}"
     );
-    assert!(!sink_b.snapshot().is_empty(), "B's own stream was emitted");
+    let texts = |s: &[(usize, String)]| s.iter().map(|(_, t)| t.clone()).collect::<Vec<_>>();
+    assert_eq!(texts(&sa), texts(&sb), "same expressions in both streams");
+    for ((oa, text), (ob, _)) in sa.iter().zip(&sb) {
+        assert_ne!(oa, ob, "{text:?}: B's stream must carry B's offsets");
+    }
+}
+
+#[test]
+fn untraced_compile_after_a_traced_one_is_a_hit() {
+    let _guard = SERIAL.lock().unwrap();
+    let src =
+        "int main(void) {\n    long *q = (long *) calloc(3, 8);\n    q[2] = 5;\n    return 0;\n}\n";
+    let opts = CompileOptions::debug_checked();
+    let (events, delta) = traffic(|| traced(src, &opts));
+    assert_eq!(delta, (0, 0));
+    assert!(!events.is_empty(), "the traced compile emitted its stream");
+    let (prog, delta) = traffic(|| compile(src, &opts).unwrap());
+    assert_eq!(delta, (1, 0), "the traced compile populated the cache");
+    let (l, c) = pos_of(src, "calloc");
+    assert_eq!(prog.alloc_sites[0].label(), format!("calloc@{l}:{c}"));
 }

@@ -12,8 +12,8 @@
 //!   checks build success, verifier cleanliness, per-mode determinism,
 //!   cross-mode exit/output agreement, and paranoid-collector survival
 //!   for the safe modes;
-//! * [`minimize`] — a delta-debugging shrinker that works on parsed
-//!   ASTs through the cfront pretty-printer round-trip.
+//! * [`minimize`](mod@minimize) — a delta-debugging shrinker that works
+//!   on parsed ASTs through the cfront pretty-printer round-trip.
 //!
 //! [`run_campaign`] fans cases out across scoped worker threads (the
 //! same pattern as the bench matrix) and reassembles findings in case

@@ -1,7 +1,7 @@
 //! Fuzz soak with the compilation cache in the loop: running the same
 //! campaign twice must produce identical verdicts — the second pass is
-//! served entirely from the pipeline caches, so any divergence means a
-//! cached artifact behaved differently from a cold compile.
+//! served entirely from the compile cache, so any divergence means a
+//! cached build behaved differently from a cold compile.
 //!
 //! The case count keeps the campaign's ~4 compile-cache entries per
 //! program well under the cache's per-shard FIFO capacity (512 entries
@@ -10,21 +10,15 @@
 
 #[test]
 fn warm_campaign_verdicts_match_cold_with_a_nonzero_hit_rate() {
-    let stage = |name: &str| {
-        cvm::pipeline_cache_stats()
-            .into_iter()
-            .find(|s| s.stage == name)
-            .expect("stage exists")
-    };
     let cold = gcfuzz::run_campaign(7, 60, 4);
     assert!(
         cold.failures.is_empty(),
         "cold campaign diverged: {:?}",
         cold.failures
     );
-    let before = stage("compile");
+    let before = cvm::compile_cache_stats();
     let warm = gcfuzz::run_campaign(7, 60, 4);
-    let after = stage("compile");
+    let after = cvm::compile_cache_stats();
     assert_eq!(cold, warm, "warm campaign verdicts differ from cold");
     assert!(
         after.hits > before.hits,

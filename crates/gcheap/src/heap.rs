@@ -1,6 +1,6 @@
 //! The conservative mark-sweep collector.
 //!
-//! Reproduces the collector interface the paper relies on ([Boehm95] in
+//! Reproduces the collector interface the paper relies on (\[Boehm95\] in
 //! its default configuration):
 //!
 //! * every object is allocated "with at least one extra byte at the end"

@@ -1,6 +1,6 @@
 //! # gcheap — conservative mark-sweep collector substrate
 //!
-//! The collector the paper's techniques target ([Boehm95] in its default
+//! The collector the paper's techniques target (\[Boehm95\] in its default
 //! configuration), rebuilt over a simulated address space:
 //!
 //! * [`mem::Memory`] — a flat simulated address space with globals, stack,

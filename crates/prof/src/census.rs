@@ -1,6 +1,6 @@
 //! Heap census: a point-in-time walk of the collector's page map.
 //!
-//! The collector fills this in ([`gcheap`]'s `GcHeap::census`); gcprof
+//! The collector fills this in (`gcheap`'s `GcHeap::census`); gcprof
 //! only defines the shape so every layer above the heap can consume it.
 //! All derived ratios are integer permille so reports containing them
 //! stay byte-identical across runs and platforms.

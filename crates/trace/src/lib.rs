@@ -194,37 +194,6 @@ impl Sink for MemorySink {
     }
 }
 
-/// A tee: forwards every event to an inner sink unchanged while keeping a
-/// copy. The compilation cache wraps a compile's trace with one of these
-/// so the event stream can be stored next to the artifact and replayed —
-/// byte-identically — on later cache hits.
-pub struct CaptureSink {
-    inner: Arc<dyn Sink>,
-    events: Mutex<Vec<Event>>,
-}
-
-impl CaptureSink {
-    /// A capture tee in front of `inner`.
-    pub fn new(inner: Arc<dyn Sink>) -> Self {
-        CaptureSink {
-            inner,
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Takes the captured events, leaving the buffer empty.
-    pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock().expect("sink lock"))
-    }
-}
-
-impl Sink for CaptureSink {
-    fn emit(&self, event: Event) {
-        self.events.lock().expect("sink lock").push(event.clone());
-        self.inner.emit(event);
-    }
-}
-
 /// A buffering sink for one task of a fan-out, tagged with the
 /// coordinates that [`merge_tagged`] sorts by.
 ///
@@ -346,13 +315,6 @@ impl TraceHandle {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// The underlying sink, if enabled. Lets callers wrap the sink (e.g.
-    /// the compilation cache tees events into a buffer while they still
-    /// reach the original sink unchanged).
-    pub fn sink(&self) -> Option<Arc<dyn Sink>> {
-        self.0.clone()
     }
 
     /// Emits the event built by `build` — but only if the handle is

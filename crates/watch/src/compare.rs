@@ -7,7 +7,8 @@
 //!    ceiling fails outright. Ceilings are seeded with margin
 //!    (`seed-budgets`), so only a real regression crosses one.
 //! 2. **Permille floor** — a budgeted `<name>_floor_permille` checks the
-//!    candidate's `<name>_permille` field: below the floor fails. MMU
+//!    candidate's `<name>_permille` field: below the floor fails, and so
+//!    does a candidate cell that does not export the field at all. MMU
 //!    floors (`mmu_10ms_floor_permille`) catch the collector eating more
 //!    of the mutator's time; cache floors (`hit_rate_floor_permille`)
 //!    catch warm passes that stopped hitting.
@@ -207,7 +208,7 @@ pub fn compare(
                         .push(format!("{field} {got} is below floor {floor}")),
                     Some(_) => {}
                     None => v
-                        .notes
+                        .failures
                         .push(format!("{field} budgeted but not exported by candidate")),
                 }
             }
@@ -367,6 +368,25 @@ mod tests {
             "{}",
             v.table()
         );
+    }
+
+    #[test]
+    fn budgeted_floors_the_candidate_does_not_export_are_hard_failures() {
+        // A trajectory that stops exporting a floored field must not pass
+        // its floor silently, flag or not.
+        let cand = doc(&[("w", "O", 10, 1_000, None)]);
+        let b = budgets::parse("[\"w/O\"]\nhit_rate_floor_permille = 990\n").unwrap();
+        for allow in [false, true] {
+            let v = compare(None, &cand, &b, allow).unwrap();
+            assert!(!v.passed(), "allow={allow}: {}", v.table());
+            assert_eq!(v.failing_cells(), vec!["w/O"]);
+            assert!(
+                v.table()
+                    .contains("hit_rate_permille budgeted but not exported"),
+                "{}",
+                v.table()
+            );
+        }
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!   counters (bytes allocated, roots scanned, words marked, pages
 //!   swept), so the exported JSON is byte-identical run to run and at any
 //!   `--jobs` level.
-//! * [`budgets`] / [`compare`] — a noise-aware perf-regression gate:
-//!   per-cell `max_pause_ns` ceilings and MMU floors in a tiny TOML
-//!   subset, compared against a candidate `BENCH_gc.json` with a
-//!   median + k·MAD noise gate, producing a human-readable diff table
-//!   and a nonzero exit for CI.
+//! * [`budgets`] / [`compare`](mod@compare) — a noise-aware
+//!   perf-regression gate: per-cell `max_pause_ns` ceilings and MMU
+//!   floors in a tiny TOML subset, compared against a candidate
+//!   `BENCH_gc.json` with a median + k·MAD noise gate, producing a
+//!   human-readable diff table and a nonzero exit for CI.
 
 #![warn(missing_docs)]
 

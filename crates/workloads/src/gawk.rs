@@ -9,7 +9,7 @@
 //! representing a 1-indexed array as a pointer one element *before* a heap
 //! array (`fields - 1`). The program runs correctly without checking;
 //! under the checking-mode preprocessor it "immediately and correctly
-//! detect[s] a pointer arithmetic error" — the paper's `<fails>` cell.
+//! detect\[s\] a pointer arithmetic error" — the paper's `<fails>` cell.
 
 /// The C source of the workload.
 pub const SOURCE: &str = r#"

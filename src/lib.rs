@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
 
 pub use asmpost::{AsmFunc, CostReport, Machine, PeepholeStats};
 pub use cvm::{CompileOptions, ExecOutcome, ProgramIr, VmError, VmOptions};
@@ -164,35 +163,19 @@ pub fn measure_source_traced(
     measure_source_instrumented(source, input, mode, trace, &ProfHandle::disabled())
 }
 
-/// The per-machine assembly cache: pristine code-generator output keyed
-/// by the compilation key (structural program hash + options fingerprint,
-/// from [`cvm::compile_keyed_traced`]) and machine name. The peephole
-/// postprocessor mutates assembly in place and emits trace events, so
-/// only *un*-postprocessed output is memoized; postprocessing re-runs on
-/// every build, keeping hits byte-identical to cold runs.
-type AsmKey = (u64, &'static str);
-
-fn asm_cache() -> &'static gccache::Cache<AsmKey, Arc<Vec<AsmFunc>>> {
-    static CACHE: OnceLock<gccache::Cache<AsmKey, Arc<Vec<AsmFunc>>>> = OnceLock::new();
-    CACHE.get_or_init(|| gccache::Cache::new("asm", 512))
+/// Counters of the pipeline's one compilation cache (see
+/// [`cvm::compile_traced`]). Counters are cumulative for the process and
+/// — like wall-clock timings — are *not* deterministic across `--jobs`
+/// levels (racing workers may both miss the same key), so exports treat
+/// them as timing-class data.
+pub fn cache_stats() -> StageStats {
+    cvm::compile_cache_stats()
 }
 
-/// Counter snapshots for every compilation cache in the pipeline, in
-/// stage order: `annotate`, `lower`, `compile`, `asm`. Counters are
-/// cumulative for the process and — like wall-clock timings — are *not*
-/// deterministic across `--jobs` levels (racing workers may both miss the
-/// same key), so exports treat them as timing-class data.
-pub fn cache_stats() -> Vec<StageStats> {
-    let mut stats = cvm::pipeline_cache_stats();
-    stats.push(asm_cache().stats());
-    stats
-}
-
-/// Drops every memoized compilation artifact, pipeline-wide (counters
-/// are preserved). Results never change — only compile time does.
+/// Drops every memoized compilation (counters are preserved). Results
+/// never change — only compile time does.
 pub fn cache_clear() {
-    cvm::pipeline_cache_clear();
-    asm_cache().clear();
+    cvm::compile_cache_clear();
 }
 
 /// [`measure_source_traced`] with a profiling handle attached to the heap
@@ -242,7 +225,7 @@ pub fn measure_source_snapped(
     prof: &ProfHandle,
     snap: &gcsnap::SnapHandle,
 ) -> Result<Measured, String> {
-    let (prog, ckey) = cvm::compile_keyed_traced(source, &mode.compile_options(), trace)?;
+    let prog = cvm::compile_traced(source, &mode.compile_options(), trace)?;
     let vm_opts = VmOptions {
         input: input.to_vec(),
         trace: trace.clone(),
@@ -254,15 +237,7 @@ pub fn measure_source_snapped(
     let mut costs = BTreeMap::new();
     let mut peephole = None;
     for machine in Machine::all() {
-        let akey = (ckey, machine.name);
-        let mut asm = match asm_cache().get(&akey) {
-            Some(asm) => (*asm).clone(),
-            None => {
-                let asm = asmpost::codegen_program(&prog, &machine);
-                asm_cache().insert(akey, Arc::new(asm.clone()));
-                asm
-            }
-        };
+        let mut asm = asmpost::codegen_program(&prog, &machine);
         // The `-O` baseline is postprocessed as well: gcc's -O2 output (the
         // paper's baseline) is already peephole-clean, while our one-pass
         // code generator leaves generic copy/fusion slack that would

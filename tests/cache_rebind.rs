@@ -1,10 +1,10 @@
 //! The compilation cache's re-binding contract at the facade level: two
-//! formattings of the same program share every memoized artifact
-//! (compile IR, per-machine assembly), yet the gcprof exports — folded
-//! allocation stacks and the pause log's `max_pause_site` attribution —
-//! report each formatting's own source coordinates. This is the
-//! bug-class the cache's unconditional re-bind exists to prevent:
-//! profiles stamped with the donor program's line numbers.
+//! formattings of the same program share one memoized compile, yet the
+//! gcprof exports — folded allocation stacks and the pause log's
+//! `max_pause_site` attribution — report each formatting's own source
+//! coordinates. This is the bug-class the cache's unconditional re-bind
+//! exists to prevent: profiles stamped with the donor program's line
+//! numbers.
 
 use gc_safety::{cache_stats, measure_source_instrumented, Mode, ProfHandle, TraceHandle};
 
@@ -14,20 +14,6 @@ fn pos_of(src: &str, needle: &str) -> (usize, usize) {
     let line = src[..off].matches('\n').count() + 1;
     let col = off - src[..off].rfind('\n').map_or(0, |i| i + 1) + 1;
     (line, col)
-}
-
-fn delta(
-    before: &[gc_safety::StageStats],
-    after: &[gc_safety::StageStats],
-    name: &str,
-) -> (u64, u64) {
-    let get = |s: &[gc_safety::StageStats]| {
-        let st = s.iter().find(|s| s.stage == name).expect("stage exists");
-        (st.hits, st.misses)
-    };
-    let (bh, bm) = get(before);
-    let (ah, am) = get(after);
-    (ah - bh, am - bm)
 }
 
 // Enough garbage to cross the 256 KiB collection threshold several
@@ -58,12 +44,11 @@ fn shared_cache_entries_still_profile_under_each_formattings_labels() {
     let b = measure_source_instrumented(SRC_B, b"", Mode::O, &TraceHandle::disabled(), &prof_b)
         .expect("B measures");
     let after = cache_stats();
-    // B's build is served from A's entries: one compile hit, one asm hit
-    // per machine, and nothing recompiled.
-    assert_eq!(delta(&before, &after, "compile"), (1, 0));
-    let (asm_hits, asm_misses) = delta(&before, &after, "asm");
-    assert_eq!(asm_misses, 0, "no machine re-ran codegen");
-    assert!(asm_hits >= 1, "assembly served from cache");
+    // B's build is served from A's entry: one compile hit, no recompile.
+    assert_eq!(
+        (after.hits - before.hits, after.misses - before.misses),
+        (1, 0)
+    );
     assert_eq!(a.output(), b.output(), "formatting cannot change behavior");
 
     for (m, prof, mine, theirs) in [
