@@ -14,7 +14,7 @@
 //! constraint is not checked here: asmpost solves its own register
 //! liveness over the generated assembly (`asmpost::peephole::AsmLiveness`).
 
-use crate::ir::{FuncIr, Instr, Temp};
+use crate::ir::{Block, BlockId, FuncIr, Instr, Temp};
 use std::collections::HashMap;
 
 /// A dense bitset of temps.
@@ -51,25 +51,17 @@ impl TempSet {
         self.bits.get(w).map(|x| x & (1 << b) != 0).unwrap_or(false)
     }
 
-    /// Unions `other` into `self`; returns whether anything changed.
-    pub fn union_with(&mut self, other: &TempSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            let new = *a | *b;
-            if new != *a {
-                *a = new;
-                changed = true;
-            }
-        }
-        changed
-    }
-
     /// Iterates over members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = Temp> + '_ {
         self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |b| word & (1u64 << b) != 0)
-                .map(move |b| Temp((w * 64 + b) as u32))
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    Temp(w as u32 * 64 + bit)
+                })
+            })
         })
     }
 
@@ -118,76 +110,73 @@ impl Liveness {
                 }
             }
         }
-        // Iterate to fixpoint.
+        let succs: Vec<Vec<BlockId>> = func.blocks.iter().map(Block::successors).collect();
+        // Iterate to fixpoint, word by word and in place:
+        // out = ∪ in[succ], in = gen ∪ (out − kill).
+        let words = (n as usize).div_ceil(64);
         let mut changed = true;
         while changed {
             changed = false;
             for bi in (0..nb).rev() {
-                let mut out = TempSet::new(n);
-                for succ in func.blocks[bi].successors() {
-                    out.union_with(&live_in[succ.0 as usize]);
-                }
-                if live_out[bi] != out {
-                    live_out[bi] = out;
-                    changed = true;
-                }
-                // in = gen ∪ (out − kill)
-                let mut inn = gen_sets[bi].clone();
-                for t in live_out[bi].iter() {
-                    if !kill_sets[bi].contains(t) {
-                        inn.insert(t);
-                    }
-                }
-                if live_in[bi] != inn {
-                    live_in[bi] = inn;
-                    changed = true;
+                for w in 0..words {
+                    let out = succs[bi]
+                        .iter()
+                        .fold(0, |acc, s| acc | live_in[s.0 as usize].bits[w]);
+                    let inn = gen_sets[bi].bits[w] | (out & !kill_sets[bi].bits[w]);
+                    changed |= out != live_out[bi].bits[w] || inn != live_in[bi].bits[w];
+                    live_out[bi].bits[w] = out;
+                    live_in[bi].bits[w] = inn;
                 }
             }
         }
         Liveness { live_in, live_out }
     }
+}
 
-    /// Walks block `bi` backwards and reports, for each instruction index,
-    /// the set of temps live *after* that instruction.
-    pub fn live_after_each(&self, func: &FuncIr, bi: usize) -> Vec<TempSet> {
-        let b = &func.blocks[bi];
-        let mut out = vec![TempSet::new(func.temp_count); b.instrs.len()];
-        let mut cur = self.live_out[bi].clone();
-        let mut uses = Vec::new();
-        for (i, ins) in b.instrs.iter().enumerate().rev() {
-            out[i] = cur.clone();
+/// Walks each block that holds a `Call` backwards once and calls
+/// `at_call(block, index, roots)` at every `Call`, with the temps whose
+/// values must be treated as roots while the callee runs: everything
+/// live after the call, minus its own result. A function without calls
+/// is not analysed at all.
+pub(crate) fn visit_call_roots(func: &FuncIr, mut at_call: impl FnMut(usize, usize, &TempSet)) {
+    let is_call = |ins: &Instr| matches!(ins, Instr::Call { .. });
+    if !func.blocks.iter().any(|b| b.instrs.iter().any(is_call)) {
+        return;
+    }
+    let lv = Liveness::compute(func);
+    let mut live = TempSet::new(func.temp_count);
+    let mut uses = Vec::new();
+    for (bi, b) in func.blocks.iter().enumerate() {
+        if !b.instrs.iter().any(is_call) {
+            continue;
+        }
+        live.clone_from(&lv.live_out[bi]);
+        for (ii, ins) in b.instrs.iter().enumerate().rev() {
             if let Some(d) = ins.dst() {
-                cur.remove(d);
+                live.remove(d);
+            }
+            if is_call(ins) {
+                at_call(bi, ii, &live);
             }
             uses.clear();
             ins.uses(&mut uses);
             for &u in &uses {
-                cur.insert(u);
+                live.insert(u);
             }
         }
-        out
     }
 }
 
 /// For every GC point (a `Call` instruction — collections happen inside
 /// allocation, per the paper's call-site model), the temps whose values
 /// must be treated as roots while the callee runs: everything live after
-/// the call, minus its own result.
+/// the call, minus its own result. The VM builds its per-instruction root
+/// table from the same walk.
 pub fn gc_root_maps(func: &FuncIr) -> HashMap<(u32, u32), Vec<Temp>> {
-    let lv = Liveness::compute(func);
     let mut maps = HashMap::new();
-    for bi in 0..func.blocks.len() {
-        let after = lv.live_after_each(func, bi);
-        for (ii, ins) in func.blocks[bi].instrs.iter().enumerate() {
-            if let Instr::Call { dst, .. } = ins {
-                let mut roots: Vec<Temp> = after[ii].iter().collect();
-                if let Some(d) = dst {
-                    roots.retain(|t| t != d);
-                }
-                maps.insert((bi as u32, ii as u32), roots);
-            }
-        }
-    }
+    visit_call_roots(func, |bi, ii, live| {
+        maps.insert((bi as u32, ii as u32), live.iter().collect());
+    });
     maps
 }
 

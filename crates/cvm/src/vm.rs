@@ -12,9 +12,33 @@
 //! Dead temps are not roots. That is what makes the paper's disguised-
 //! pointer hazard reproducible: optimize away the last live copy of a
 //! pointer and the object really is collected under your feet.
+//!
+//! # The interpreter
+//!
+//! A run first lays each function's blocks end to end in a code table of
+//! *borrowed* instructions, so a position in a function is one program
+//! counter and dispatching an instruction is one index. A block that does
+//! not end in a terminator gets one extra slot, and reaching it is
+//! [`VmError::Malformed`] ("fell off block bbN"). Beside the slots, the
+//! table keeps each block's first slot (the jump target) and execution
+//! count (the block-count profile, handed over when the run ends) and,
+//! per `Call` slot, the temps live across that call: the precise roots
+//! above, read per frame at every allocation.
+//!
+//! All frames' temps live in one register window: a frame owns
+//! `regs[base..base + temp_count]`, zeroed when the frame is pushed and
+//! truncated away when it returns. The active frame's function, program
+//! counter and window base are cached in the VM, so an operand read is
+//! one index. Call arguments are read straight from the caller's window,
+//! and builtin calls are counted in a fixed array.
+//!
+//! The step count, the block counts, every error and its text, and the
+//! order of root words (globals, then the stack, then each frame's live
+//! temps bottom frame first and in ascending temp order) do not depend on
+//! this layout; `tests/gc_golden.rs` pins them.
 
 use crate::ir::*;
-use crate::liveness::gc_root_maps;
+use crate::liveness::visit_call_roots;
 use cfront::sema::Builtin;
 use gcheap::{GcHeap, HeapConfig, HeapStats, MemFault, Memory, RootSet, GLOBAL_BASE};
 use std::collections::HashMap;
@@ -231,26 +255,88 @@ pub fn run(prog: &ProgramIr, opts: &VmOptions) -> Result<ExecOutcome, VmError> {
     Vm::new(prog, opts)?.run()
 }
 
+/// One function's code table: its blocks' instructions laid end to end,
+/// so a position in the function is one program counter.
+struct Code<'a> {
+    /// The instructions, borrowed from the program. `None` is the slot
+    /// appended after a block that does not end in a terminator:
+    /// reaching it is falling off that block.
+    slots: Vec<Option<&'a Instr>>,
+    /// Per block: the slot of its first instruction, and how many times
+    /// it has been entered (the block-count profile).
+    blocks: Vec<(usize, u64)>,
+    /// Per slot, the range of `roots` holding the temps live across the
+    /// call at that slot (empty for every other instruction).
+    call_roots: Vec<(u32, u32)>,
+    /// The root temps of all calls, each call's run in ascending order.
+    roots: Vec<Temp>,
+}
+
+impl<'a> Code<'a> {
+    fn new(func: &'a FuncIr) -> Self {
+        let mut slots = Vec::with_capacity(func.instr_count() + func.blocks.len());
+        let mut blocks = Vec::with_capacity(func.blocks.len());
+        for b in &func.blocks {
+            blocks.push((slots.len(), 0));
+            slots.extend(b.instrs.iter().map(Some));
+            if !b.instrs.last().is_some_and(Instr::is_terminator) {
+                slots.push(None);
+            }
+        }
+        let mut call_roots = vec![(0, 0); slots.len()];
+        let mut roots = Vec::new();
+        visit_call_roots(func, |block, ip, live| {
+            let start = roots.len() as u32;
+            roots.extend(live.iter());
+            call_roots[blocks[block].0 + ip] = (start, roots.len() as u32);
+        });
+        Code {
+            slots,
+            blocks,
+            call_roots,
+            roots,
+        }
+    }
+
+    /// The temps live across the call at slot `pc`.
+    fn roots_at(&self, pc: usize) -> &[Temp] {
+        let (start, end) = self.call_roots[pc];
+        &self.roots[start as usize..end as usize]
+    }
+}
+
+/// A live activation. The active (top) frame's position is cached in
+/// [`Vm`] while it runs; `pc` is written when the frame makes a call.
 struct Frame {
     func: usize,
-    block: u32,
-    ip: u32,
-    temps: Vec<i64>,
+    /// The `Call` slot the frame is suspended at.
+    pc: usize,
+    /// Where the frame's temps start in the register window.
+    base: usize,
     dst_in_caller: Option<Temp>,
 }
 
 struct Vm<'a> {
     prog: &'a ProgramIr,
     opts: &'a VmOptions,
+    code: Vec<Code<'a>>,
     mem: Memory,
     heap: GcHeap,
     frames: Vec<Frame>,
+    /// Every live frame's temps, bottom frame first: the register window.
+    regs: Vec<i64>,
+    /// The active frame's function, program counter and window base.
+    func: usize,
+    pc: usize,
+    base: usize,
     sp: u64,
     input_pos: usize,
     output: Vec<u8>,
     profile: Profile,
+    /// Builtin invocation counts, indexed by `Builtin as usize`; they
+    /// fill [`Profile::builtin_calls`] when the run ends.
+    builtin_calls: [u64; Builtin::ALL.len()],
     steps: u64,
-    gc_maps: Vec<HashMap<(u32, u32), Vec<Temp>>>,
     exit: Option<i64>,
     /// Whether the `begin` heap-graph snapshot has been recorded.
     begin_snapped: bool,
@@ -270,24 +356,24 @@ impl<'a> Vm<'a> {
         heap.set_trace(opts.trace.clone());
         heap.set_prof(opts.prof.clone());
         heap.set_snap_sites(opts.snap.is_enabled() || opts.snapshot_oracle);
-        let gc_maps = prog.funcs.iter().map(gc_root_maps).collect();
-        let profile = Profile {
-            block_counts: prog.funcs.iter().map(|f| vec![0; f.blocks.len()]).collect(),
-            ..Profile::default()
-        };
         let sp = mem.stack_top();
         Ok(Vm {
             prog,
             opts,
+            code: prog.funcs.iter().map(Code::new).collect(),
             mem,
             heap,
             frames: Vec::new(),
+            regs: Vec::new(),
+            func: prog.main,
+            pc: 0,
+            base: 0,
             sp,
             input_pos: 0,
             output: Vec::new(),
-            profile,
+            profile: Profile::default(),
+            builtin_calls: [0; Builtin::ALL.len()],
             steps: 0,
-            gc_maps,
             exit: None,
             begin_snapped: false,
         })
@@ -300,8 +386,10 @@ impl<'a> Vm<'a> {
             .unwrap_or_else(|| "<top>".into())
     }
 
-    fn push_frame(&mut self, func: usize, args: &[i64], dst: Option<Temp>) -> Result<(), VmError> {
-        let f = &self.prog.funcs[func];
+    /// Pushes a frame for `callee`, whose parameters receive `args`
+    /// evaluated in the active frame, and makes it the active frame.
+    fn call(&mut self, callee: usize, args: &[Operand], dst: Option<Temp>) -> Result<(), VmError> {
+        let f = &self.prog.funcs[callee];
         if args.len() != f.param_temps.len() {
             return Err(VmError::Malformed(format!(
                 "call to '{}' with {} args, expected {}",
@@ -317,51 +405,68 @@ impl<'a> Vm<'a> {
         self.sp -= frame_size;
         // Zero the frame so stale words cannot retain garbage.
         self.mem.fill(self.sp, 0, frame_size as usize)?;
-        let mut temps = vec![0i64; f.temp_count as usize];
-        for (pt, v) in f.param_temps.iter().zip(args) {
-            temps[pt.0 as usize] = *v;
+        // The window ends at the caller's last temp, so the callee's temps
+        // start zeroed.
+        let base = self.regs.len();
+        self.regs.resize(base + f.temp_count as usize, 0);
+        for (pt, a) in f.param_temps.iter().zip(args) {
+            self.regs[base + pt.0 as usize] = self.operand(*a);
         }
-        self.profile.block_counts[func][0] += 1;
+        self.code[callee].blocks[0].1 += 1;
         self.frames.push(Frame {
-            func,
-            block: 0,
-            ip: 0,
-            temps,
+            func: callee,
+            pc: 0,
+            base,
             dst_in_caller: dst,
         });
+        (self.func, self.pc, self.base) = (callee, 0, base);
         Ok(())
     }
 
-    fn pop_frame(&mut self, ret: Option<i64>) -> Result<(), VmError> {
+    /// Pops the active frame and resumes its caller after the call.
+    fn ret(&mut self, value: Option<i64>) -> Result<(), VmError> {
         let frame = self.frames.pop().expect("pop with no frame");
         let f = &self.prog.funcs[frame.func];
         self.sp += f.frame_size as u64;
-        if let Some(caller) = self.frames.last_mut() {
-            if let Some(dst) = frame.dst_in_caller {
-                // A caller-visible destination with no returned value would
-                // silently become 0 — refuse, so miscompilations that drop
-                // a return path surface instead of masking divergence.
-                let Some(v) = ret else {
-                    return Err(VmError::MissingReturn {
-                        func: f.name.clone(),
-                    });
-                };
-                caller.temps[dst.0 as usize] = v;
-            }
-            caller.ip += 1; // resume after the call
-        } else {
-            self.exit = Some(ret.unwrap_or(0));
+        self.regs.truncate(frame.base);
+        let Some(caller) = self.frames.last() else {
+            self.exit = Some(value.unwrap_or(0));
+            return Ok(());
+        };
+        (self.func, self.pc, self.base) = (caller.func, caller.pc + 1, caller.base);
+        if let Some(dst) = frame.dst_in_caller {
+            // A caller-visible destination with no returned value would
+            // silently become 0 — refuse, so miscompilations that drop
+            // a return path surface instead of masking divergence.
+            let Some(v) = value else {
+                return Err(VmError::MissingReturn {
+                    func: f.name.clone(),
+                });
+            };
+            self.set_temp(dst, v);
         }
         Ok(())
     }
 
     fn run(mut self) -> Result<ExecOutcome, VmError> {
-        self.push_frame(self.prog.main, &[], None)?;
+        self.call(self.prog.main, &[], None)?;
+        let max_steps = self.opts.max_steps;
         while self.exit.is_none() {
             self.step()?;
             self.steps += 1;
-            if self.steps > self.opts.max_steps {
+            if self.steps > max_steps {
                 return Err(VmError::StepLimit);
+            }
+        }
+        self.profile.block_counts = self
+            .code
+            .iter()
+            .map(|code| code.blocks.iter().map(|&(_, count)| count).collect())
+            .collect();
+        for &(_, b) in Builtin::ALL {
+            let n = self.builtin_calls[b as usize];
+            if n > 0 {
+                self.profile.builtin_calls.insert(b, n);
             }
         }
         // Heap-graph snapshots: `begin` was recorded at the first
@@ -419,19 +524,18 @@ impl<'a> Vm<'a> {
     fn operand(&self, o: Operand) -> i64 {
         match o {
             Operand::Const(c) => c,
-            Operand::Temp(t) => self.frames.last().expect("active frame").temps[t.0 as usize],
+            Operand::Temp(t) => self.regs[self.base + t.0 as usize],
         }
     }
 
     fn set_temp(&mut self, t: Temp, v: i64) {
-        self.frames.last_mut().expect("active frame").temps[t.0 as usize] = v;
+        self.regs[self.base + t.0 as usize] = v;
     }
 
     fn goto(&mut self, target: BlockId) {
-        let frame = self.frames.last_mut().expect("active frame");
-        frame.block = target.0;
-        frame.ip = 0;
-        self.profile.block_counts[frame.func][target.0 as usize] += 1;
+        let (start, count) = &mut self.code[self.func].blocks[target.0 as usize];
+        *count += 1;
+        self.pc = *start;
     }
 
     fn check_heap_access(&self, addr: u64) -> Result<(), VmError> {
@@ -448,35 +552,37 @@ impl<'a> Vm<'a> {
         self.sp + offset as u64
     }
 
+    /// The error for reaching the slot after an unterminated block.
+    fn fell_off(&self) -> VmError {
+        let block = self.code[self.func]
+            .blocks
+            .partition_point(|&(start, _)| start <= self.pc)
+            - 1;
+        VmError::Malformed(format!(
+            "fell off block bb{block} in '{}'",
+            self.prog.funcs[self.func].name
+        ))
+    }
+
     fn step(&mut self) -> Result<(), VmError> {
-        let frame = self.frames.last().expect("active frame");
-        let func = frame.func;
-        let (block, ip) = (frame.block, frame.ip);
-        let instrs = &self.prog.funcs[func].blocks[block as usize].instrs;
-        let Some(instr) = instrs.get(ip as usize) else {
-            return Err(VmError::Malformed(format!(
-                "fell off block bb{block} in '{}'",
-                self.prog.funcs[func].name
-            )));
+        let Some(instr) = self.code[self.func].slots[self.pc] else {
+            return Err(self.fell_off());
         };
-        // Clone small instructions to end the borrow (Call args are the
-        // only allocation, and calls are comparatively rare).
-        let instr = instr.clone();
-        match instr {
+        match *instr {
             Instr::Const { dst, value } => {
                 self.set_temp(dst, value);
-                self.advance();
+                self.pc += 1;
             }
             Instr::Mov { dst, src } => {
                 let v = self.operand(src);
                 self.set_temp(dst, v);
-                self.advance();
+                self.pc += 1;
             }
             Instr::Bin { dst, op, a, b } => {
                 let va = self.operand(a);
                 let vb = self.operand(b);
                 self.set_temp(dst, op.eval(va, vb));
-                self.advance();
+                self.pc += 1;
             }
             Instr::Load {
                 dst,
@@ -489,7 +595,7 @@ impl<'a> Vm<'a> {
                 let raw = self.mem.read(a, width as u32)?;
                 let v = extend(raw, width, signed);
                 self.set_temp(dst, v);
-                self.advance();
+                self.pc += 1;
             }
             Instr::Store { addr, value, width } => {
                 let a = self.operand(addr) as u64;
@@ -509,12 +615,12 @@ impl<'a> Vm<'a> {
                         self.heap.write_barrier_range(&self.mem, a, width as u64);
                     }
                 }
-                self.advance();
+                self.pc += 1;
             }
             Instr::FrameAddr { dst, offset } => {
                 let a = self.frame_addr(offset) as i64;
                 self.set_temp(dst, a);
-                self.advance();
+                self.pc += 1;
             }
             Instr::MemCopy {
                 dst_addr,
@@ -529,24 +635,24 @@ impl<'a> Vm<'a> {
                 if self.heap.barrier_active() {
                     self.heap.write_barrier_range(&self.mem, d, len);
                 }
-                self.advance();
+                self.pc += 1;
             }
             Instr::KeepLive { dst, value, .. } => {
                 // Semantically the identity; its force is entirely static.
                 let v = self.operand(value);
                 self.set_temp(dst, v);
-                self.advance();
+                self.pc += 1;
             }
             Instr::CheckSame { dst, value, base } => {
                 let v = self.operand(value) as u64;
                 let b = self.operand(base) as u64;
                 self.exec_same_obj_check(v, b)?;
                 self.set_temp(dst, v as i64);
-                self.advance();
+                self.pc += 1;
             }
             Instr::Ret { value } => {
                 let v = value.map(|o| self.operand(o));
-                self.pop_frame(v)?;
+                self.ret(v)?;
             }
             Instr::Jump { target } => self.goto(target),
             Instr::Branch {
@@ -560,24 +666,30 @@ impl<'a> Vm<'a> {
             Instr::Call {
                 dst,
                 target,
-                args,
+                ref args,
                 site,
             } => {
-                let argv: Vec<i64> = args.iter().map(|a| self.operand(*a)).collect();
+                // Suspend the active frame at this call: the roots of a
+                // collection inside the callee are read at `pc`.
+                self.frames.last_mut().expect("active frame").pc = self.pc;
                 match target {
-                    CallTarget::Func(idx) => {
-                        self.push_frame(idx, &argv, dst)?;
-                        // Note: the caller's ip stays at the call until return.
-                    }
+                    CallTarget::Func(idx) => self.call(idx, args, dst)?,
                     CallTarget::Builtin(b) => {
-                        let ret = self.builtin(b, &argv, site)?;
+                        // No builtin takes more than three arguments, and
+                        // the front end checks every call's arity.
+                        let mut argv = [0; 3];
+                        let argv = &mut argv[..args.len()];
+                        for (v, a) in argv.iter_mut().zip(args) {
+                            *v = self.operand(*a);
+                        }
+                        let ret = self.builtin(b, argv, site)?;
                         if self.exit.is_some() {
                             return Ok(());
                         }
                         if let Some(d) = dst {
                             self.set_temp(d, ret);
                         }
-                        self.advance();
+                        self.pc += 1;
                     }
                     CallTarget::Indirect(o) => {
                         let v = self.operand(o);
@@ -587,16 +699,12 @@ impl<'a> Vm<'a> {
                                 "indirect call through bad function pointer {v:#x}"
                             )));
                         }
-                        self.push_frame(idx as usize, &argv, dst)?;
+                        self.call(idx as usize, args, dst)?;
                     }
                 }
             }
         }
         Ok(())
-    }
-
-    fn advance(&mut self) {
-        self.frames.last_mut().expect("active frame").ip += 1;
     }
 
     /// The Extensions-section assertion: a pointer-sized store into the
@@ -639,23 +747,16 @@ impl<'a> Vm<'a> {
     }
 
     /// Collects the current root set: globals, live stack, and live temps
-    /// of every frame (each frame is suspended at a call instruction).
+    /// of every frame, bottom frame first. Roots are only taken inside a
+    /// call (an allocation, `gc_collect`, or `exit`) or once `main` has
+    /// returned, so every frame is suspended at a `Call` slot.
     fn roots(&self) -> RootSet {
         let mut roots = RootSet::new();
         roots.add_range(GLOBAL_BASE, GLOBAL_BASE + self.prog.globals_size + 4096);
         roots.add_range(self.sp, self.mem.stack_top());
         for frame in &self.frames {
-            let map = &self.gc_maps[frame.func];
-            if let Some(live) = map.get(&(frame.block, frame.ip)) {
-                for t in live {
-                    roots.add_word(frame.temps[t.0 as usize] as u64);
-                }
-            } else {
-                // Not at a call (shouldn't happen for suspended frames);
-                // be conservative and take every temp.
-                for &v in &frame.temps {
-                    roots.add_word(v as u64);
-                }
+            for t in self.code[frame.func].roots_at(frame.pc) {
+                roots.add_word(self.regs[frame.base + t.0 as usize] as u64);
             }
         }
         roots
@@ -767,7 +868,7 @@ impl<'a> Vm<'a> {
     }
 
     fn builtin(&mut self, b: Builtin, args: &[i64], site: Option<u32>) -> Result<i64, VmError> {
-        *self.profile.builtin_calls.entry(b).or_insert(0) += 1;
+        self.builtin_calls[b as usize] += 1;
         match b {
             Builtin::Malloc => self.allocate(args[0], site),
             Builtin::Calloc => self.allocate(args[0].saturating_mul(args[1]), site),
@@ -1250,6 +1351,69 @@ mod vm_behavior_tests {
         assert_eq!(out.output, b"19900");
         assert!(out.heap.collections_nursery > 0, "{:?}", out.heap);
         assert!(out.heap.collections_increment_finish > 0, "{:?}", out.heap);
+    }
+
+    #[test]
+    fn falling_off_an_unterminated_block_is_malformed() {
+        // bb0 lacks a terminator; had execution slid on into bb1, the
+        // run would end in `abort()` instead.
+        let main = FuncIr {
+            name: "main".into(),
+            blocks: vec![
+                Block {
+                    instrs: vec![Instr::Const {
+                        dst: Temp(0),
+                        value: 1,
+                    }],
+                },
+                Block {
+                    instrs: vec![
+                        Instr::Call {
+                            dst: None,
+                            target: CallTarget::Builtin(Builtin::Abort),
+                            args: vec![],
+                            site: None,
+                        },
+                        Instr::Ret { value: None },
+                    ],
+                },
+            ],
+            temp_count: 1,
+            param_temps: vec![],
+            frame_size: 0,
+            returns_value: false,
+        };
+        let prog = ProgramIr {
+            funcs: vec![main],
+            main: 0,
+            globals_image: vec![],
+            globals_size: 0,
+            alloc_sites: vec![],
+        };
+        assert_eq!(
+            super::run(&prog, &VmOptions::default()).unwrap_err(),
+            VmError::Malformed("fell off block bb0 in 'main'".into())
+        );
+    }
+
+    #[test]
+    fn step_budget_admits_exactly_max_steps() {
+        let src = "int f(int x) { return x + 1; }\n\
+                   int main(void) { long i; long s = 0; for (i = 0; i < 5; i++) s = s + f(i); return (int) s; }";
+        let prog = crate::compile(src, &CompileOptions::optimized()).expect("compiles");
+        let with_budget = |max_steps| {
+            super::run(
+                &prog,
+                &VmOptions {
+                    max_steps,
+                    ..VmOptions::default()
+                },
+            )
+        };
+        let n = with_budget(u64::MAX).expect("runs").steps;
+        let out = with_budget(n).expect("a run of n steps fits a budget of n");
+        assert_eq!((out.steps, out.exit_code), (n, 15));
+        assert_eq!(with_budget(n - 1).unwrap_err(), VmError::StepLimit);
     }
 
     #[test]

@@ -9,6 +9,13 @@
 // Shared by several test binaries; none of them uses every helper.
 #![allow(dead_code)]
 
+/// 64-bit FNV-1a over `bytes`.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
+}
+
 /// xorshift64* — tiny, fast, and plenty good for test-case generation.
 pub struct Rng(u64);
 
@@ -20,12 +27,7 @@ impl Rng {
 
     /// A per-case seed derived from a test label and case index.
     pub fn for_case(label: &str, case: u64) -> Self {
-        let mut h = 0xcbf29ce484222325u64; // FNV-1a over the label
-        for b in label.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        Rng::new(h ^ case.wrapping_mul(0x9E3779B97F4A7C15))
+        Rng::new(fnv1a(label.bytes()) ^ case.wrapping_mul(0x9E3779B97F4A7C15))
     }
 
     /// Next raw 64-bit value.

@@ -1,4 +1,4 @@
-//! Golden pin of the collector's deterministic output.
+//! Golden pin of the collector's and the VM's deterministic output.
 //!
 //! Every collection path — stop-the-world, nursery, incremental cycles
 //! with chunked sweeps, demanded finishes — is driven here and its
@@ -6,12 +6,18 @@
 //! `tests/golden/gc.txt`: the [`HeapStats`] counters, the heap census,
 //! and one line per [`CollectionRecord`] with every field except the
 //! wall-clock ones (`*_ns`, `class_sweep_ns`, `increment_pauses`).
+//! Each workload run also pins what the VM itself reports: the exit
+//! code or error text, the step count, the dynamic instruction count,
+//! the builtin call counts and byte work, and FNV-1a digests of the
+//! output bytes and of the per-block execution counts.
 //!
 //! Two sets of runs feed the log:
 //!
-//! * the four paper workloads at `Scale::Tiny`, built `-O` and `-g`,
-//!   under the default collector and under `HeapConfig::bounded_pause`,
-//!   both with a lowered threshold so every run collects several times;
+//! * the four paper workloads at `Scale::Tiny`, built `-O`, `-O, safe`
+//!   (`KeepLive`), `-g` and `-g, checked` (`CheckSame`, and gawk's
+//!   checking-mode failure), under the default collector and under
+//!   `HeapConfig::bounded_pause`, both with a lowered threshold so
+//!   every run collects several times;
 //! * one seeded schedule driven straight against the heap (heap-to-heap
 //!   links, barriered word and range stores, explicit collections,
 //!   large objects) under the default, incremental-only, and
@@ -23,8 +29,8 @@
 
 mod common;
 
-use common::Rng;
-use cvm::{CompileOptions, VmOptions};
+use common::{fnv1a, Rng};
+use cvm::{CompileOptions, ExecOutcome, ProgramIr, VmOptions};
 use gcheap::{CollectionRecord, GcHeap, HeapConfig, HeapStats, Memory, RootSet};
 use gcprof::{HeapCensus, ProfHandle};
 use std::fmt::Write;
@@ -118,6 +124,31 @@ fn record_line(r: &CollectionRecord) -> String {
     )
 }
 
+fn vm_line(prog: &ProgramIr, out: &ExecOutcome) -> String {
+    let mut builtins: Vec<String> = out
+        .profile
+        .builtin_calls
+        .iter()
+        .map(|(b, n)| format!("{b:?}:{n}"))
+        .collect();
+    builtins.sort();
+    let blocks = out.profile.block_counts.iter().flat_map(|counts| {
+        std::iter::once(counts.len() as u64)
+            .chain(counts.iter().copied())
+            .flat_map(u64::to_le_bytes)
+    });
+    format!(
+        "vm steps={} dynamic_instrs={} builtins=[{}] builtin_byte_work={} output_fnv={:016x} \
+         blocks_fnv={:016x}",
+        out.steps,
+        out.profile.dynamic_instrs(prog),
+        builtins.join(" "),
+        out.profile.builtin_byte_work,
+        fnv1a(out.output.iter().copied()),
+        fnv1a(blocks),
+    )
+}
+
 fn log_profile(log: &mut String, prof: &ProfHandle) {
     let data = prof.snapshot().expect("profile is enabled");
     for r in &data.collection_log {
@@ -135,7 +166,9 @@ fn workload_runs(log: &mut String) {
     ];
     let modes = [
         ("-O", CompileOptions::optimized()),
+        ("-O, safe", CompileOptions::optimized_safe()),
         ("-g", CompileOptions::debug()),
+        ("-g, checked", CompileOptions::debug_checked()),
     ];
     for w in workloads::all() {
         let input = (w.input)(Scale::Tiny);
@@ -155,7 +188,13 @@ fn workload_runs(log: &mut String) {
                 };
                 writeln!(log, "run {} {mode} {cname}", w.name).unwrap();
                 match cvm::run_compiled(&prog, &vopts) {
-                    Ok(out) => writeln!(log, "  exit={} {}", out.exit_code, stats_line(&out.heap)),
+                    Ok(out) => writeln!(
+                        log,
+                        "  exit={} {}\n  {}",
+                        out.exit_code,
+                        stats_line(&out.heap),
+                        vm_line(&prog, &out)
+                    ),
                     Err(e) => writeln!(log, "  error={e}"),
                 }
                 .unwrap();
