@@ -41,7 +41,7 @@ impl fmt::Display for BlockId {
 }
 
 /// An instruction operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Operand {
     /// Virtual register.
     Temp(Temp),
@@ -500,15 +500,17 @@ pub struct Block {
 }
 
 impl Block {
-    /// Successor block ids.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self.instrs.last() {
-            Some(Instr::Jump { target }) => vec![*target],
+    /// Successor block ids (a branch with equal arms yields its target
+    /// twice).
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (x, y) = match self.instrs.last() {
+            Some(Instr::Jump { target }) => (Some(*target), None),
             Some(Instr::Branch {
                 if_true, if_false, ..
-            }) => vec![*if_true, *if_false],
-            _ => vec![],
-        }
+            }) => (Some(*if_true), Some(*if_false)),
+            _ => (None, None),
+        };
+        x.into_iter().chain(y)
     }
 }
 
@@ -719,6 +721,9 @@ mod tests {
                 if_false: BlockId(2),
             }],
         };
-        assert_eq!(b.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(
+            b.successors().collect::<Vec<_>>(),
+            vec![BlockId(1), BlockId(2)]
+        );
     }
 }

@@ -14,7 +14,7 @@
 //! constraint is not checked here: asmpost solves its own register
 //! liveness over the generated assembly (`asmpost::peephole::AsmLiveness`).
 
-use crate::ir::{Block, BlockId, FuncIr, Instr, Temp};
+use crate::ir::{BlockId, FuncIr, Instr, Temp};
 use std::collections::HashMap;
 
 /// A dense bitset of temps.
@@ -110,7 +110,11 @@ impl Liveness {
                 }
             }
         }
-        let succs: Vec<Vec<BlockId>> = func.blocks.iter().map(Block::successors).collect();
+        let succs: Vec<Vec<BlockId>> = func
+            .blocks
+            .iter()
+            .map(|b| b.successors().collect())
+            .collect();
         // Iterate to fixpoint, word by word and in place:
         // out = ∪ in[succ], in = gen ∪ (out − kill).
         let words = (n as usize).div_ceil(64);

@@ -22,7 +22,8 @@
 //! contradicting source-dominates-target), so the source's result is
 //! recomputed from the operand value the target would have used.
 
-use super::cfg::dominators;
+use super::cfg::Dominators;
+use super::Expr;
 use crate::ir::*;
 use std::collections::HashMap;
 
@@ -31,34 +32,35 @@ use std::collections::HashMap;
 pub fn gvn(f: &mut FuncIr) -> usize {
     // Definition counts and sites, with the implicit entry binding of
     // every param counted as a definition (site: function entry).
-    let mut defs: HashMap<Temp, usize> = HashMap::new();
-    let mut def_site: HashMap<Temp, (usize, usize)> = HashMap::new();
+    // Both are indexed by temp number; a site is the last definition.
+    let mut defs = vec![0u32; f.temp_count as usize];
+    let mut def_site: Vec<Option<(usize, usize)>> = vec![None; f.temp_count as usize];
     for &p in &f.param_temps {
-        *defs.entry(p).or_insert(0) += 1;
+        defs[p.0 as usize] += 1;
     }
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, ins) in b.instrs.iter().enumerate() {
             if let Some(d) = ins.dst() {
-                *defs.entry(d).or_insert(0) += 1;
-                def_site.insert(d, (bi, ii));
+                defs[d.0 as usize] += 1;
+                def_site[d.0 as usize] = Some((bi, ii));
             }
         }
     }
     let single_def = |o: Operand| match o {
-        Operand::Temp(t) => defs.get(&t).copied().unwrap_or(0) <= 1,
+        Operand::Temp(t) => defs[t.0 as usize] <= 1,
         Operand::Const(_) => true,
     };
-    let dom = dominators(f);
+    let dom = Dominators::of(f);
     // An operand value is pinned at position `at` when it is a constant,
     // a never-redefined param, a never-written temp (the VM's
     // zero-initialised frame), or a single-def temp whose definition
     // dominates `at`.
     let pinned_at = |o: Operand, at: (usize, usize)| match o {
         Operand::Const(_) => true,
-        Operand::Temp(t) => match def_site.get(&t) {
+        Operand::Temp(t) => match def_site[t.0 as usize] {
             None => true, // param entry binding or never written
-            Some(&(dbi, dii)) => {
-                (dbi == at.0 && dii < at.1) || (dbi != at.0 && dom[at.0].contains(&dbi))
+            Some((dbi, dii)) => {
+                (dbi == at.0 && dii < at.1) || (dbi != at.0 && dom.dominates(dbi, at.0))
             }
         },
     };
@@ -71,32 +73,34 @@ pub fn gvn(f: &mut FuncIr) -> usize {
         /// operand's definition dominates this occurrence.
         source: bool,
     }
-    let mut table: HashMap<String, Vec<Occ>> = HashMap::new();
+    let mut table: HashMap<Expr, Vec<Occ>> = HashMap::new();
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, ins) in b.instrs.iter().enumerate() {
-            let (key, operands) = match ins {
-                Instr::Bin { dst, op, a, b } if single_def(*a) && single_def(*b) => {
+            let Some(dst) = ins.dst() else { continue };
+            let key = match Expr::of(ins) {
+                Some(Expr::Bin(op, a, b)) if single_def(a) && single_def(b) => {
                     // The dst must not feed its own operands (a single-def
                     // self-reference would read an undefined value).
-                    if a.as_temp() == Some(*dst) || b.as_temp() == Some(*dst) {
+                    if a.as_temp() == Some(dst) || b.as_temp() == Some(dst) {
                         continue;
                     }
                     // Canonicalize commutative operand order so `a+b`
-                    // and `b+a` share a value number.
-                    let (x, y) = (format!("{a}"), format!("{b}"));
-                    let key = if op.commutative() && x > y {
-                        format!("{op:?}|{y}|{x}|")
+                    // and `b+a` share a value number (any consistent
+                    // order does).
+                    if op.commutative() && a > b {
+                        Expr::Bin(op, b, a)
                     } else {
-                        format!("{op:?}|{x}|{y}|")
-                    };
-                    (key, vec![*a, *b])
+                        Expr::Bin(op, a, b)
+                    }
                 }
-                Instr::FrameAddr { offset, .. } => (format!("fp|{offset}|"), vec![]),
+                Some(key @ Expr::Frame(_)) => key,
                 _ => continue,
             };
-            let dst = ins.dst().expect("pure ops define");
-            let source =
-                single_def(Operand::Temp(dst)) && operands.iter().all(|&o| pinned_at(o, (bi, ii)));
+            let operands_pinned = match key {
+                Expr::Bin(_, a, b) => pinned_at(a, (bi, ii)) && pinned_at(b, (bi, ii)),
+                Expr::Frame(_) => true,
+            };
+            let source = single_def(Operand::Temp(dst)) && operands_pinned;
             table.entry(key).or_default().push(Occ {
                 bi,
                 ii,
@@ -116,7 +120,7 @@ pub fn gvn(f: &mut FuncIr) -> usize {
                     s.source
                         && s.dst != target.dst
                         && ((s.bi == target.bi && s.ii < target.ii)
-                            || (s.bi != target.bi && dom[target.bi].contains(&s.bi)))
+                            || (s.bi != target.bi && dom.dominates(s.bi, target.bi)))
                 })
                 .min_by_key(|s| (s.bi, s.ii));
             if let Some(s) = src {

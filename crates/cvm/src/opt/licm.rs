@@ -1,8 +1,8 @@
 //! Loop-invariant code motion.
 
-use super::cfg::{back_edges, dominators, insert_preheader, loop_blocks};
+use super::cfg::{back_edges, def_counts, insert_preheader, loop_blocks, Dominators};
 use crate::ir::*;
-use std::collections::HashMap;
+use crate::liveness::{Liveness, TempSet};
 
 /// Loop-invariant code motion.
 ///
@@ -18,42 +18,41 @@ use std::collections::HashMap;
 ///
 /// Returns the number of instructions hoisted to preheaders.
 pub fn licm(f: &mut FuncIr) -> usize {
-    let dom = dominators(f);
+    let dom = Dominators::of(f);
     let mut hoisted = 0usize;
+    // One liveness serves every loop until a hoist edits the IR.
+    let mut lv: Option<Liveness> = None;
     for (latch, header) in back_edges(f, &dom) {
         if header == 0 {
             continue; // entry block cannot take a preheader safely
         }
-        hoisted += hoist_loop(f, latch, header);
+        let live = lv.get_or_insert_with(|| Liveness::compute(f));
+        let n = hoist_loop(f, live, latch, header);
+        if n > 0 {
+            lv = None;
+        }
+        hoisted += n;
     }
     hoisted
 }
 
-fn hoist_loop(f: &mut FuncIr, latch: usize, header: usize) -> usize {
-    use crate::liveness::Liveness;
+/// Hoists one loop's invariants; `lv` must be the liveness of `f` as it
+/// stands. Returns zero exactly when `f` was left untouched.
+fn hoist_loop(f: &mut FuncIr, lv: &Liveness, latch: usize, header: usize) -> usize {
     let blocks = loop_blocks(f, latch, header);
     let in_loop = |b: usize| blocks.contains(&b);
-    // Definition counts inside the loop.
-    let mut defs_in_loop: HashMap<Temp, usize> = HashMap::new();
-    for &bi in &blocks {
-        for ins in &f.blocks[bi].instrs {
-            if let Some(d) = ins.dst() {
-                *defs_in_loop.entry(d).or_insert(0) += 1;
-            }
-        }
-    }
-    let lv = Liveness::compute(f);
-    // Collect hoistable instructions to a fixpoint.
-    let mut invariant: std::collections::HashSet<Temp> = std::collections::HashSet::new();
+    let defs_in_loop = def_counts(f, &blocks);
+    // Collect hoistable instructions to a fixpoint. An instruction is
+    // taken at most once: its dst has a single in-loop def, and joins
+    // `invariant` when it is taken.
+    let mut invariant = TempSet::new(f.temp_count);
     let mut to_hoist: Vec<(usize, usize)> = Vec::new(); // (block, instr idx)
+    let mut ops = Vec::new();
     let mut changed = true;
     while changed {
         changed = false;
         for &bi in &blocks {
             for (ii, ins) in f.blocks[bi].instrs.iter().enumerate() {
-                if to_hoist.contains(&(bi, ii)) {
-                    continue;
-                }
                 let pure = matches!(
                     ins,
                     Instr::Bin { .. } | Instr::Const { .. } | Instr::FrameAddr { .. }
@@ -62,18 +61,18 @@ fn hoist_loop(f: &mut FuncIr, latch: usize, header: usize) -> usize {
                     continue;
                 }
                 let Some(d) = ins.dst() else { continue };
-                if defs_in_loop.get(&d).copied().unwrap_or(0) != 1 {
+                if defs_in_loop[d.0 as usize] != 1 || invariant.contains(d) {
                     continue;
                 }
                 // The def must be fresh inside the loop (not carried in).
                 if lv.live_in[header].contains(d) {
                     continue;
                 }
-                let mut ops = Vec::new();
+                ops.clear();
                 ins.uses(&mut ops);
-                let invariant_ops = ops.iter().all(|t| {
-                    invariant.contains(t) || defs_in_loop.get(t).copied().unwrap_or(0) == 0
-                });
+                let invariant_ops = ops
+                    .iter()
+                    .all(|&t| invariant.contains(t) || defs_in_loop[t.0 as usize] == 0);
                 if invariant_ops {
                     to_hoist.push((bi, ii));
                     invariant.insert(d);
@@ -187,8 +186,14 @@ mod licm_tests {
             .iter()
             .any(|i| matches!(i, Instr::Bin { op: BinIr::Sub, .. })));
         // bb0 now enters through the preheader.
-        assert_eq!(f.blocks[0].successors(), vec![BlockId(3)]);
-        assert_eq!(f.blocks[3].successors(), vec![BlockId(1)]);
+        assert_eq!(
+            f.blocks[0].successors().collect::<Vec<_>>(),
+            vec![BlockId(3)]
+        );
+        assert_eq!(
+            f.blocks[3].successors().collect::<Vec<_>>(),
+            vec![BlockId(1)]
+        );
     }
 
     #[test]

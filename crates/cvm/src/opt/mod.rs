@@ -66,7 +66,6 @@ pub use strength::strength_reduce;
 
 use crate::ir::*;
 use gctrace::{Event, TraceHandle};
-use std::collections::HashMap;
 
 /// Optimizer configuration: one enable flag per gated pass, so the
 /// fuzzer's five-mode oracle can bisect a divergence to the pass that
@@ -317,19 +316,45 @@ pub(crate) fn instr_count(f: &FuncIr) -> usize {
     f.blocks.iter().map(|b| b.instrs.len()).sum()
 }
 
-pub(crate) fn count_uses(f: &FuncIr) -> HashMap<Temp, usize> {
-    let mut uses: HashMap<Temp, usize> = HashMap::new();
+/// Per temp (indexed by number): how many operand slots read it.
+pub(crate) fn count_uses(f: &FuncIr) -> Vec<usize> {
+    let mut uses = vec![0usize; f.temp_count as usize];
     let mut buf = Vec::new();
     for b in &f.blocks {
         for ins in &b.instrs {
             buf.clear();
             ins.uses(&mut buf);
             for &t in &buf {
-                *uses.entry(t).or_insert(0) += 1;
+                uses[t.0 as usize] += 1;
             }
         }
     }
     uses
+}
+
+/// A pure expression as a value-numbering key (gvn, cse): a binary
+/// operation over two operands, or the address of a frame slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Expr {
+    Bin(BinIr, Operand, Operand),
+    Frame(u32),
+}
+
+impl Expr {
+    /// The key of `ins` as written (no operand canonicalisation), if it
+    /// is a binary operation or a frame address.
+    pub(crate) fn of(ins: &Instr) -> Option<Expr> {
+        match ins {
+            Instr::Bin { op, a, b, .. } => Some(Expr::Bin(*op, *a, *b)),
+            Instr::FrameAddr { offset, .. } => Some(Expr::Frame(*offset)),
+            _ => None,
+        }
+    }
+
+    /// Whether the expression reads `t`.
+    pub(crate) fn reads(self, t: Temp) -> bool {
+        matches!(self, Expr::Bin(_, a, b) if a.as_temp() == Some(t) || b.as_temp() == Some(t))
+    }
 }
 
 pub(crate) fn rewrite_operands(ins: &mut Instr, mut f: impl FnMut(Operand) -> Operand) {

@@ -49,7 +49,7 @@ pub fn reassociate(f: &mut FuncIr) -> usize {
                 } if t1 != dst
                     && p != dst
                     && defs.contains_key(&t1)
-                    && uses.get(&t1).copied().unwrap_or(0) == 1
+                    && uses[t1.0 as usize] == 1
                     && !defs.contains_key(&p) =>
                 {
                     // p + (i ± c)  →  (p ± c) + i

@@ -1,7 +1,7 @@
 //! The straight-line scalar passes: copy/constant propagation, constant
 //! folding, block-local CSE, and dead-code elimination.
 
-use super::{count_uses, rewrite_operands};
+use super::{count_uses, rewrite_operands, Expr};
 use crate::ir::*;
 use std::collections::HashMap;
 
@@ -118,16 +118,12 @@ pub fn const_fold(f: &mut FuncIr) -> usize {
 pub fn cse(f: &mut FuncIr) -> usize {
     let mut fires = 0usize;
     for b in &mut f.blocks {
-        let mut avail: HashMap<String, Temp> = HashMap::new();
+        let mut avail: HashMap<Expr, Temp> = HashMap::new();
         let mut loads: HashMap<(Operand, u8, bool), Temp> = HashMap::new();
         for ins in &mut b.instrs {
             // Compute the lookup key first (on the unmodified instruction).
-            let key = match ins {
-                Instr::Bin { op, a, b, .. } => Some(format!("{op:?}|{a}|{b}|")),
-                Instr::FrameAddr { offset, .. } => Some(format!("fp|{offset}|")),
-                _ => None,
-            };
-            let hit = key.as_ref().and_then(|k| avail.get(k).copied());
+            let key = Expr::of(ins);
+            let hit = key.and_then(|k| avail.get(&k).copied());
             let load_key = match ins {
                 Instr::Load {
                     addr,
@@ -139,7 +135,7 @@ pub fn cse(f: &mut FuncIr) -> usize {
             };
             let load_hit = load_key.and_then(|k| loads.get(&k).copied());
             // Rewrite hits into copies.
-            if let (Some(_), Some(prev)) = (&key, hit) {
+            if let (Some(_), Some(prev)) = (key, hit) {
                 let dst = ins.dst().expect("pure ops define");
                 *ins = Instr::Mov {
                     dst,
@@ -164,8 +160,7 @@ pub fn cse(f: &mut FuncIr) -> usize {
             }
             // The def invalidates every fact mentioning it…
             if let Some(d) = ins.dst() {
-                let dn = format!("|{d}|");
-                avail.retain(|k, v| *v != d && !k.contains(&dn));
+                avail.retain(|k, v| *v != d && !k.reads(d));
                 loads.retain(|(a, _, _), v| *v != d && a.as_temp() != Some(d));
             }
             // …after which fresh facts become available.
@@ -198,7 +193,7 @@ pub fn dce(f: &mut FuncIr) -> usize {
                     return true;
                 }
                 match ins.dst() {
-                    Some(d) => uses.get(&d).copied().unwrap_or(0) > 0,
+                    Some(d) => uses[d.0 as usize] > 0,
                     None => true,
                 }
             });

@@ -23,10 +23,9 @@
 //! loop-carried temp otherwise observe the VM's zero-initialised frame,
 //! not a definition on a dominating path).
 
-use super::cfg::dominators_masked;
+use super::cfg::Dominators;
 use super::rewrite_operands;
 use crate::ir::*;
-use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lat {
@@ -97,19 +96,19 @@ pub fn sccp(f: &mut FuncIr) -> usize {
                 }
             }
             // Mark successor edges executable.
-            let succs: Vec<usize> = match f.blocks[bi].instrs.last() {
-                Some(Instr::Jump { target }) => vec![target.0 as usize],
+            let (x, y) = match f.blocks[bi].instrs.last() {
+                Some(Instr::Jump { target }) => (Some(*target), None),
                 Some(Instr::Branch {
                     cond,
                     if_true,
                     if_false,
                 }) => match op_lat(*cond, &lat) {
-                    Lat::Const(c) => vec![if c != 0 { if_true.0 } else { if_false.0 } as usize],
-                    _ => vec![if_true.0 as usize, if_false.0 as usize],
+                    Lat::Const(c) => (Some(if c != 0 { *if_true } else { *if_false }), None),
+                    _ => (Some(*if_true), Some(*if_false)),
                 },
-                _ => vec![],
+                _ => (None, None),
             };
-            for s in succs {
+            for s in x.into_iter().chain(y).map(|s| s.0 as usize) {
                 if s < n && !reach[s] {
                     reach[s] = true;
                     changed = true;
@@ -124,30 +123,32 @@ pub fn sccp(f: &mut FuncIr) -> usize {
     // blocks into immediates. Dominance is taken over the reachable
     // subgraph: an unreachable arm of a merge must not hide that the
     // reachable definition covers every executable path.
-    let dom = dominators_masked(f, &reach);
-    let mut def_sites: HashMap<Temp, Vec<(usize, usize)>> = HashMap::new();
+    let dom = Dominators::masked(f, &reach);
+    // Every reachable definition as (temp, block, index), sorted so a
+    // temp's sites are one contiguous run.
+    let mut def_sites: Vec<(Temp, usize, usize)> = Vec::new();
     for (bi, b) in f.blocks.iter().enumerate() {
         if !reach[bi] {
             continue;
         }
         for (ii, ins) in b.instrs.iter().enumerate() {
             if let Some(d) = ins.dst() {
-                def_sites.entry(d).or_default().push((bi, ii));
+                def_sites.push((d, bi, ii));
             }
         }
     }
+    def_sites.sort_unstable();
     let mut fires = 0usize;
-    for bi in 0..n {
-        if !reach[bi] {
-            continue;
-        }
+    for bi in (0..n).filter(|&bi| reach[bi]) {
         for ii in 0..f.blocks[bi].instrs.len() {
             let dominated = |t: Temp| {
-                def_sites.get(&t).is_some_and(|sites| {
-                    sites.iter().any(|&(dbi, dii)| {
-                        (dbi == bi && dii < ii) || (dbi != bi && dom[bi].contains(&dbi))
+                let first = def_sites.partition_point(|s| s.0 < t);
+                def_sites[first..]
+                    .iter()
+                    .take_while(|s| s.0 == t)
+                    .any(|&(_, dbi, dii)| {
+                        (dbi == bi && dii < ii) || (dbi != bi && dom.dominates(dbi, bi))
                     })
-                })
             };
             rewrite_operands(&mut f.blocks[bi].instrs[ii], |o| match o {
                 Operand::Temp(t) => match lat.get(t.0 as usize) {

@@ -36,7 +36,7 @@
 //! `ptr` across the increment (anti-dependence) and is block-local, so
 //! the invariant survives later sweeps.
 
-use super::cfg::{back_edges, dominators, loop_blocks};
+use super::cfg::{back_edges, def_counts, loop_blocks, Dominators};
 use super::count_uses;
 use crate::ir::*;
 use crate::liveness::Liveness;
@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, HashMap};
 /// Runs induction-variable strength reduction on address arithmetic;
 /// returns the number of `base + j*s` computations reduced.
 pub fn strength_reduce(f: &mut FuncIr) -> usize {
-    let dom = dominators(f);
+    let dom = Dominators::of(f);
     // Group latches by header: a header with several back edges
     // (`continue` statements) has the union of their natural loops as
     // its body, and per-latch views would miscount in-loop definitions.
@@ -57,12 +57,18 @@ pub fn strength_reduce(f: &mut FuncIr) -> usize {
         loops.entry(header).or_default().push(latch);
     }
     let mut fires = 0usize;
+    // One liveness serves every loop until a reduction edits the IR.
+    let mut lv: Option<Liveness> = None;
     for (header, latches) in loops {
         // Re-scan per loop: reducing one loop appends a preheader block
         // and shifts instruction indices, so candidate positions must be
         // fresh. Block ids of existing blocks never change, so the
         // header/latch ids collected above stay valid.
-        fires += reduce_loop(f, header, &latches);
+        let n = reduce_loop(f, &mut lv, header, &latches);
+        if n > 0 {
+            lv = None;
+        }
+        fires += n;
     }
     fires
 }
@@ -84,7 +90,15 @@ struct Candidate {
     base: Operand,
 }
 
-fn reduce_loop(f: &mut FuncIr, header: usize, latches: &[usize]) -> usize {
+/// Reduces one loop. `lv` caches the liveness of `f` as it stands,
+/// solved only once an induction variable is found. Returns zero
+/// exactly when `f` was left untouched.
+fn reduce_loop(
+    f: &mut FuncIr,
+    lv: &mut Option<Liveness>,
+    header: usize,
+    latches: &[usize],
+) -> usize {
     let mut in_loop = vec![false; f.blocks.len()];
     for &latch in latches {
         for bi in loop_blocks(f, latch, header) {
@@ -92,21 +106,12 @@ fn reduce_loop(f: &mut FuncIr, header: usize, latches: &[usize]) -> usize {
         }
     }
     let blocks: Vec<usize> = (0..f.blocks.len()).filter(|&b| in_loop[b]).collect();
-    let mut defs_in_loop: HashMap<Temp, usize> = HashMap::new();
-    for &bi in &blocks {
-        for ins in &f.blocks[bi].instrs {
-            if let Some(d) = ins.dst() {
-                *defs_in_loop.entry(d).or_insert(0) += 1;
-            }
-        }
-    }
-    let in_loop_defs = |t: Temp| defs_in_loop.get(&t).copied().unwrap_or(0);
+    let defs_in_loop = def_counts(f, &blocks);
+    let in_loop_defs = |t: Temp| defs_in_loop[t.0 as usize];
     let invariant = |o: Operand| match o {
         Operand::Temp(t) => in_loop_defs(t) == 0,
         Operand::Const(_) => true,
     };
-    let uses = count_uses(f);
-    let lv = Liveness::compute(f);
     // Basic induction variables, keyed by j; the position recorded is
     // the instruction after which j holds its advanced value. Two forms:
     //
@@ -157,6 +162,8 @@ fn reduce_loop(f: &mut FuncIr, header: usize, latches: &[usize]) -> usize {
     if ivs.is_empty() {
         return 0;
     }
+    let uses = count_uses(f);
+    let lv = lv.get_or_insert_with(|| Liveness::compute(f));
     // Derived scaled values m = j*s / j<<k: single in-loop def, single
     // global use, fresh each iteration. Array indexing with an explicit
     // stride lowers to a two-level chain — `m1 = j*stride; m2 = m1*width`
@@ -230,7 +237,7 @@ fn reduce_loop(f: &mut FuncIr, header: usize, latches: &[usize]) -> usize {
                 if !(inner_mul || outer_mul)
                     || !ivs.contains_key(&t)
                     || in_loop_defs(src) != 1
-                    || uses.get(&src).copied().unwrap_or(0) != 1
+                    || uses[src.0 as usize] != 1
                     || lv.live_in[header].contains(src)
                 {
                     continue;
@@ -242,7 +249,7 @@ fn reduce_loop(f: &mut FuncIr, header: usize, latches: &[usize]) -> usize {
             };
             if dst == j
                 || in_loop_defs(dst) != 1
-                || uses.get(&dst).copied().unwrap_or(0) != 1
+                || uses[dst.0 as usize] != 1
                 || lv.live_in[header].contains(dst)
             {
                 continue;

@@ -972,7 +972,10 @@ mod strength_tests {
         assert_eq!(strength_reduce(&mut f), 1, "{}", f.dump());
         // A preheader block appeared, entered from bb0.
         assert_eq!(f.blocks.len(), 4, "{}", f.dump());
-        assert_eq!(f.blocks[0].successors(), vec![BlockId(3)]);
+        assert_eq!(
+            f.blocks[0].successors().collect::<Vec<_>>(),
+            vec![BlockId(3)]
+        );
         // The address computation is now a copy of the running pointer,
         // and a pointer increment by 8 follows the IV increment.
         let body = &f.blocks[1].instrs;
@@ -1183,5 +1186,189 @@ mod allocation_preservation_tests {
                 "pass {pass} elided an allocation"
             );
         }
+    }
+}
+
+mod dominator_tests {
+    use super::super::cfg::{back_edges, Dominators};
+    use super::*;
+    use std::collections::HashSet;
+
+    /// The dataflow formulation the optimizer used before the shared
+    /// Cooper–Harvey–Kennedy tree, kept as the reference: per-block
+    /// dominator sets iterated down from "every block" to the greatest
+    /// fixpoint, bb0 pinned to `{bb0}`, masked-out blocks ignored as
+    /// predecessors and left at the full set (so is every block when
+    /// bb0 itself is masked out).
+    fn reference(f: &FuncIr, mask: &[bool]) -> Vec<HashSet<usize>> {
+        let n = f.blocks.len();
+        let all: HashSet<usize> = (0..n).collect();
+        let mut dom: Vec<HashSet<usize>> = vec![all; n];
+        if n == 0 || !mask[0] {
+            return dom;
+        }
+        dom[0] = HashSet::from([0]);
+        let preds: Vec<Vec<usize>> = (0..n)
+            .map(|b| {
+                (0..n)
+                    .filter(|&p| mask[p] && f.blocks[p].successors().any(|s| s.0 as usize == b))
+                    .collect()
+            })
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (1..n).filter(|&b| mask[b]) {
+                let mut new: Option<HashSet<usize>> = None;
+                for &p in &preds[b] {
+                    new = Some(match new {
+                        None => dom[p].clone(),
+                        Some(acc) => acc.intersection(&dom[p]).copied().collect(),
+                    });
+                }
+                let mut new = new.unwrap_or_default();
+                new.insert(b);
+                if new != dom[b] {
+                    dom[b] = new;
+                    changed = true;
+                }
+            }
+        }
+        dom
+    }
+
+    /// A function whose block `b` ends in `ret` (no successors), a jump
+    /// (one) or a branch on `t0` (two) to `succs[b]`.
+    fn cfg(succs: &[Vec<usize>]) -> FuncIr {
+        let blocks = succs
+            .iter()
+            .map(|s| {
+                let target = |i: usize| BlockId(s[i] as u32);
+                let term = match s.len() {
+                    0 => Instr::Ret { value: None },
+                    1 => Instr::Jump { target: target(0) },
+                    _ => Instr::Branch {
+                        cond: t(0).into(),
+                        if_true: target(0),
+                        if_false: target(1),
+                    },
+                };
+                Block { instrs: vec![term] }
+            })
+            .collect();
+        FuncIr {
+            name: "cfg".into(),
+            blocks,
+            temp_count: 1,
+            param_temps: vec![t(0)],
+            frame_size: 0,
+            returns_value: false,
+        }
+    }
+
+    fn assert_matches_reference(f: &FuncIr, mask: &[bool], label: &str) {
+        let dom = Dominators::masked(f, mask);
+        let want = reference(f, mask);
+        for (b, want) in want.iter().enumerate() {
+            for a in 0..f.blocks.len() {
+                assert_eq!(
+                    dom.dominates(a, b),
+                    want.contains(&a),
+                    "{label}: does bb{a} dominate bb{b}? mask={mask:?}\n{}",
+                    f.dump()
+                );
+            }
+        }
+    }
+
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Every pair of blocks against the reference, on random CFGs with
+    /// edges back into bb0, dead pred-less blocks jumping into loops,
+    /// and unreachable cycles, each under the full mask, an SCCP-style
+    /// executable set (a walk from bb0 that follows one or both arms of
+    /// each branch) and an arbitrary mask.
+    #[test]
+    fn dominators_match_the_dataflow_reference() {
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        for case in 0..600 {
+            let n = 1 + rng.below(10);
+            let mut succs: Vec<Vec<usize>> = (0..n)
+                .map(|_| (0..rng.below(3)).map(|_| rng.below(n)).collect())
+                .collect();
+            if rng.below(2) == 0 {
+                // A dead block with no predecessor entering the graph
+                // anywhere (loop bodies included).
+                succs.push(vec![rng.below(n)]);
+            }
+            if rng.below(2) == 0 {
+                // An unreachable two-block cycle, maybe leaking out.
+                let x = succs.len();
+                let exit = (0..rng.below(2)).map(|_| rng.below(n));
+                succs.push(vec![x + 1]);
+                succs.push(std::iter::once(x).chain(exit).collect());
+            }
+            let f = cfg(&succs);
+            let nb = succs.len();
+            assert_matches_reference(&f, &vec![true; nb], &format!("case {case} full"));
+            let mut exec = vec![false; nb];
+            let mut work = vec![0usize];
+            while let Some(b) = work.pop() {
+                if std::mem::replace(&mut exec[b], true) {
+                    continue;
+                }
+                match succs[b].as_slice() {
+                    [x, y] => match rng.below(3) {
+                        0 => work.push(*x),
+                        1 => work.push(*y),
+                        _ => work.extend([*x, *y]),
+                    },
+                    s => work.extend_from_slice(s),
+                }
+            }
+            assert_matches_reference(&f, &exec, &format!("case {case} sccp"));
+            let any: Vec<bool> = (0..nb).map(|_| rng.below(4) != 0).collect();
+            assert_matches_reference(&f, &any, &format!("case {case} arbitrary"));
+        }
+    }
+
+    /// bb0: jump bb1 — bb1 (header): br bb2, bb3 — bb2 (body): jump bb1
+    /// — bb3: ret — bb4 (dead, no predecessor): jump bb2.
+    ///
+    /// bb4 is a second entry into the loop body, so neither bb0 nor the
+    /// header dominates the body and the latch edge is no back edge. A
+    /// tree rooted at bb0 alone would call bb2→bb1 a natural loop and
+    /// let licm hoist into a preheader that bb4's path skips.
+    #[test]
+    fn dead_block_entering_a_loop_body_is_a_second_entry() {
+        let f = cfg(&[vec![1], vec![2, 3], vec![1], vec![], vec![2]]);
+        let dom = Dominators::of(&f);
+        assert!(!dom.dominates(0, 1), "bb0 must not dominate the header");
+        assert!(
+            !dom.dominates(1, 2),
+            "the header must not dominate the body"
+        );
+        assert!(dom.dominates(1, 3) && !dom.dominates(0, 3));
+        assert_eq!(back_edges(&f, &dom), vec![]);
+        assert_matches_reference(&f, &[true; 5], "regression");
+    }
+
+    /// Blocks no root reaches — here a self-loop with no other entry —
+    /// stay dominated by every block, as in the greatest fixpoint.
+    #[test]
+    fn unreached_blocks_are_dominated_by_every_block() {
+        let f = cfg(&[vec![], vec![1]]);
+        let dom = Dominators::of(&f);
+        assert!(dom.dominates(0, 1) && dom.dominates(1, 1));
+        assert!(!dom.dominates(1, 0));
+        assert_eq!(back_edges(&f, &dom), vec![(1, 1)]);
     }
 }

@@ -1,13 +1,16 @@
 //! Reachability, immediate dominators, and retained sizes over a
 //! [`Snapshot`]'s stable node ids.
 //!
-//! The dominator tree is computed with the iterative Cooper–Harvey–
-//! Kennedy algorithm ("A Simple, Fast Dominance Algorithm") over a
-//! virtual root connected to every root-referenced node: process nodes
-//! in reverse postorder, intersecting the candidate dominators of each
-//! node's processed predecessors, until a fixed point. On reducible and
-//! irreducible graphs alike this converges in a handful of passes, and
-//! it needs nothing but two `Vec<u32>`s — no semidominator buckets.
+//! The dominator tree is computed by [`dominator_tree`], the iterative
+//! Cooper–Harvey–Kennedy algorithm ("A Simple, Fast Dominance
+//! Algorithm") over a virtual root connected to every root: process
+//! nodes in reverse postorder, intersecting the candidate dominators of
+//! each node's processed predecessors, until a fixed point. On reducible
+//! and irreducible graphs alike this converges in a handful of passes,
+//! and it needs nothing but a few `Vec<u32>`s — no semidominator
+//! buckets. The function is graph-generic: [`analyze`] runs it over the
+//! heap graph with the root-referenced nodes as roots, and the
+//! optimizer in `cvm` runs it over control-flow graphs.
 //!
 //! Retained size of a node `v` is the total size of the nodes `v`
 //! dominates (including itself): exactly the bytes that become
@@ -15,7 +18,8 @@
 
 use crate::Snapshot;
 
-/// Sentinel id for the virtual super-root in [`Analysis::idom`].
+/// Sentinel id for the virtual super-root in [`Analysis::idom`] and
+/// [`DomTree::idom`].
 pub const VIRTUAL_ROOT: u32 = u32::MAX;
 
 /// The derived view of a snapshot: reachability, dominators, retained
@@ -60,112 +64,147 @@ pub struct SiteRollup {
     pub retained_bytes: u64,
 }
 
-/// Computes reachability, dominators, and retained sizes for `snap`.
-pub fn analyze(snap: &Snapshot) -> Analysis {
-    let n = snap.nodes.len();
-    let mut a = Analysis {
-        reachable: vec![false; n],
-        idom: vec![VIRTUAL_ROOT; n],
-        retained: vec![0; n],
-        ..Analysis::default()
-    };
-    // Virtual-root successors: the unique root-referenced nodes,
-    // ascending (RootRefs are sorted by node id).
-    let mut root_succ: Vec<u32> = snap.roots.iter().map(|r| r.node).collect();
-    root_succ.dedup();
+/// The dominator tree of a graph whose roots all hang off one virtual
+/// root, as computed by [`dominator_tree`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DomTree {
+    /// Per node: immediate dominator id, [`VIRTUAL_ROOT`] when the node
+    /// is dominated only by the virtual root. Nodes no root reaches also
+    /// carry [`VIRTUAL_ROOT`]; they are exactly the nodes missing from
+    /// [`DomTree::rpo`].
+    pub idom: Vec<u32>,
+    /// The nodes the roots reach, in reverse postorder of a depth-first
+    /// search from the virtual root (roots taken in the given order). A
+    /// node's immediate dominator always precedes it.
+    pub rpo: Vec<u32>,
+}
 
-    // Reverse postorder over the reachable subgraph from the virtual
-    // root, iteratively (node, next-child-index). The virtual root is
-    // not numbered; `order` holds real node ids in postorder.
-    let mut post: Vec<u32> = Vec::new();
-    let mut state: Vec<(u32, usize)> = Vec::new();
-    for &r in &root_succ {
-        if a.reachable[r as usize] {
+/// Immediate dominators of the `n`-node graph whose successors are
+/// `succ(v)`, under a virtual root whose children are `roots`.
+///
+/// `d` dominates `v` when every path from a root to `v` passes through
+/// `d`, so a node reached from two roots by disjoint paths is dominated
+/// by the virtual root alone. Iterative Cooper–Harvey–Kennedy over the
+/// reached subgraph; unreached predecessors are ignored.
+pub fn dominator_tree<'g>(n: usize, roots: &[u32], succ: impl Fn(u32) -> &'g [u32]) -> DomTree {
+    // Reverse postorder from the virtual root: collect a postorder
+    // iteratively (node, next-successor index), then reverse it. The
+    // virtual root is not numbered.
+    let mut reached = vec![false; n];
+    let mut rpo: Vec<u32> = Vec::with_capacity(n);
+    let mut stack: Vec<(u32, usize)> = Vec::new();
+    for &r in roots {
+        if reached[r as usize] {
             continue;
         }
-        a.reachable[r as usize] = true;
-        state.push((r, 0));
-        while let Some(&mut (v, ref mut ci)) = state.last_mut() {
-            let edges = &snap.nodes[v as usize].edges;
-            if *ci < edges.len() {
-                let t = edges[*ci];
-                *ci += 1;
-                if !a.reachable[t as usize] {
-                    a.reachable[t as usize] = true;
-                    state.push((t, 0));
+        reached[r as usize] = true;
+        stack.push((r, 0));
+        while let Some(&mut (v, ref mut next)) = stack.last_mut() {
+            if let Some(&t) = succ(v).get(*next) {
+                *next += 1;
+                if !reached[t as usize] {
+                    reached[t as usize] = true;
+                    stack.push((t, 0));
                 }
             } else {
-                post.push(v);
-                state.pop();
+                rpo.push(v);
+                stack.pop();
             }
         }
     }
-    let rpo: Vec<u32> = post.iter().rev().copied().collect();
-    // rpo_num: position in reverse postorder; the virtual root is
-    // implicitly before everything.
+    rpo.reverse();
+    // Position in reverse postorder; the virtual root is implicitly
+    // before everything.
     let mut rpo_num = vec![u32::MAX; n];
     for (i, &v) in rpo.iter().enumerate() {
         rpo_num[v as usize] = i as u32;
     }
 
-    // Predecessor lists over the reachable subgraph, plus the virtual
-    // root as predecessor of every root-referenced node.
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &r in &root_succ {
-        preds[r as usize].push(VIRTUAL_ROOT);
+    // Predecessors over the reached subgraph, flattened: those of `v`
+    // are `preds[start[v]..start[v + 1]]`.
+    let mut start = vec![0u32; n + 1];
+    for &v in &rpo {
+        for &t in succ(v) {
+            start[t as usize + 1] += 1;
+        }
     }
-    for (v, node) in snap.nodes.iter().enumerate() {
-        if !a.reachable[v] {
-            continue;
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut fill = start.clone();
+    let mut preds = vec![0u32; start[n] as usize];
+    for &v in &rpo {
+        for &t in succ(v) {
+            preds[fill[t as usize] as usize] = v;
+            fill[t as usize] += 1;
         }
-        for &t in &node.edges {
-            preds[t as usize].push(v as u32);
-        }
+    }
+    let mut is_root = vec![false; n];
+    for &r in roots {
+        is_root[r as usize] = true;
     }
 
-    // CHK fixed point. `idom` entries start undefined (we reuse the
-    // VIRTUAL_ROOT sentinel plus a `defined` bitmap so "undefined" and
-    // "dominated by the root set" stay distinct during iteration).
+    // CHK fixed point. `idom` entries start undefined (the VIRTUAL_ROOT
+    // sentinel plus a `defined` bitmap keep "undefined" and "dominated
+    // by the virtual root" distinct during iteration).
+    let mut idom = vec![VIRTUAL_ROOT; n];
     let mut defined = vec![false; n];
-    let intersect = |idom: &[u32], defined: &[bool], rpo_num: &[u32], mut x: u32, mut y: u32| {
-        loop {
-            if x == y {
-                return x;
-            }
+    let intersect = |idom: &[u32], mut x: u32, mut y: u32| {
+        while x != y {
             if x == VIRTUAL_ROOT || y == VIRTUAL_ROOT {
                 return VIRTUAL_ROOT;
             }
             // Walk the deeper (larger rpo number) side up.
             if rpo_num[x as usize] > rpo_num[y as usize] {
-                debug_assert!(defined[x as usize]);
                 x = idom[x as usize];
             } else {
-                debug_assert!(defined[y as usize]);
                 y = idom[y as usize];
             }
         }
+        x
     };
     let mut changed = true;
     while changed {
         changed = false;
         for &v in &rpo {
-            let mut new_idom: Option<u32> = None;
-            for &p in &preds[v as usize] {
-                if p != VIRTUAL_ROOT && !defined[p as usize] {
+            let vi = v as usize;
+            let mut new_idom = is_root[vi].then_some(VIRTUAL_ROOT);
+            for &p in &preds[start[vi] as usize..start[vi + 1] as usize] {
+                if !defined[p as usize] {
                     continue;
                 }
                 new_idom = Some(match new_idom {
                     None => p,
-                    Some(cur) => intersect(&a.idom, &defined, &rpo_num, p, cur),
+                    Some(cur) => intersect(&idom, p, cur),
                 });
             }
-            let new_idom = new_idom.expect("reachable node has a processed predecessor");
-            if !defined[v as usize] || a.idom[v as usize] != new_idom {
-                a.idom[v as usize] = new_idom;
-                defined[v as usize] = true;
+            let new_idom = new_idom.expect("reached node has a processed predecessor");
+            if !defined[vi] || idom[vi] != new_idom {
+                idom[vi] = new_idom;
+                defined[vi] = true;
                 changed = true;
             }
         }
+    }
+    DomTree { idom, rpo }
+}
+
+/// Computes reachability, dominators, and retained sizes for `snap`.
+pub fn analyze(snap: &Snapshot) -> Analysis {
+    let n = snap.nodes.len();
+    // Virtual-root children: the unique root-referenced nodes,
+    // ascending (RootRefs are sorted by node id).
+    let mut roots: Vec<u32> = snap.roots.iter().map(|r| r.node).collect();
+    roots.dedup();
+    let DomTree { idom, rpo } = dominator_tree(n, &roots, |v| &snap.nodes[v as usize].edges);
+    let mut a = Analysis {
+        reachable: vec![false; n],
+        idom,
+        retained: vec![0; n],
+        ..Analysis::default()
+    };
+    for &v in &rpo {
+        a.reachable[v as usize] = true;
     }
 
     // Retained sizes: seed with own size, then fold each node into its
@@ -421,6 +460,68 @@ mod tests {
                 s.bytes(),
                 "case {case}"
             );
+        }
+    }
+
+    /// Brute-force reachability in an adjacency-list graph from `roots`,
+    /// with node `cut` removed.
+    fn reach_without(succ: &[Vec<u32>], roots: &[u32], cut: Option<u32>) -> Vec<bool> {
+        let mut seen = vec![false; succ.len()];
+        let mut work: Vec<u32> = roots.iter().copied().filter(|&r| Some(r) != cut).collect();
+        while let Some(v) = work.pop() {
+            if !seen[v as usize] {
+                seen[v as usize] = true;
+                work.extend(succ[v as usize].iter().filter(|&&t| Some(t) != cut));
+            }
+        }
+        seen
+    }
+
+    /// The shared function against the definition on random multi-root
+    /// graphs with cycles, self-loops, duplicate roots and unreachable
+    /// nodes: `d` dominates `b` iff removing `d` cuts `b` off from every
+    /// root, and the reverse postorder lists exactly the reached nodes,
+    /// each after its immediate dominator.
+    #[test]
+    fn dominator_tree_matches_remove_and_reach_oracle() {
+        for case in 0..200u64 {
+            let mut rng = Rng::new(case.wrapping_mul(0x51_7CC1) + 7);
+            let n = 1 + rng.below(16) as usize;
+            let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for _ in 0..rng.below(2 * n as u64 + 2) {
+                let (f, t) = (rng.below(n as u64), rng.below(n as u64));
+                succ[f as usize].push(t as u32);
+            }
+            let roots: Vec<u32> = (0..1 + rng.below(3))
+                .map(|_| rng.below(n as u64) as u32)
+                .collect();
+            let tree = dominator_tree(n, &roots, |v| &succ[v as usize]);
+            let full = reach_without(&succ, &roots, None);
+            let mut pos = vec![usize::MAX; n];
+            for (i, &v) in tree.rpo.iter().enumerate() {
+                pos[v as usize] = i;
+            }
+            for b in 0..n {
+                assert_eq!(full[b], pos[b] != usize::MAX, "case {case}: reach of {b}");
+                if !full[b] {
+                    assert_eq!(tree.idom[b], VIRTUAL_ROOT, "case {case}: unreached {b}");
+                    continue;
+                }
+                let mut ancestors = vec![false; n];
+                let mut d = tree.idom[b];
+                while d != VIRTUAL_ROOT {
+                    assert!(pos[d as usize] < pos[b], "case {case}: idom after {b}");
+                    ancestors[d as usize] = true;
+                    d = tree.idom[d as usize];
+                }
+                for d in (0..n).filter(|&d| d != b) {
+                    let cut = !reach_without(&succ, &roots, Some(d as u32))[b];
+                    assert_eq!(
+                        ancestors[d], cut,
+                        "case {case}: does {d} dominate {b}? (succ={succ:?}, roots={roots:?})"
+                    );
+                }
+            }
         }
     }
 

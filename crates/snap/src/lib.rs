@@ -7,11 +7,12 @@
 //! with) plus one edge per in-bounds pointer word, resolved with exactly
 //! the conservative rules the marker uses. On top of the raw graph,
 //! [`analyze`] computes reachability from the recorded roots, an
-//! immediate-dominator tree (iterative Cooper–Harvey–Kennedy over the
-//! stable ids), per-node **retained sizes** (the bytes that would be
-//! freed if this node's incoming references vanished), per-site retained
-//! roll-ups, and unreachable-but-unswept ("floating garbage")
-//! accounting.
+//! immediate-dominator tree ([`dominator_tree`], iterative
+//! Cooper–Harvey–Kennedy over the stable ids, which cvm's optimizer
+//! also runs over control-flow graphs), per-node **retained sizes**
+//! (the bytes that would be freed if this node's incoming references
+//! vanished), per-site retained roll-ups, and unreachable-but-unswept
+//! ("floating garbage") accounting.
 //!
 //! The [`schema`] module serializes snapshots in the versioned `snap/1`
 //! JSON schema and re-validates them with a strict round-trip parser
@@ -26,7 +27,9 @@ pub mod diff;
 mod dominators;
 pub mod schema;
 
-pub use dominators::{analyze, site_rollup, Analysis, SiteRollup, UNATTRIBUTED, VIRTUAL_ROOT};
+pub use dominators::{
+    analyze, dominator_tree, site_rollup, Analysis, DomTree, SiteRollup, UNATTRIBUTED, VIRTUAL_ROOT,
+};
 pub use schema::{to_json, validate, ParsedSnap};
 
 /// One heap object in a snapshot. Its id is its index in
