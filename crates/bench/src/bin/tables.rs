@@ -5,12 +5,12 @@
 //!                [--tiny] [--jobs N] [--trace <file.jsonl>]
 //!                [--prof <file.prom>] [--folded <file.txt>]
 //!                [--bench-json <file.json>] [--repeat N]
-//!                [--timeline <file.json>] [--bench-cache <file.json>]
-//!                [--bench-opt <file.json>] [--snap-dir <dir>]`
+//!                [--timeline <file.json>] [--snap-dir <dir>]`
 //!
 //! An unknown table or flag, a repeated flag, a flag missing its value,
 //! or a value starting with `-` exits with status 2 before anything is
-//! measured.
+//! measured. So does any flag but `--tiny` and `--jobs` on `analysis` or
+//! `spills`, which measure no matrix for the other flags to export.
 //!
 //! The 4 workloads × 5 modes measurement matrix runs in parallel across
 //! `--jobs N` worker threads (default: all cores); every table and trace
@@ -23,8 +23,7 @@
 //!
 //! With `--prof`, every cell runs under gcprof instrumentation: the
 //! Prometheus exposition is written to `<file.prom>` (validated before it
-//! lands), the per-cell summary `BENCH_prof.json` is written next to the
-//! working directory, and the human profile report is printed. `--folded`
+//! lands) and the human profile report is printed. `--folded`
 //! additionally writes flamegraph-folded allocation stacks.
 //!
 //! With `--timeline`, the per-collection attribution log is exported as a
@@ -32,12 +31,13 @@
 //! clock is virtual, so the file is byte-identical at any `--jobs`.
 //! `--timeline` implies profiling for the matrix cells.
 //!
-//! `--bench-json --repeat N` reruns the whole measurement N times and
-//! writes the median of every wall-clock field (the minimum for
-//! `max_pause_ns`, a per-run maximum that noise can only inflate) with a
-//! `<field>_mad` noise estimate, asserting every deterministic count
-//! identical across repeats. Cells that collected fewer than
-//! `MIN_COLLECTIONS` times are reported on stderr.
+//! `--bench-json` writes the `gc/1` perf trajectory. `--repeat N` reruns
+//! the whole measurement N times and writes the median of every
+//! wall-clock field (the minimum for `max_pause_ns`, a per-run maximum
+//! that noise can only inflate) with a `<field>_mad` noise estimate,
+//! asserting every deterministic count identical across repeats. Cells
+//! that collected fewer than `MIN_COLLECTIONS` times are reported on
+//! stderr.
 //!
 //! With `--snap-dir`, every matrix cell records deterministic heap-graph
 //! snapshots at its first allocation (`begin`) and end of run (`end`),
@@ -46,24 +46,6 @@
 //! Snapshots carry no wall-clock data, so the files are byte-identical
 //! at any `--jobs` and across cold/warm compilation caches. Diff a pair
 //! with `bench snap diff`.
-//!
-//! With `--bench-cache`, the compilation-cache benchmark runs after the
-//! tables: the measurement matrix and a fuzz campaign, each cold (the
-//! compile cache cleared) then warm, writing per-pass wall times and the
-//! compile cache's hit/miss deltas to `<file.json>` (schema `cache/1`,
-//! gated by `bench compare --budgets budgets-cache.toml`). The warm
-//! passes double as a soundness smoke — byte-identical artifacts, equal
-//! fuzz verdicts, zero misses — so the run fails loudly on any cache
-//! unsoundness. The passes run untraced even under `--trace`: a traced
-//! build compiles live and never consults the cache.
-//! Incompatible with `--repeat` (the cache bench times single passes).
-//!
-//! With `--bench-opt`, the optimizer benchmark writes `<file.json>`
-//! (schema `opt/1`, gated by `bench compare --budgets budgets-opt.toml`):
-//! per-pass fire totals over the matrix's optimizer modes, fixpoint
-//! driver statistics, and seed-vs-full cycle comparisons per workload ×
-//! machine. The document carries no wall-clock fields, so it is
-//! byte-identical at any `--jobs` and across cold/warm caches.
 
 use gc_safety::{JsonlSink, TraceHandle};
 use gcbench::*;
@@ -96,8 +78,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--bench-json", true),
     ("--repeat", true),
     ("--timeline", true),
-    ("--bench-cache", true),
-    ("--bench-opt", true),
     ("--snap-dir", true),
 ];
 
@@ -149,6 +129,14 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value of `r`, or exits with status 1 and its error.
+fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    })
+}
+
 /// The positive integer value of `flag`, or `default` when absent.
 fn positive(flags: &HashMap<&str, String>, flag: &str, default: usize) -> usize {
     match flags.get(flag) {
@@ -175,14 +163,21 @@ fn main() {
     let folded_path = flag("--folded");
     let bench_json_path = flag("--bench-json");
     let timeline_path = flag("--timeline");
-    let bench_cache_path = flag("--bench-cache");
-    let bench_opt_path = flag("--bench-opt");
     let snap_dir = flag("--snap-dir");
+    if matches!(what, "analysis" | "spills") {
+        let unused = FLAGS
+            .iter()
+            .map(|&(name, _)| name)
+            .find(|name| !matches!(*name, "--tiny" | "--jobs") && flags.contains_key(name));
+        if let Some(name) = unused {
+            usage_error(&format!(
+                "{name} does not apply to '{what}', which measures no matrix \
+                 (only --tiny and --jobs are accepted)"
+            ));
+        }
+    }
     if folded_path.is_some() && prof_path.is_none() {
         usage_error("--folded requires --prof (profiling must be enabled)");
-    }
-    if bench_cache_path.is_some() && flags.contains_key("--repeat") {
-        usage_error("--bench-cache is incompatible with --repeat (it times single passes)");
     }
     let repeat = positive(&flags, "--repeat", 1);
     let jobs = positive(&flags, "--jobs", default_jobs());
@@ -213,20 +208,23 @@ fn main() {
     // cells just like --prof does (the overhead is uniform across modes,
     // keeping the trajectory self-comparable).
     let prof_on = prof_path.is_some() || timeline_path.is_some() || bench_json_path.is_some();
-    let data = match collect_snapped_jobs(scale, &trace, prof_on, snap_dir.is_some(), jobs) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let data = or_exit(collect_snapped_jobs(
+        scale,
+        &trace,
+        prof_on,
+        snap_dir.is_some(),
+        jobs,
+    ));
     match what {
         "sparc2" => print!("{}", slowdown_table(&data, "sparc2")),
         "sparc10" => print!("{}", slowdown_table(&data, "sparc10")),
         "pentium90" => print!("{}", slowdown_table(&data, "pentium90")),
         "codesize" => print!("{}", codesize_table(&data)),
         "postprocessor" => print!("{}", postprocessor_table(&data)),
-        "ablations" => print!("{}", ablation_table(scale)),
+        "ablations" => {
+            let cycles = or_exit(opt_cycles(scale));
+            print!("{}", or_exit(ablation_table(scale, &cycles)));
+        }
         "compare" => print!("{}", paper_comparison(&data)),
         "all" => {
             println!("Run-time slowdown relative to '-O' (E1-E3)\n");
@@ -237,7 +235,10 @@ fn main() {
             println!();
             println!("{}", postprocessor_table(&data));
             println!();
-            println!("{}", ablation_table(scale));
+            // The ablation table's `-O` column is the full-registry row
+            // of the optimizer cycle table: one `-O` build serves both.
+            let cycles = or_exit(opt_cycles(scale));
+            println!("{}", or_exit(ablation_table(scale, &cycles)));
             println!();
             println!(
                 "Paper vs measured (shape verdicts):\n{}",
@@ -260,6 +261,7 @@ fn main() {
                 }
                 Err(e) => eprintln!("warning: optimizer fire sweep failed: {e}"),
             }
+            println!("{}", opt_cycles_table(&cycles));
             println!("Analysis listing (F1):\n{}", analysis_listing());
         }
         other => unreachable!("parse_args admits only known tables, got '{other}'"),
@@ -379,11 +381,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        if let Err(e) = std::fs::write("BENCH_prof.json", bench_json(&data)) {
-            eprintln!("error: cannot write BENCH_prof.json: {e}");
-            std::process::exit(1);
-        }
-        println!("per-cell summary written to BENCH_prof.json");
         if let Some(folded) = folded_path {
             if let Err(e) = std::fs::write(folded, folded_export(&data)) {
                 eprintln!("error: cannot write folded stacks '{folded}': {e}");
@@ -419,58 +416,9 @@ fn main() {
             }
         }
     }
-    if let Some(path) = bench_cache_path {
-        // The cache trajectory: matrix and fuzz campaign, cold then
-        // warm, with the warm passes doubling as a soundness smoke.
-        let fuzz_seed = 1;
-        let fuzz_count = 64;
-        match run_cache_bench(scale, jobs, fuzz_seed, fuzz_count) {
-            Ok(text) => match validate_bench_cache_json(&text) {
-                Ok(cells) => {
-                    if let Err(e) = std::fs::write(path, &text) {
-                        eprintln!("error: cannot write cache bench json '{path}': {e}");
-                        std::process::exit(1);
-                    }
-                    println!("\ncache trajectory: {cells} cells written to {path}");
-                }
-                Err(e) => {
-                    eprintln!("error: generated cache bench json does not validate: {e}");
-                    std::process::exit(1);
-                }
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = bench_opt_path {
-        // The optimizer trajectory: per-pass fire totals, fixpoint
-        // statistics, and seed-vs-full cycle cells, all deterministic.
-        match run_opt_bench(scale) {
-            Ok(text) => match validate_bench_opt_json(&text) {
-                Ok(cells) => {
-                    if let Err(e) = std::fs::write(path, &text) {
-                        eprintln!("error: cannot write opt bench json '{path}': {e}");
-                        std::process::exit(1);
-                    }
-                    println!("\nopt trajectory: {cells} cells written to {path}");
-                }
-                Err(e) => {
-                    eprintln!("error: generated opt bench json does not validate: {e}");
-                    std::process::exit(1);
-                }
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     // The process-cumulative compile-cache counters as one ("cache",
     // "stats") event, so traces record how much of the run the cache
-    // absorbed. Emitted last: the counters cover everything above,
-    // including the cache bench passes.
+    // absorbed. Emitted last: the counters cover everything above.
     trace.emit(|| {
         let s = gc_safety::cache_stats();
         gc_safety::Event::new("cache", "stats")

@@ -3,9 +3,10 @@
 //!
 //! `tests/golden/tables_paper.txt` is what `tables all` prints at paper
 //! scale (CI compares a fresh run against it byte for byte). This test
-//! parses the markdown tables of E1–E5 and of the implementation-strategy
-//! ablation, and checks every "ours" cell against the golden table it
-//! transcribes, so the document cannot drift from the code again.
+//! parses the markdown tables of E1–E5, of the implementation-strategy
+//! ablation and of the optimizer's seed-vs-full cycles, and checks every
+//! measured cell against the golden table it transcribes, so the
+//! document cannot drift from the code again.
 
 const DOC: &str = include_str!("../../../EXPERIMENTS.md");
 const GOLDEN: &str = include_str!("../../../tests/golden/tables_paper.txt");
@@ -55,6 +56,17 @@ const TRANSCRIPTS: &[Transcript] = &[
             (1, "`-O` cycles", 0),
             (2, "safe (asm primitive)", 1),
             (3, "naive (identity call)", 5),
+        ],
+    },
+    Transcript {
+        heading: "## Optimizer: seed pipeline vs full registry",
+        golden:
+            "Optimizer cycles at -O: seed pipeline (no gvn, sccp, dse, strength) vs full registry:",
+        columns: &[
+            (1, "machine", 0),
+            (2, "seed cycles", 1),
+            (3, "full cycles", 2),
+            (4, "saved", 3),
         ],
     },
 ];
@@ -146,7 +158,7 @@ fn every_measured_cell_matches_the_paper_golden() {
             }
         }
     }
-    assert_eq!(checked, 68, "every transcribed cell was checked");
+    assert_eq!(checked, 68 + 12 * 4, "every transcribed cell was checked");
     assert!(
         drift.is_empty(),
         "EXPERIMENTS.md disagrees with tests/golden/tables_paper.txt:\n{}",

@@ -6,8 +6,8 @@
 
 use gc_safety::{Event, Mode, TraceHandle};
 use gcbench::{
-    bench_json, codesize_table, collect_instrumented_jobs, collect_jobs, collect_traced_jobs,
-    folded_export, postprocessor_table, prof_report, prometheus_export, slowdown_table,
+    codesize_table, collect_instrumented_jobs, collect_jobs, collect_traced_jobs, folded_export,
+    postprocessor_table, prof_report, prometheus_export, slowdown_table, Dataset,
 };
 use gctrace::Value;
 use workloads::Scale;
@@ -110,8 +110,7 @@ fn strip_timing_metrics(text: &str) -> String {
     out
 }
 
-/// Drops the wall-clock lines of the human profile report and the
-/// wall-clock fields of the per-cell JSON summary.
+/// Drops the wall-clock lines of the human profile report.
 fn strip_timing_report(text: &str) -> String {
     let mut out: String = text
         .lines()
@@ -122,16 +121,28 @@ fn strip_timing_report(text: &str) -> String {
     out
 }
 
-fn strip_timing_json(text: &str) -> String {
-    text.lines()
-        .map(|l| {
-            l.split(',')
-                .filter(|part| !part.contains("pause_ns"))
-                .collect::<Vec<_>>()
-                .join(",")
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+/// Every cell's deterministic run results, read straight from the
+/// dataset: its cycles on each machine, then VM steps, allocations,
+/// bytes requested, collections and the live-bytes high-water mark.
+fn deterministic_cells(data: &Dataset) -> Vec<(String, Vec<u64>)> {
+    let mut out = Vec::new();
+    for (name, results) in &data.rows {
+        for (mode, m) in results {
+            let mut values: Vec<u64> = m.costs.values().map(|c| c.cycles).collect();
+            if let Ok(run) = &m.outcome {
+                let h = &run.heap;
+                values.extend([
+                    run.steps,
+                    h.allocations,
+                    h.bytes_requested,
+                    h.collections,
+                    h.peak_bytes_live,
+                ]);
+            }
+            out.push((format!("{name}/{}", mode.key()), values));
+        }
+    }
+    out
 }
 
 #[test]
@@ -164,15 +175,13 @@ fn instrumented_parallel_exports_match_serial_modulo_timing() {
     ] {
         assert!(s_stripped.contains(needle), "missing {needle}");
     }
-    // Human report and per-cell JSON: identical modulo wall-clock lines.
+    // Human report: identical modulo wall-clock lines; run results:
+    // identical.
     assert_eq!(
         strip_timing_report(&prof_report(&serial)),
         strip_timing_report(&prof_report(&parallel))
     );
-    assert_eq!(
-        strip_timing_json(&bench_json(&serial)),
-        strip_timing_json(&bench_json(&parallel))
-    );
+    assert_eq!(deterministic_cells(&serial), deterministic_cells(&parallel));
 }
 
 #[test]
@@ -246,10 +255,7 @@ fn warm_cache_exports_are_byte_identical_to_cold() {
         strip_timing_report(&prof_report(&cold)),
         strip_timing_report(&prof_report(&warm))
     );
-    assert_eq!(
-        strip_timing_json(&bench_json(&cold)),
-        strip_timing_json(&bench_json(&warm))
-    );
+    assert_eq!(deterministic_cells(&cold), deterministic_cells(&warm));
     assert_eq!(
         gcwatch::chrome_trace(&timeline_cells(&cold, &gc_microbench(true))),
         gcwatch::chrome_trace(&timeline_cells(&warm, &gc_microbench(true))),

@@ -1,7 +1,8 @@
 //! The `tables` command line rejects malformed invocations up front:
-//! unknown tables and flags, missing or flag-like values, and repeated
-//! flags all exit with status 2 before any measurement runs, and never
-//! mistake the next flag for a file name.
+//! unknown tables and flags, missing or flag-like values, repeated flags,
+//! and output flags on tables that measure no matrix all exit with status
+//! 2 before any measurement runs, and never mistake the next flag for a
+//! file name. A run writes only the files its command line names.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -12,6 +13,21 @@ fn workdir(case: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create work dir");
     dir
+}
+
+/// The names of the files in `dir`, sorted.
+fn written(dir: &PathBuf) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read work dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
 }
 
 fn tables(dir: &PathBuf, args: &[&str]) -> Output {
@@ -38,10 +54,7 @@ fn assert_rejected(case: &str, args: &[&str], message: &str) {
         stderr.contains(message),
         "{args:?}: expected '{message}' in {stderr}"
     );
-    let written: Vec<_> = std::fs::read_dir(&dir)
-        .expect("read work dir")
-        .map(|e| e.expect("dir entry").file_name())
-        .collect();
+    let written = written(&dir);
     assert!(written.is_empty(), "{args:?} wrote {written:?}");
 }
 
@@ -103,6 +116,51 @@ fn malformed_counts_and_repeats_are_rejected() {
         &["sparc2", "--tiny", "--folded", "f.txt"],
         "--folded requires --prof",
     );
+}
+
+#[test]
+fn tables_that_measure_no_matrix_reject_output_flags() {
+    assert_rejected(
+        "analysis_outputs",
+        &[
+            "analysis",
+            "--tiny",
+            "--bench-json",
+            "x.json",
+            "--prof",
+            "p.prom",
+            "--snap-dir",
+            "snaps",
+            "--trace",
+            "t.jsonl",
+        ],
+        "--trace does not apply to 'analysis'",
+    );
+    assert_rejected(
+        "spills_timeline",
+        &["spills", "--timeline", "tl.json"],
+        "--timeline does not apply to 'spills'",
+    );
+    assert_rejected(
+        "spills_folded",
+        &["spills", "--tiny", "--folded", "f.txt"],
+        "--folded does not apply to 'spills'",
+    );
+}
+
+#[test]
+fn prof_writes_only_the_files_it_is_given() {
+    let dir = workdir("prof_only");
+    let out = tables(
+        &dir,
+        &["sparc2", "--tiny", "--jobs", "1", "--prof", "p.prom"],
+    );
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(written(&dir), ["p.prom"]);
 }
 
 #[test]

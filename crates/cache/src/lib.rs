@@ -20,7 +20,10 @@
 //! * **Counters** (hits / misses / evictions / entries) behind relaxed
 //!   atomics, snapshot via [`Cache::stats`]. Counters are *not*
 //!   deterministic across `--jobs` levels — racing workers legitimately
-//!   both miss the same key — so exports treat them like wall-clock data.
+//!   both miss the same key — so they leave the process only through
+//!   wall-clock-class channels (the `gccache_*` Prometheus families and
+//!   the `("cache", "stats")` trace event), never through a trajectory
+//!   or a gate.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,5 @@
-//! Perf budgets: per-cell pause ceilings and permille floors (MMU, cache
-//! hit rate), plus the noise gate's knobs, in a deliberately tiny TOML
-//! subset.
+//! Perf budgets: per-cell pause ceilings and permille floors (MMU), plus
+//! the noise gate's knobs, in a deliberately tiny TOML subset.
 //!
 //! The subset is: `#` comments, `[section]` headers (quotes around the
 //! section name are stripped, so `["cfrac/O"]` addresses the cell keyed
@@ -56,16 +55,15 @@ impl Gate {
 }
 
 /// One cell's budget: an optional hard pause ceiling plus floors on
-/// permille-valued fields (`mmu_10ms`, `hit_rate`, …).
+/// permille-valued fields (`mmu_1ms`, `mmu_10ms`, …).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellBudget {
     /// Hard ceiling on the cell's `max_pause_ns`; exceeding it fails the
     /// gate regardless of noise.
     pub max_pause_ns: Option<u64>,
     /// Floors keyed by field base name: `("mmu_10ms", 400)` means the
-    /// candidate cell's `mmu_10ms_permille` must be ≥ 400, `("hit_rate",
-    /// 990)` floors `hit_rate_permille`. A value below its floor fails
-    /// the gate.
+    /// candidate cell's `mmu_10ms_permille` must be ≥ 400. A value below
+    /// its floor fails the gate.
     pub floors_permille: Vec<(String, u64)>,
 }
 

@@ -10,8 +10,7 @@
 //!    candidate's `<name>_permille` field: below the floor fails, and so
 //!    does a candidate cell that does not export the field at all. MMU
 //!    floors (`mmu_10ms_floor_permille`) catch the collector eating more
-//!    of the mutator's time; cache floors (`hit_rate_floor_permille`)
-//!    catch warm passes that stopped hitting.
+//!    of the mutator's time.
 //! 3. **Noise gate** (only with a baseline) — the candidate's
 //!    `max_pause_ns` may exceed the baseline median by at most
 //!    `max(k·MAD, rel_slack, abs_slack)`; see [`crate::budgets::Gate`].
@@ -375,14 +374,14 @@ mod tests {
         // A trajectory that stops exporting a floored field must not pass
         // its floor silently, flag or not.
         let cand = doc(&[("w", "O", 10, 1_000, None)]);
-        let b = budgets::parse("[\"w/O\"]\nhit_rate_floor_permille = 990\n").unwrap();
+        let b = budgets::parse("[\"w/O\"]\nmmu_10ms_floor_permille = 400\n").unwrap();
         for allow in [false, true] {
             let v = compare(None, &cand, &b, allow).unwrap();
             assert!(!v.passed(), "allow={allow}: {}", v.table());
             assert_eq!(v.failing_cells(), vec!["w/O"]);
             assert!(
                 v.table()
-                    .contains("hit_rate_permille budgeted but not exported"),
+                    .contains("mmu_10ms_permille budgeted but not exported"),
                 "{}",
                 v.table()
             );
