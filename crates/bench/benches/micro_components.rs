@@ -1,7 +1,6 @@
 //! Component microbenchmarks: the substrates' hot paths (parser, sema,
 //! annotator, collector, page-map lookups) plus an ablation of the
-//! annotator's optimizations, and the end-to-end `measure_workload`
-//! path with tracing disabled (the NullSink overhead guard).
+//! annotator's optimizations.
 
 mod timing;
 
@@ -64,12 +63,4 @@ fn main() {
             acc
         });
     }
-
-    // NullSink guard: the traced pipeline with tracing disabled must
-    // match the untraced seed path (<1% is the acceptance bar; compare
-    // this number across commits).
-    bench("measure_cordtest_nullsink", 1, 10, || {
-        let w = workloads::by_name("cordtest").expect("exists");
-        gc_safety::measure_workload(&w, workloads::Scale::Tiny).expect("runs")
-    });
 }

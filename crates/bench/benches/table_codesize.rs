@@ -8,7 +8,7 @@ use timing::bench;
 use workloads::Scale;
 
 fn main() {
-    match collect(Scale::Tiny) {
+    match collect(Scale::Tiny, gc_safety::default_jobs(), &Default::default()) {
         Ok(data) => {
             println!("\n=== E4: code size expansion ===");
             println!("{}", codesize_table(&data));

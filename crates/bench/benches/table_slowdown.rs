@@ -9,7 +9,7 @@ use workloads::Scale;
 
 fn main() {
     // Print the actual paper tables once (paper scale).
-    match collect(Scale::Paper) {
+    match collect(Scale::Paper, gc_safety::default_jobs(), &Default::default()) {
         Ok(data) => {
             println!("\n=== E1–E3: run-time slowdown relative to -O ===");
             for key in ["sparc2", "sparc10", "pentium90"] {

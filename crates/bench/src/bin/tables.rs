@@ -10,7 +10,8 @@
 //! An unknown table or flag, a repeated flag, a flag missing its value,
 //! or a value starting with `-` exits with status 2 before anything is
 //! measured. So does any flag but `--tiny` and `--jobs` on `analysis` or
-//! `spills`, which measure no matrix for the other flags to export.
+//! `spills`, which measure no matrix for the other flags to export, and
+//! `--repeat` without the `--bench-json` trajectory it folds.
 //!
 //! The 4 workloads × 5 modes measurement matrix runs in parallel across
 //! `--jobs N` worker threads (default: all cores); every table and trace
@@ -47,8 +48,9 @@
 //! at any `--jobs` and across cold/warm compilation caches. Diff a pair
 //! with `bench snap diff`.
 
-use gc_safety::{JsonlSink, TraceHandle};
+use gc_safety::{Instruments, JsonlSink, ProfHandle, TraceHandle};
 use gcbench::*;
+use gcsnap::SnapHandle;
 use std::collections::HashMap;
 use std::sync::Arc;
 use workloads::Scale;
@@ -179,8 +181,11 @@ fn main() {
     if folded_path.is_some() && prof_path.is_none() {
         usage_error("--folded requires --prof (profiling must be enabled)");
     }
+    if flags.contains_key("--repeat") && bench_json_path.is_none() {
+        usage_error("--repeat requires --bench-json (it folds repeated trajectory runs)");
+    }
     let repeat = positive(&flags, "--repeat", 1);
-    let jobs = positive(&flags, "--jobs", default_jobs());
+    let jobs = positive(&flags, "--jobs", gc_safety::default_jobs());
     let trace = match trace_path {
         Some(path) => {
             let file = match std::fs::File::create(path) {
@@ -208,13 +213,12 @@ fn main() {
     // cells just like --prof does (the overhead is uniform across modes,
     // keeping the trajectory self-comparable).
     let prof_on = prof_path.is_some() || timeline_path.is_some() || bench_json_path.is_some();
-    let data = or_exit(collect_snapped_jobs(
-        scale,
-        &trace,
-        prof_on,
-        snap_dir.is_some(),
-        jobs,
-    ));
+    let ins = Instruments {
+        trace,
+        prof: prof_on.then(ProfHandle::enabled).unwrap_or_default(),
+        snap: snap_dir.map(|_| SnapHandle::enabled()).unwrap_or_default(),
+    };
+    let data = or_exit(collect(scale, jobs, &ins));
     match what {
         "sparc2" => print!("{}", slowdown_table(&data, "sparc2")),
         "sparc10" => print!("{}", slowdown_table(&data, "sparc10")),
@@ -292,14 +296,13 @@ fn main() {
                     std::process::exit(1);
                 }
             }
+            // The reruns feed only the trajectory: no trace, no snapshots.
+            let prof_only = Instruments {
+                prof: ins.prof.clone(),
+                ..Instruments::default()
+            };
             for r in 1..repeat {
-                let rerun = collect_instrumented_jobs(
-                    scale,
-                    &gc_safety::TraceHandle::disabled(),
-                    prof_on,
-                    jobs,
-                )
-                .and_then(|d| {
+                let rerun = collect(scale, jobs, &prof_only).and_then(|d| {
                     let m = gc_microbench(scale == Scale::Tiny);
                     gcwatch::stats::parse_cells(&bench_gc_json(&d, &m))
                 });
@@ -419,7 +422,7 @@ fn main() {
     // The process-cumulative compile-cache counters as one ("cache",
     // "stats") event, so traces record how much of the run the cache
     // absorbed. Emitted last: the counters cover everything above.
-    trace.emit(|| {
+    ins.trace.emit(|| {
         let s = gc_safety::cache_stats();
         gc_safety::Event::new("cache", "stats")
             .field("stage", s.stage)

@@ -18,8 +18,8 @@ pub mod micro;
 pub use micro::{gc_microbench, MicroCell};
 
 use gc_safety::{
-    merge_tagged, Cell, Event, Machine, Measured, Mode, ProfData, ProfHandle, Sink, TaggedSink,
-    TraceHandle,
+    merge_tagged, Cell, Event, Instruments, Machine, Measured, Mode, ProfData, ProfHandle, Sink,
+    TaggedSink, TraceHandle,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -34,153 +34,66 @@ pub struct Dataset {
     pub rows: Vec<(&'static str, BTreeMap<Mode, Measured>)>,
 }
 
-/// The worker count [`collect`] fans the measurement matrix out over:
-/// the machine's available parallelism, capped at the matrix size.
-pub fn default_jobs() -> usize {
-    gc_safety::default_jobs()
-}
-
-/// Runs every workload in every mode at the given scale, in parallel
-/// across [`default_jobs`] workers. The result is deterministic and
-/// identical to a serial run ([`collect_jobs`] with `jobs = 1`).
-///
-/// # Errors
-///
-/// Propagates build failures or cross-mode output divergence (which would
-/// indicate a miscompilation).
-pub fn collect(scale: Scale) -> Result<Dataset, String> {
-    collect_traced(scale, &TraceHandle::disabled())
-}
-
-/// [`collect`] with an explicit worker count.
-///
-/// # Errors
-///
-/// Same as [`collect`].
-pub fn collect_jobs(scale: Scale, jobs: usize) -> Result<Dataset, String> {
-    collect_traced_jobs(scale, &TraceHandle::disabled(), jobs)
-}
-
-/// [`collect`] with a trace: the whole pipeline's event stream — from the
-/// annotator's per-expression audit through collections and peephole
-/// rewrites — flows into one sink, workload by workload.
-///
-/// # Errors
-///
-/// Same as [`collect`].
-pub fn collect_traced(scale: Scale, trace: &TraceHandle) -> Result<Dataset, String> {
-    collect_traced_jobs(scale, trace, default_jobs())
-}
-
-/// The parallel measurement driver behind every `collect` variant.
+/// Runs every workload in every mode at the given scale.
 ///
 /// The 4 workloads × 5 modes matrix is fanned out across `jobs` scoped
 /// worker threads, one (workload, mode) cell at a time, then reassembled
 /// in the paper's row order, so tables built from the [`Dataset`] are
 /// byte-identical regardless of `jobs` (every cost is a deterministic
-/// cycle count, not wall-clock). Tracing survives the fan-out: each cell
-/// emits into its own [`TaggedSink`], and the buffered streams are merged
-/// into `trace` in deterministic (workload, mode, seq) order — with the
-/// serial driver's per-workload `("bench", "workload")` markers
-/// interleaved — so the user's sink sees exactly the stream a serial run
-/// would have produced (wall-clock fields like `pause_ns` aside). The
-/// cross-mode output-divergence check runs on the assembled rows, so it
-/// compares against the `-O` baseline even when cells finish out of
-/// order.
+/// cycle count, not wall-clock). The cross-mode output-divergence check
+/// runs on the assembled rows, so it compares against the `-O` baseline
+/// even when cells finish out of order.
+///
+/// `ins` picks what the run records:
+///
+/// * an enabled `trace` receives the whole pipeline's event stream. Each
+///   cell emits into its own [`TaggedSink`], and the buffered streams are
+///   merged into `trace` in deterministic (workload, mode, seq) order,
+///   each workload's cells preceded by a `("bench", "workload")` marker,
+///   so the sink sees the same stream at any `jobs` (wall-clock fields
+///   like `pause_ns` aside);
+/// * the run-level `prof` and `snap` handles only switch the per-cell
+///   handles on: each cell runs under its own fresh enabled handle, read
+///   back from its [`Measured::instruments`], so profiles and snapshots
+///   never interleave across workers and every export built from them is
+///   byte-identical at any `jobs` (wall-clock timings aside). Nothing is
+///   recorded into the run-level handles themselves.
 ///
 /// # Errors
 ///
-/// Build failures and divergence are reported for the first failing cell
-/// in deterministic (workload, mode) order, whichever thread hit it.
-pub fn collect_traced_jobs(
-    scale: Scale,
-    trace: &TraceHandle,
-    jobs: usize,
-) -> Result<Dataset, String> {
-    collect_instrumented_jobs(scale, trace, false, jobs)
-}
-
-/// [`collect_traced_jobs`] with optional gcprof instrumentation. When
-/// `prof` is true every (workload, mode) cell runs under its own enabled
-/// [`ProfHandle`] — profiles never interleave across workers, so the
-/// deterministic slice of every export built from the [`Dataset`]
-/// (flamegraph folded stacks, site counters, size histograms, census) is
-/// byte-identical at any `jobs`, mirroring the trace's [`TaggedSink`]
-/// reassembly guarantee.
-///
-/// # Errors
-///
-/// Same as [`collect`].
-pub fn collect_instrumented_jobs(
-    scale: Scale,
-    trace: &TraceHandle,
-    prof: bool,
-    jobs: usize,
-) -> Result<Dataset, String> {
-    collect_snapped_jobs(scale, trace, prof, false, jobs)
-}
-
-/// [`collect_instrumented_jobs`] with optional heap-graph snapshots.
-/// When `snap` is true every (workload, mode) cell runs under its own
-/// enabled `gcsnap::SnapHandle`, so the VM's `begin`/`end` snapshots
-/// never interleave across workers; snapshots carry no wall-clock data,
-/// so the `snap/1` exports built from the [`Dataset`] are byte-identical
-/// at any `jobs` and across cold/warm compilation caches.
-///
-/// # Errors
-///
-/// Same as [`collect`].
-pub fn collect_snapped_jobs(
-    scale: Scale,
-    trace: &TraceHandle,
-    prof: bool,
-    snap: bool,
-    jobs: usize,
-) -> Result<Dataset, String> {
+/// Build failures and divergence (which would indicate a
+/// miscompilation) are reported for the first failing cell in
+/// deterministic (workload, mode) order, whichever thread hit it.
+pub fn collect(scale: Scale, jobs: usize, ins: &Instruments) -> Result<Dataset, String> {
     let ws = workloads::all();
     let modes = Mode::all();
     let cells: Vec<(usize, usize)> = (0..ws.len())
         .flat_map(|wi| (0..modes.len()).map(move |mi| (wi, mi)))
         .collect();
-    // Per-cell buffering sinks, plus one pre-filled marker sink per
-    // workload standing in for the serial driver's workload event.
     // Tag space: (workload, 0) = marker, (workload, 1 + mode) = cell.
     let mut tagged: Vec<Arc<TaggedSink>> = Vec::new();
-    let cell_traces: Vec<TraceHandle> = if trace.is_enabled() {
+    if ins.trace.is_enabled() {
         for (wi, w) in ws.iter().enumerate() {
             let marker = Arc::new(TaggedSink::new(wi as u64, 0));
             marker.emit(Event::new("bench", "workload").field("name", w.name));
             tagged.push(marker);
         }
-        cells
-            .iter()
-            .map(|&(wi, mi)| {
+    }
+    let (prof_on, snap_on) = (ins.prof.is_enabled(), ins.snap.is_enabled());
+    let cell_ins: Vec<Instruments> = cells
+        .iter()
+        .map(|&(wi, mi)| Instruments {
+            trace: if ins.trace.is_enabled() {
                 let sink = Arc::new(TaggedSink::new(wi as u64, 1 + mi as u64));
                 tagged.push(sink.clone());
                 TraceHandle::new(sink)
-            })
-            .collect()
-    } else {
-        cells.iter().map(|_| TraceHandle::disabled()).collect()
-    };
-    let cell_profs: Vec<ProfHandle> = cells
-        .iter()
-        .map(|_| {
-            if prof {
-                ProfHandle::enabled()
             } else {
-                ProfHandle::disabled()
-            }
-        })
-        .collect();
-    let cell_snaps: Vec<gcsnap::SnapHandle> = cells
-        .iter()
-        .map(|_| {
-            if snap {
-                gcsnap::SnapHandle::enabled()
-            } else {
-                gcsnap::SnapHandle::disabled()
-            }
+                TraceHandle::disabled()
+            },
+            prof: prof_on.then(ProfHandle::enabled).unwrap_or_default(),
+            snap: snap_on
+                .then(gcsnap::SnapHandle::enabled)
+                .unwrap_or_default(),
         })
         .collect();
     let slots: Vec<Mutex<Option<Result<Measured, String>>>> =
@@ -192,21 +105,16 @@ pub fn collect_snapped_jobs(
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&(wi, mi)) = cells.get(i) else { break };
-                let r = gc_safety::measure_workload_mode_snapped(
-                    &ws[wi],
-                    scale,
-                    modes[mi],
-                    &cell_traces[i],
-                    &cell_profs[i],
-                    &cell_snaps[i],
-                );
+                let w = &ws[wi];
+                let input = (w.input)(scale);
+                let r = gc_safety::measure_source_with(w.source, &input, modes[mi], &cell_ins[i]);
                 *slots[i].lock().expect("cell slot") = Some(r);
             });
         }
     });
     // Replay the buffered event streams in serial order before touching
     // the results, so the trace is complete even when assembly errors.
-    merge_tagged(&tagged, trace);
+    merge_tagged(&tagged, &ins.trace);
     let mut slots = slots.into_iter();
     let mut rows = Vec::new();
     for w in &ws {
@@ -637,7 +545,7 @@ pub fn prof_cells(data: &Dataset) -> Vec<(&'static str, Mode, ProfData)> {
     let mut out = Vec::new();
     for (name, results) in &data.rows {
         for (mode, m) in results {
-            if let Some(d) = m.prof.snapshot() {
+            if let Some(d) = m.instruments.prof.snapshot() {
                 out.push((*name, *mode, d));
             }
         }
@@ -1019,7 +927,7 @@ fn snap_cells(data: &Dataset) -> Vec<SnapCell> {
     let mut out = Vec::new();
     for (name, results) in &data.rows {
         for (mode, m) in results {
-            if let Some(snaps) = m.snap.snapshots() {
+            if let Some(snaps) = m.instruments.snap.snapshots() {
                 if !snaps.is_empty() {
                     out.push((*name, *mode, snaps));
                 }
@@ -1130,7 +1038,7 @@ pub fn bench_gc_json(data: &Dataset, micro: &[MicroCell]) -> String {
             w.str_field("workload", name);
             w.str_field("mode", mode.key());
             heap_fields(&mut w, &out.heap);
-            if let Some(d) = m.prof.snapshot() {
+            if let Some(d) = m.instruments.prof.snapshot() {
                 prof_fields(&mut w, &d);
             }
             lines.push(format!("  {}", w.finish()));
@@ -1490,7 +1398,12 @@ mod tests {
 
     #[test]
     fn bench_gc_json_is_valid_and_covers_matrix_and_micro() {
-        let data = collect(Scale::Tiny).expect("all workloads run");
+        let data = collect(
+            Scale::Tiny,
+            gc_safety::default_jobs(),
+            &Instruments::default(),
+        )
+        .expect("all workloads run");
         let micro = gc_microbench(true);
         let text = bench_gc_json(&data, &micro);
         let cells = validate_bench_gc_json(&text).expect("parses");
@@ -1514,7 +1427,12 @@ mod tests {
 
     #[test]
     fn tiny_dataset_builds_all_tables() {
-        let data = collect(Scale::Tiny).expect("all workloads run");
+        let data = collect(
+            Scale::Tiny,
+            gc_safety::default_jobs(),
+            &Instruments::default(),
+        )
+        .expect("all workloads run");
         let t1 = slowdown_table(&data, "sparc10");
         assert!(t1.contains("cordtest"));
         assert!(t1.contains("gawk"));
@@ -1527,7 +1445,12 @@ mod tests {
 
     #[test]
     fn shape_envelope_holds_even_at_tiny_scale() {
-        let data = collect(Scale::Tiny).expect("all workloads run");
+        let data = collect(
+            Scale::Tiny,
+            gc_safety::default_jobs(),
+            &Instruments::default(),
+        )
+        .expect("all workloads run");
         let report = paper_comparison(&data);
         assert!(
             !report.contains("SHAPE MISMATCH"),
@@ -1549,10 +1472,13 @@ mod tests {
                 Ok(())
             }
         }
-        let trace = TraceHandle::new(std::sync::Arc::new(gc_safety::JsonlSink::new(Box::new(
-            Shared(buf.clone()),
-        ))));
-        collect_traced(Scale::Tiny, &trace).expect("all workloads run");
+        let ins = Instruments {
+            trace: TraceHandle::new(std::sync::Arc::new(gc_safety::JsonlSink::new(Box::new(
+                Shared(buf.clone()),
+            )))),
+            ..Instruments::default()
+        };
+        collect(Scale::Tiny, gc_safety::default_jobs(), &ins).expect("all workloads run");
         // Tiny-scale workloads allocate less than the collector's 256 KiB
         // trigger threshold, so add one allocation-heavy measurement to
         // exercise the GC timeline through the same facade path. (The
@@ -1564,8 +1490,7 @@ mod tests {
                 return 0;
             }
         "#;
-        let m =
-            gc_safety::measure_source_traced(churn, b"", Mode::OSafePost, &trace).expect("builds");
+        let m = gc_safety::measure_source_with(churn, b"", Mode::OSafePost, &ins).expect("builds");
         assert!(m.outcome.expect("runs").heap.collections > 0);
         let jsonl = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         // Every line is a valid JSON object with stage and kind.

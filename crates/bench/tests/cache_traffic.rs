@@ -12,7 +12,8 @@ use workloads::Scale;
 /// (hits, misses) one serial tiny matrix pass adds to the compile cache.
 fn matrix_traffic() -> (u64, u64) {
     let before = gc_safety::cache_stats();
-    gcbench::collect_jobs(Scale::Tiny, 1).expect("tiny matrix measures");
+    gcbench::collect(Scale::Tiny, 1, &gc_safety::Instruments::default())
+        .expect("tiny matrix measures");
     let after = gc_safety::cache_stats();
     (after.hits - before.hits, after.misses - before.misses)
 }

@@ -4,18 +4,43 @@
 //! event in the merged trace stream (wall-clock pause fields aside,
 //! which no table consumes).
 
-use gc_safety::{Event, Mode, TraceHandle};
+use gc_safety::{Event, Instruments, Mode, ProfHandle, TraceHandle};
 use gcbench::{
-    codesize_table, collect_instrumented_jobs, collect_jobs, collect_traced_jobs, folded_export,
-    postprocessor_table, prof_report, prometheus_export, slowdown_table, Dataset,
+    codesize_table, collect, folded_export, postprocessor_table, prof_report, prometheus_export,
+    slowdown_table, snap_exports, Dataset,
 };
 use gctrace::Value;
 use workloads::Scale;
 
+/// Only a trace, into `trace`.
+fn traced(trace: TraceHandle) -> Instruments {
+    Instruments {
+        trace,
+        ..Instruments::default()
+    }
+}
+
+/// Only profiling.
+fn profiled() -> Instruments {
+    Instruments {
+        prof: ProfHandle::enabled(),
+        ..Instruments::default()
+    }
+}
+
+/// Only heap snapshots.
+fn snapped() -> Instruments {
+    Instruments {
+        snap: gcsnap::SnapHandle::enabled(),
+        ..Instruments::default()
+    }
+}
+
 #[test]
 fn parallel_collect_equals_serial_cell_for_cell() {
-    let serial = collect_jobs(Scale::Tiny, 1).expect("serial collect");
-    let parallel = collect_jobs(Scale::Tiny, 4).expect("parallel collect");
+    let bare = Instruments::default();
+    let serial = collect(Scale::Tiny, 1, &bare).expect("serial collect");
+    let parallel = collect(Scale::Tiny, 4, &bare).expect("parallel collect");
     assert_eq!(serial.rows.len(), parallel.rows.len());
     for ((sn, srow), (pn, prow)) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!(sn, pn, "row order is the paper's");
@@ -147,10 +172,8 @@ fn deterministic_cells(data: &Dataset) -> Vec<(String, Vec<u64>)> {
 
 #[test]
 fn instrumented_parallel_exports_match_serial_modulo_timing() {
-    let serial = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 1)
-        .expect("serial instrumented collect");
-    let parallel = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 4)
-        .expect("parallel instrumented collect");
+    let serial = collect(Scale::Tiny, 1, &profiled()).expect("serial instrumented collect");
+    let parallel = collect(Scale::Tiny, 4, &profiled()).expect("parallel instrumented collect");
     // Flamegraph folded stacks are fully deterministic: compared raw.
     let folded = folded_export(&serial);
     assert!(!folded.is_empty(), "profiling produced allocation stacks");
@@ -187,10 +210,8 @@ fn instrumented_parallel_exports_match_serial_modulo_timing() {
 #[test]
 fn timeline_export_is_byte_identical_at_any_jobs() {
     use gcbench::{gc_microbench, timeline_cells};
-    let serial = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 1)
-        .expect("serial instrumented collect");
-    let parallel = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 4)
-        .expect("parallel instrumented collect");
+    let serial = collect(Scale::Tiny, 1, &profiled()).expect("serial instrumented collect");
+    let parallel = collect(Scale::Tiny, 4, &profiled()).expect("parallel instrumented collect");
     // The microbench is rerun for each trace: its wall-clock fields move,
     // but the virtual-clock trace must not — only deterministic counters
     // reach the export.
@@ -230,10 +251,8 @@ fn warm_cache_exports_are_byte_identical_to_cold() {
     // global caches), but the second is fully warm for everything the
     // first compiled — so any divergence below is cache unsoundness.
     gc_safety::cache_clear();
-    let cold = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 2)
-        .expect("cold instrumented collect");
-    let warm = collect_instrumented_jobs(Scale::Tiny, &TraceHandle::disabled(), true, 2)
-        .expect("warm instrumented collect");
+    let cold = collect(Scale::Tiny, 2, &profiled()).expect("cold instrumented collect");
+    let warm = collect(Scale::Tiny, 2, &profiled()).expect("warm instrumented collect");
     for key in ["sparc2", "sparc10", "pentium90"] {
         assert_eq!(
             slowdown_table(&cold, key),
@@ -269,9 +288,9 @@ fn warm_traced_run_reproduces_the_cold_trace_stream() {
     // live into the trace — so modulo wall-clock fields the two runs'
     // merged streams must be event-for-event identical.
     let (cold_trace, cold_sink) = TraceHandle::memory();
-    collect_traced_jobs(Scale::Tiny, &cold_trace, 2).expect("cold traced collect");
+    collect(Scale::Tiny, 2, &traced(cold_trace)).expect("cold traced collect");
     let (warm_trace, warm_sink) = TraceHandle::memory();
-    collect_traced_jobs(Scale::Tiny, &warm_trace, 2).expect("warm traced collect");
+    collect(Scale::Tiny, 2, &traced(warm_trace)).expect("warm traced collect");
     let cold = normalized(cold_sink.snapshot());
     let warm = normalized(warm_sink.snapshot());
     assert!(!cold.is_empty());
@@ -284,9 +303,9 @@ fn warm_traced_run_reproduces_the_cold_trace_stream() {
 #[test]
 fn merged_parallel_trace_matches_the_serial_stream() {
     let (serial_trace, serial_sink) = TraceHandle::memory();
-    collect_traced_jobs(Scale::Tiny, &serial_trace, 1).expect("serial collect");
+    collect(Scale::Tiny, 1, &traced(serial_trace)).expect("serial collect");
     let (parallel_trace, parallel_sink) = TraceHandle::memory();
-    collect_traced_jobs(Scale::Tiny, &parallel_trace, 4).expect("parallel collect");
+    collect(Scale::Tiny, 4, &traced(parallel_trace)).expect("parallel collect");
 
     let serial = normalized(serial_sink.snapshot());
     let parallel = normalized(parallel_sink.snapshot());
@@ -319,11 +338,8 @@ fn merged_parallel_trace_matches_the_serial_stream() {
 
 #[test]
 fn snapshot_exports_are_byte_identical_at_any_jobs() {
-    use gcbench::{collect_snapped_jobs, snap_exports};
-    let serial = collect_snapped_jobs(Scale::Tiny, &TraceHandle::disabled(), false, true, 1)
-        .expect("serial snapped collect");
-    let parallel = collect_snapped_jobs(Scale::Tiny, &TraceHandle::disabled(), false, true, 2)
-        .expect("parallel snapped collect");
+    let serial = collect(Scale::Tiny, 1, &snapped()).expect("serial snapped collect");
+    let parallel = collect(Scale::Tiny, 2, &snapped()).expect("parallel snapped collect");
     let s = snap_exports(&serial).expect("serial exports validate");
     let p = snap_exports(&parallel).expect("parallel exports validate");
     assert!(!s.is_empty(), "the matrix produced snapshots");
@@ -341,14 +357,74 @@ fn snapshot_exports_are_byte_identical_at_any_jobs() {
 
 #[test]
 fn snapshot_exports_are_byte_identical_cold_vs_warm_cache() {
-    use gcbench::{collect_snapped_jobs, snap_exports};
     gc_safety::cache_clear();
-    let cold = collect_snapped_jobs(Scale::Tiny, &TraceHandle::disabled(), false, true, 2)
-        .expect("cold snapped collect");
-    let warm = collect_snapped_jobs(Scale::Tiny, &TraceHandle::disabled(), false, true, 2)
-        .expect("warm snapped collect");
+    let cold = collect(Scale::Tiny, 2, &snapped()).expect("cold snapped collect");
+    let warm = collect(Scale::Tiny, 2, &snapped()).expect("warm snapped collect");
     let c = snap_exports(&cold).expect("cold exports validate");
     let w = snap_exports(&warm).expect("warm exports validate");
     assert!(!c.is_empty(), "the matrix produced snapshots");
     assert_eq!(c, w, "snapshot documents differ cold vs warm");
+}
+
+/// One run with every instrument on reproduces what each instrument
+/// records on its own.
+#[test]
+fn instruments_compose_without_disturbing_each_other() {
+    let (trace, sink) = TraceHandle::memory();
+    let every = Instruments {
+        trace,
+        prof: ProfHandle::enabled(),
+        snap: gcsnap::SnapHandle::enabled(),
+    };
+    let all = collect(Scale::Tiny, 2, &every).expect("fully instrumented collect");
+    let (trace_only, trace_only_sink) = TraceHandle::memory();
+    let traced_run = collect(Scale::Tiny, 2, &traced(trace_only)).expect("traced collect");
+    let profiled_run = collect(Scale::Tiny, 2, &profiled()).expect("profiled collect");
+    let snapped_run = collect(Scale::Tiny, 2, &snapped()).expect("snapped collect");
+
+    // Profiling mirrors its deterministic slice into the trace and adds
+    // nothing else: 2 size histograms per cell and a census per cell
+    // whose run got to the end.
+    let (prof_events, rest): (Vec<Event>, Vec<Event>) =
+        sink.snapshot().into_iter().partition(|e| e.stage == "prof");
+    assert_eq!(
+        normalized(rest),
+        normalized(trace_only_sink.snapshot()),
+        "the trace without prof events is the trace-only stream"
+    );
+    let cells: Vec<bool> = all
+        .rows
+        .iter()
+        .flat_map(|(_, results)| results.values().map(|m| m.outcome.is_ok()))
+        .collect();
+    let finished = cells.iter().filter(|&&ok| ok).count();
+    let kinds = |kind: &str| prof_events.iter().filter(|e| e.kind == kind).count();
+    assert_eq!(kinds("histogram"), 2 * cells.len());
+    assert_eq!(kinds("census"), finished);
+    assert_eq!(prof_events.len(), 2 * cells.len() + finished);
+
+    assert_eq!(folded_export(&all), folded_export(&profiled_run));
+    // Prometheus reads both instruments: its retained-bytes samples come
+    // from the snapshots, every other line from the profiles.
+    let split_retained = |prom: &str| -> (Vec<String>, Vec<String>) {
+        strip_timing_metrics(prom)
+            .lines()
+            .map(str::to_string)
+            .partition(|l| l.starts_with("gc_retained_bytes{"))
+    };
+    let (all_retained, all_rest) = split_retained(&prometheus_export(&all));
+    let (profiled_retained, profiled_rest) = split_retained(&prometheus_export(&profiled_run));
+    assert!(!all_retained.is_empty() && profiled_retained.is_empty());
+    assert_eq!(all_rest, profiled_rest);
+    assert_eq!(
+        all_retained,
+        split_retained(&prometheus_export(&snapped_run)).0
+    );
+    assert_eq!(
+        snap_exports(&all).expect("exports validate"),
+        snap_exports(&snapped_run).expect("exports validate")
+    );
+    for single in [&traced_run, &profiled_run, &snapped_run] {
+        assert_eq!(deterministic_cells(&all), deterministic_cells(single));
+    }
 }

@@ -116,6 +116,11 @@ fn malformed_counts_and_repeats_are_rejected() {
         &["sparc2", "--tiny", "--folded", "f.txt"],
         "--folded requires --prof",
     );
+    assert_rejected(
+        "repeat_alone",
+        &["sparc2", "--tiny", "--jobs", "2", "--repeat", "3"],
+        "--repeat requires --bench-json",
+    );
 }
 
 #[test]

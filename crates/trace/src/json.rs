@@ -318,11 +318,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one full UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid utf-8")?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next delimiter in one step,
+                // validating only the run, so parsing stays linear. Both
+                // delimiters are ASCII, so the run ends on a char boundary.
+                let len = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .ok_or("unterminated string")?;
+                let run = std::str::from_utf8(&b[*pos..*pos + len]).map_err(|_| "invalid utf-8")?;
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
@@ -410,6 +415,24 @@ mod tests {
         // High surrogate at end of string.
         let v = parse(r#"{"s":"\uD800"}"#).expect("parses");
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("\u{fffd}"));
+    }
+
+    #[test]
+    fn raw_multibyte_runs_beside_escapes_decode_exactly() {
+        let text = "{\"kéy\\t\u{1F600}\":\"\u{e9}\u{4e2d}\\\"\u{1F600}\\n\u{df}\",\"\u{4e2d}\":\"\\u00e9\u{e9}\"}";
+        let v = parse(text).expect("parses");
+        assert_eq!(
+            v.get("kéy\t\u{1F600}").and_then(JsonValue::as_str),
+            Some("\u{e9}\u{4e2d}\"\u{1F600}\n\u{df}")
+        );
+        assert_eq!(
+            v.get("\u{4e2d}").and_then(JsonValue::as_str),
+            Some("\u{e9}\u{e9}")
+        );
+        assert_eq!(
+            parse("{\"s\":\"ab\u{4e2d}\u{1F600}").unwrap_err(),
+            "unterminated string"
+        );
     }
 
     #[test]

@@ -101,6 +101,25 @@ impl Mode {
     }
 }
 
+/// The observability handles one measurement runs under. Every handle
+/// defaults to disabled, so `Instruments::default()` measures bare, and a
+/// disabled handle never builds what it would have recorded.
+#[derive(Debug, Clone, Default)]
+pub struct Instruments {
+    /// Structured events from every stage: the annotator's audit, the
+    /// optimizer's and verifier's per-function events, the collector's
+    /// per-collection timeline, the VM run summary, the peephole rewrites
+    /// and one `("bench", "cost")` event per machine.
+    pub trace: TraceHandle,
+    /// gcprof instrumentation of the heap and VM: allocation-size and
+    /// sweep histograms, pause phase timings, per-site allocation
+    /// counters and an end-of-run heap census.
+    pub prof: ProfHandle,
+    /// Deterministic heap-graph snapshots, recorded by the VM at its first
+    /// allocation (`begin`) and at the end of the run (`end`).
+    pub snap: gcsnap::SnapHandle,
+}
+
 /// One fully measured build of one program.
 #[derive(Debug, Clone)]
 pub struct Measured {
@@ -112,18 +131,9 @@ pub struct Measured {
     pub costs: BTreeMap<&'static str, CostReport>,
     /// Peephole statistics for [`Mode::OSafePost`].
     pub peephole: Option<PeepholeStats>,
-    /// The trace handle the measurement ran under. Disabled unless the
-    /// build came from [`measure_source_traced`] — kept here so report
-    /// code can keep emitting into the same sink.
-    pub trace: TraceHandle,
-    /// The profiling handle the run was instrumented with. Disabled
-    /// unless the build came from [`measure_source_instrumented`] —
-    /// snapshot it to assemble reports and exports.
-    pub prof: ProfHandle,
-    /// The heap-snapshot handle the run recorded into: the VM's `begin`
-    /// and `end` heap-graph snapshots land here. Disabled unless the
-    /// build came from [`measure_source_snapped`].
-    pub snap: gcsnap::SnapHandle,
+    /// The handles the measurement ran under: read the profile and the
+    /// snapshots from here to assemble reports and exports.
+    pub instruments: Instruments,
 }
 
 impl Measured {
@@ -142,25 +152,7 @@ impl Measured {
 /// pointer-arithmetic check firing) are reported inside
 /// [`Measured::outcome`].
 pub fn measure_source(source: &str, input: &[u8], mode: Mode) -> Result<Measured, String> {
-    measure_source_traced(source, input, mode, &TraceHandle::disabled())
-}
-
-/// [`measure_source`] with a trace: the annotator's audit events, the
-/// optimizer's and verifier's per-function events, the collector's
-/// per-collection timeline, the VM run summary, the peephole rewrite
-/// events, and one `("bench", "cost")` event per machine all flow into
-/// the same sink.
-///
-/// # Errors
-///
-/// Same as [`measure_source`].
-pub fn measure_source_traced(
-    source: &str,
-    input: &[u8],
-    mode: Mode,
-    trace: &TraceHandle,
-) -> Result<Measured, String> {
-    measure_source_instrumented(source, input, mode, trace, &ProfHandle::disabled())
+    measure_source_with(source, input, mode, &Instruments::default())
 }
 
 /// Counters of the pipeline's one compilation cache (see
@@ -178,13 +170,13 @@ pub fn cache_clear() {
     cvm::compile_cache_clear();
 }
 
-/// [`measure_source_traced`] with a profiling handle attached to the heap
-/// and VM: allocation-size and sweep histograms, pause phase timings, the
-/// per-site allocation counters, and an end-of-run heap census all land in
-/// `prof`. When both handles are enabled, the deterministic slice of the
-/// profile (size histograms, census — never wall-clock timings) is also
-/// mirrored into the trace as `("prof", "histogram")` and
+/// [`measure_source`] under the handles in `ins` (see [`Instruments`]).
+/// When both `trace` and `prof` are enabled, the deterministic slice of
+/// the profile (size histograms, census — never wall-clock timings) is
+/// also mirrored into the trace as `("prof", "histogram")` and
 /// `("prof", "census")` events so trace artifacts stay reproducible.
+/// Snapshots carry no wall-clock data, so they are byte-identical across
+/// repeated runs and any `--jobs` level.
 ///
 /// Compilation is served from the process-global content-hashed cache
 /// (see [`cache_stats`]); hits are byte-identical to cold compiles.
@@ -192,39 +184,13 @@ pub fn cache_clear() {
 /// # Errors
 ///
 /// Same as [`measure_source`].
-pub fn measure_source_instrumented(
+pub fn measure_source_with(
     source: &str,
     input: &[u8],
     mode: Mode,
-    trace: &TraceHandle,
-    prof: &ProfHandle,
+    ins: &Instruments,
 ) -> Result<Measured, String> {
-    measure_source_snapped(
-        source,
-        input,
-        mode,
-        trace,
-        prof,
-        &gcsnap::SnapHandle::disabled(),
-    )
-}
-
-/// [`measure_source_instrumented`] with a heap-snapshot handle: the VM
-/// records deterministic `begin`/`end` heap-graph snapshots into `snap`
-/// (see `gcsnap`). Snapshots carry no wall-clock data, so they are
-/// byte-identical across repeated runs and any `--jobs` level.
-///
-/// # Errors
-///
-/// Same as [`measure_source`].
-pub fn measure_source_snapped(
-    source: &str,
-    input: &[u8],
-    mode: Mode,
-    trace: &TraceHandle,
-    prof: &ProfHandle,
-    snap: &gcsnap::SnapHandle,
-) -> Result<Measured, String> {
+    let Instruments { trace, prof, snap } = ins;
     let prog = cvm::compile_traced(source, &mode.compile_options(), trace)?;
     let vm_opts = VmOptions {
         input: input.to_vec(),
@@ -301,9 +267,7 @@ pub fn measure_source_snapped(
         outcome,
         costs,
         peephole,
-        trace: trace.clone(),
-        prof: prof.clone(),
-        snap: snap.clone(),
+        instruments: ins.clone(),
     })
 }
 
@@ -344,85 +308,13 @@ pub struct Row {
 /// Returns `Err` if any build fails or if two successful modes disagree on
 /// program output (a miscompilation guard).
 pub fn measure_workload(w: &Workload, scale: Scale) -> Result<BTreeMap<Mode, Measured>, String> {
-    measure_workload_traced(w, scale, &TraceHandle::disabled())
-}
-
-/// [`measure_workload`] with a trace. A `("bench", "workload")` event
-/// marks where each workload's event stream begins.
-///
-/// # Errors
-///
-/// Same as [`measure_workload`].
-pub fn measure_workload_traced(
-    w: &Workload,
-    scale: Scale,
-    trace: &TraceHandle,
-) -> Result<BTreeMap<Mode, Measured>, String> {
-    trace.emit(|| Event::new("bench", "workload").field("name", w.name));
+    let input = (w.input)(scale);
     let mut results = BTreeMap::new();
     for mode in Mode::all() {
-        let m = measure_workload_mode_traced(w, scale, mode, trace)?;
-        results.insert(mode, m);
+        results.insert(mode, measure_source(w.source, &input, mode)?);
     }
     check_workload_agreement(w, &results)?;
     Ok(results)
-}
-
-/// Measures a single (workload, mode) cell of the measurement matrix —
-/// the independently schedulable unit the parallel driver in `gcbench`
-/// fans out over. Unlike [`measure_workload_traced`] this emits no
-/// `("bench", "workload")` marker and performs no cross-mode agreement
-/// check; callers assembling a full row do both themselves (see
-/// [`check_workload_agreement`]).
-///
-/// # Errors
-///
-/// Same as [`measure_source`]: `Err` only for build failures.
-pub fn measure_workload_mode_traced(
-    w: &Workload,
-    scale: Scale,
-    mode: Mode,
-    trace: &TraceHandle,
-) -> Result<Measured, String> {
-    measure_workload_mode_instrumented(w, scale, mode, trace, &ProfHandle::disabled())
-}
-
-/// [`measure_workload_mode_traced`] with a profiling handle (see
-/// [`measure_source_instrumented`]). The parallel bench driver hands each
-/// cell its own enabled handle so profiles never interleave across
-/// workers.
-///
-/// # Errors
-///
-/// Same as [`measure_source`].
-pub fn measure_workload_mode_instrumented(
-    w: &Workload,
-    scale: Scale,
-    mode: Mode,
-    trace: &TraceHandle,
-    prof: &ProfHandle,
-) -> Result<Measured, String> {
-    measure_workload_mode_snapped(w, scale, mode, trace, prof, &gcsnap::SnapHandle::disabled())
-}
-
-/// [`measure_workload_mode_instrumented`] with a heap-snapshot handle
-/// (see [`measure_source_snapped`]). The parallel bench driver hands
-/// each cell its own handle so snapshots never interleave across
-/// workers.
-///
-/// # Errors
-///
-/// Same as [`measure_source`].
-pub fn measure_workload_mode_snapped(
-    w: &Workload,
-    scale: Scale,
-    mode: Mode,
-    trace: &TraceHandle,
-    prof: &ProfHandle,
-    snap: &gcsnap::SnapHandle,
-) -> Result<Measured, String> {
-    let input = (w.input)(scale);
-    measure_source_snapped(w.source, &input, mode, trace, prof, snap)
 }
 
 /// The default worker count for parallel drivers (the bench matrix,
@@ -581,8 +473,13 @@ mod tests {
     fn instrumented_measurement_profiles_and_traces() {
         let prof = ProfHandle::enabled();
         let (trace, sink) = TraceHandle::memory();
-        let m = measure_source_instrumented(TOY, b"", Mode::OSafe, &trace, &prof).expect("builds");
-        assert!(m.prof.is_enabled());
+        let ins = Instruments {
+            trace,
+            prof: prof.clone(),
+            ..Instruments::default()
+        };
+        let m = measure_source_with(TOY, b"", Mode::OSafe, &ins).expect("builds");
+        assert!(m.instruments.prof.is_enabled());
         let data = prof.snapshot().expect("profile data");
         assert!(data.alloc_size.count() > 0, "allocation sizes recorded");
         assert!(!data.sites.is_empty(), "allocation sites attributed");
@@ -608,8 +505,8 @@ mod tests {
         );
         // The untraced, unprofiled path stays unaffected.
         let plain = measure_source(TOY, b"", Mode::OSafe).expect("builds");
-        assert!(!plain.prof.is_enabled());
-        assert!(plain.prof.snapshot().is_none());
+        assert!(!plain.instruments.prof.is_enabled());
+        assert!(plain.instruments.prof.snapshot().is_none());
     }
 
     #[test]

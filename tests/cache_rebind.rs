@@ -6,7 +6,15 @@
 //! exists to prevent: profiles stamped with the donor program's line
 //! numbers.
 
-use gc_safety::{cache_stats, measure_source_instrumented, Mode, ProfHandle, TraceHandle};
+use gc_safety::{cache_stats, measure_source_with, Instruments, Mode, ProfHandle};
+
+/// Only profiling, into `prof`.
+fn profiled(prof: &ProfHandle) -> Instruments {
+    Instruments {
+        prof: prof.clone(),
+        ..Instruments::default()
+    }
+}
 
 /// 1-based (line, col) of the first occurrence of `needle` in `src`.
 fn pos_of(src: &str, needle: &str) -> (usize, usize) {
@@ -37,12 +45,10 @@ fn shared_cache_entries_still_profile_under_each_formattings_labels() {
     assert_ne!(label_a, label_b);
 
     let prof_a = ProfHandle::enabled();
-    let a = measure_source_instrumented(SRC_A, b"", Mode::O, &TraceHandle::disabled(), &prof_a)
-        .expect("A measures");
+    let a = measure_source_with(SRC_A, b"", Mode::O, &profiled(&prof_a)).expect("A measures");
     let before = cache_stats();
     let prof_b = ProfHandle::enabled();
-    let b = measure_source_instrumented(SRC_B, b"", Mode::O, &TraceHandle::disabled(), &prof_b)
-        .expect("B measures");
+    let b = measure_source_with(SRC_B, b"", Mode::O, &profiled(&prof_b)).expect("B measures");
     let after = cache_stats();
     // B's build is served from A's entry: one compile hit, no recompile.
     assert_eq!(
