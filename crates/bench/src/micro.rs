@@ -23,6 +23,12 @@
 //! xorshift-deterministic: the allocation *counts* are byte-identical
 //! run to run; only the nanosecond timings move. The results seed
 //! `BENCH_gc.json`, the repo's perf trajectory.
+//!
+//! Unlike the VM, which hands the heap a [`gcheap::Roots::Lazy`] builder,
+//! every schedule builds its full [`RootSet`] before each allocation and
+//! passes it prebuilt. That is on purpose: the schedules define the
+//! `heap` benchmark workload and the `gc/1` trajectory, and their cost,
+//! root building included, stays what those baselines measured.
 
 use gcheap::{GcHeap, HeapConfig, HeapStats, Memory, RootSet};
 use gcprof::{ProfData, ProfHandle};

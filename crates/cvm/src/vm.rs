@@ -23,7 +23,14 @@
 //! table keeps each block's first slot (the jump target) and execution
 //! count (the block-count profile, handed over when the run ends) and,
 //! per `Call` slot, the temps live across that call: the precise roots
-//! above, read per frame at every allocation.
+//! above.
+//!
+//! A run pays only for what it touches. Its memory commits bytes as they
+//! are written (see [`gcheap::Memory`]), an allocation hands the collector
+//! a root builder that runs only if the allocation collects or steps a
+//! mark cycle, and a function's per-call root table is solved the first
+//! time such a root scan reaches one of its frames, so a run that never
+//! collects never solves liveness.
 //!
 //! All frames' temps live in one register window: a frame owns
 //! `regs[base..base + temp_count]`, zeroed when the frame is pushed and
@@ -40,7 +47,8 @@
 use crate::ir::*;
 use crate::liveness::visit_call_roots;
 use cfront::sema::Builtin;
-use gcheap::{GcHeap, HeapConfig, HeapStats, MemFault, Memory, RootSet, GLOBAL_BASE};
+use gcheap::{GcHeap, HeapConfig, HeapStats, MemFault, Memory, RootSet, Roots, GLOBAL_BASE};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -60,9 +68,12 @@ pub struct VmOptions {
     /// stored into the heap or statics is an object *base* (required by
     /// [`gcheap::PointerPolicy::InteriorFromRootsOnly`]).
     pub check_base_stores: bool,
-    /// Heap region size in bytes.
+    /// Heap region size in bytes: the address range reserved for the
+    /// heap. Memory is committed only as the run writes it.
     pub heap_bytes: usize,
-    /// Stack region size in bytes.
+    /// Stack region size in bytes: the address range reserved for the
+    /// stack, whose overflow is [`VmError::StackOverflow`]. Memory is
+    /// committed only as the run writes it.
     pub stack_bytes: usize,
     /// Trace sink shared with the attached collector: the heap emits its
     /// per-collection timeline events here, and the VM emits one
@@ -107,7 +118,7 @@ impl Default for VmOptions {
     }
 }
 
-/// Positional labels for the root ranges [`Vm::roots`] builds: the
+/// Positional labels for the root ranges [`RootView::roots`] builds: the
 /// globals region first, the live stack second. Precise root words
 /// (live temps) are labeled `reg` by the snapshot walk itself.
 const ROOT_LABELS: &[&str] = &["globals", "stack"];
@@ -258,6 +269,8 @@ pub fn run(prog: &ProgramIr, opts: &VmOptions) -> Result<ExecOutcome, VmError> {
 /// One function's code table: its blocks' instructions laid end to end,
 /// so a position in the function is one program counter.
 struct Code<'a> {
+    /// The function, whose call-site liveness `roots` is solved from.
+    func: &'a FuncIr,
     /// The instructions, borrowed from the program. `None` is the slot
     /// appended after a block that does not end in a terminator:
     /// reaching it is falling off that block.
@@ -265,11 +278,18 @@ struct Code<'a> {
     /// Per block: the slot of its first instruction, and how many times
     /// it has been entered (the block-count profile).
     blocks: Vec<(usize, u64)>,
-    /// Per slot, the range of `roots` holding the temps live across the
+    /// The temps live across each call, solved the first time a root
+    /// scan reaches a frame of this function.
+    roots: OnceCell<CallRoots>,
+}
+
+/// One function's precise roots per call.
+struct CallRoots {
+    /// Per slot, the range of `temps` holding the temps live across the
     /// call at that slot (empty for every other instruction).
-    call_roots: Vec<(u32, u32)>,
+    ranges: Vec<(u32, u32)>,
     /// The root temps of all calls, each call's run in ascending order.
-    roots: Vec<Temp>,
+    temps: Vec<Temp>,
 }
 
 impl<'a> Code<'a> {
@@ -283,25 +303,60 @@ impl<'a> Code<'a> {
                 slots.push(None);
             }
         }
-        let mut call_roots = vec![(0, 0); slots.len()];
-        let mut roots = Vec::new();
-        visit_call_roots(func, |block, ip, live| {
-            let start = roots.len() as u32;
-            roots.extend(live.iter());
-            call_roots[blocks[block].0 + ip] = (start, roots.len() as u32);
-        });
         Code {
+            func,
             slots,
             blocks,
-            call_roots,
-            roots,
+            roots: OnceCell::new(),
         }
     }
 
     /// The temps live across the call at slot `pc`.
     fn roots_at(&self, pc: usize) -> &[Temp] {
-        let (start, end) = self.call_roots[pc];
-        &self.roots[start as usize..end as usize]
+        let table = self.roots.get_or_init(|| {
+            let mut ranges = vec![(0, 0); self.slots.len()];
+            let mut temps = Vec::new();
+            visit_call_roots(self.func, |block, ip, live| {
+                let start = temps.len() as u32;
+                temps.extend(live.iter());
+                ranges[self.blocks[block].0 + ip] = (start, temps.len() as u32);
+            });
+            CallRoots { ranges, temps }
+        });
+        let (start, end) = table.ranges[pc];
+        &table.temps[start as usize..end as usize]
+    }
+}
+
+/// What a root scan reads of a VM paused inside a call, borrowed apart
+/// from the heap and memory a collection mutates.
+struct RootView<'v> {
+    /// End of the scanned globals: the image plus 4,096 bytes of slop.
+    globals_end: u64,
+    sp: u64,
+    stack_top: u64,
+    code: &'v [Code<'v>],
+    frames: &'v [Frame],
+    regs: &'v [i64],
+}
+
+impl RootView<'_> {
+    /// The root set: globals, live stack, and the live temps of every
+    /// frame, bottom frame first, then `held` — a word the running
+    /// builtin keeps in its own frame. Every frame is suspended at a
+    /// `Call` slot: roots are only taken inside a call (an allocation,
+    /// `gc_collect`, or `exit`) or once `main` has returned.
+    fn roots(&self, held: Option<u64>) -> RootSet {
+        let mut roots = RootSet::new();
+        roots.add_range(GLOBAL_BASE, self.globals_end);
+        roots.add_range(self.sp, self.stack_top);
+        for frame in self.frames {
+            for t in self.code[frame.func].roots_at(frame.pc) {
+                roots.add_word(self.regs[frame.base + t.0 as usize] as u64);
+            }
+        }
+        roots.words.extend(held);
+        roots
     }
 }
 
@@ -349,8 +404,12 @@ impl<'a> Vm<'a> {
             opts.stack_bytes,
             opts.heap_bytes,
         );
-        for (i, b) in prog.globals_image.iter().enumerate() {
-            mem.write(GLOBAL_BASE + i as u64, 1, *b as u64)?;
+        // Unwritten memory reads as zero, so only the image's nonzero
+        // bytes are stored.
+        for (i, &b) in prog.globals_image.iter().enumerate() {
+            if b != 0 {
+                mem.write(GLOBAL_BASE + i as u64, 1, b as u64)?;
+            }
         }
         let mut heap = GcHeap::new(&mem, opts.heap_config.clone());
         heap.set_trace(opts.trace.clone());
@@ -473,7 +532,7 @@ impl<'a> Vm<'a> {
         // allocation (or now, for a program that never allocated), `end`
         // before the final sweep so floating garbage is still visible.
         if self.opts.snap.is_enabled() {
-            let roots = self.roots();
+            let roots = self.roots(None);
             if !self.begin_snapped {
                 self.begin_snapped = true;
                 self.opts.snap.record("begin", || {
@@ -746,20 +805,33 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// Collects the current root set: globals, live stack, and live temps
-    /// of every frame, bottom frame first. Roots are only taken inside a
-    /// call (an allocation, `gc_collect`, or `exit`) or once `main` has
-    /// returned, so every frame is suspended at a `Call` slot.
-    fn roots(&self) -> RootSet {
-        let mut roots = RootSet::new();
-        roots.add_range(GLOBAL_BASE, GLOBAL_BASE + self.prog.globals_size + 4096);
-        roots.add_range(self.sp, self.mem.stack_top());
-        for frame in &self.frames {
-            for t in self.code[frame.func].roots_at(frame.pc) {
-                roots.add_word(self.regs[frame.base + t.0 as usize] as u64);
-            }
-        }
-        roots
+    /// The VM split into its [`RootView`] and the heap and memory a
+    /// collection mutates.
+    fn split(&mut self) -> (RootView<'_>, &mut GcHeap, &mut Memory) {
+        let Vm {
+            prog,
+            code,
+            mem,
+            heap,
+            frames,
+            regs,
+            sp,
+            ..
+        } = self;
+        let view = RootView {
+            globals_end: GLOBAL_BASE + prog.globals_size + 4096,
+            sp: *sp,
+            stack_top: mem.stack_top(),
+            code,
+            frames,
+            regs,
+        };
+        (view, heap, mem)
+    }
+
+    /// The current root set (see [`RootView::roots`]).
+    fn roots(&mut self, held: Option<u64>) -> RootSet {
+        self.split().0.roots(held)
     }
 
     /// The allocation-site key for `site` under the current shadow call
@@ -787,7 +859,7 @@ impl<'a> Vm<'a> {
     /// liveness. (The other direction is structural: reachable nodes are
     /// snapshot nodes, and every snapshot node survived the collection.)
     fn check_snapshot_oracle(&mut self) -> Result<(), VmError> {
-        let roots = self.roots();
+        let roots = self.roots(None);
         // Two collections on purpose: the first one may merely *finish*
         // an in-flight incremental cycle, whose snapshot-at-the-beginning
         // marks (taken against mid-run roots, plus allocate-black births)
@@ -833,11 +905,19 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    fn allocate(&mut self, size: i64, site: Option<u32>) -> Result<i64, VmError> {
+    /// Allocates `size` bytes for the builtin running at `site`. `held`
+    /// is a pointer the builtin itself still needs after the allocation;
+    /// it is rooted for any collection the allocation triggers.
+    fn allocate(
+        &mut self,
+        size: i64,
+        site: Option<u32>,
+        held: Option<u64>,
+    ) -> Result<i64, VmError> {
         let size = size.max(0) as u64;
         if self.opts.snap.is_enabled() && !self.begin_snapped {
             self.begin_snapped = true;
-            let roots = self.roots();
+            let roots = self.roots(held);
             self.opts.snap.record("begin", || {
                 self.heap.snapshot(&self.mem, &roots, ROOT_LABELS)
             });
@@ -847,11 +927,14 @@ impl<'a> Vm<'a> {
         // its stack and labels any collection this request triggers. The
         // uninstrumented hot path pays one branch and builds no string.
         let label = self.heap.attribution_enabled().then(|| self.site_key(site));
-        let roots = self.roots();
-        match self
-            .heap
-            .alloc_with_roots_sited(&mut self.mem, size, &roots, label.as_deref())
-        {
+        // The roots are built only if the allocation collects.
+        let (view, heap, mem) = self.split();
+        match heap.alloc_with_roots_sited(
+            mem,
+            size,
+            Roots::Lazy(&mut || view.roots(held)),
+            label.as_deref(),
+        ) {
             Ok(addr) => {
                 let prof = self.heap.prof().clone();
                 match label {
@@ -870,16 +953,19 @@ impl<'a> Vm<'a> {
     fn builtin(&mut self, b: Builtin, args: &[i64], site: Option<u32>) -> Result<i64, VmError> {
         self.builtin_calls[b as usize] += 1;
         match b {
-            Builtin::Malloc => self.allocate(args[0], site),
-            Builtin::Calloc => self.allocate(args[0].saturating_mul(args[1]), site),
+            Builtin::Malloc => self.allocate(args[0], site, None),
+            Builtin::Calloc => self.allocate(args[0].saturating_mul(args[1]), site, None),
             Builtin::Realloc => {
                 let old = args[0] as u64;
                 let new_size = args[1];
                 if old == 0 {
-                    return self.allocate(new_size, site);
+                    return self.allocate(new_size, site, None);
                 }
                 let old_extent = self.heap.extent(old).map(|(_, s)| s).unwrap_or(0);
-                let new = self.allocate(new_size, site)? as u64;
+                // The caller may hold `old` nowhere else (`a = realloc(a,
+                // n)` kills it), but the copy below still reads it: root
+                // it for the allocation, as GC_realloc's own frame would.
+                let new = self.allocate(new_size, site, Some(old))? as u64;
                 let n = old_extent.min(new_size.max(0) as u64) as usize;
                 self.mem.copy(new, old, n)?;
                 // The new object is allocated black mid-cycle but never
@@ -988,7 +1074,7 @@ impl<'a> Vm<'a> {
             }
             Builtin::Abort => Err(VmError::Aborted),
             Builtin::GcCollect => {
-                let roots = self.roots();
+                let roots = self.roots(None);
                 self.heap.collect(&mut self.mem, &roots);
                 Ok(0)
             }

@@ -329,6 +329,40 @@ impl RootSet {
     }
 }
 
+/// Where an allocation's roots come from. The heap reads roots only when
+/// the allocation collects or a mark step re-scans them, so a caller
+/// whose roots cost something to gather can hand over a builder instead
+/// of a set. A `&RootSet` converts into [`Roots::Built`].
+pub enum Roots<'a> {
+    /// A root set built before the call.
+    Built(&'a RootSet),
+    /// Builds the current root set. The heap calls it only when it scans
+    /// roots, and at most once per allocation; the mutator does not run
+    /// in between, so one set serves every scan of the call.
+    Lazy(&'a mut dyn FnMut() -> RootSet),
+}
+
+impl<'a> From<&'a RootSet> for Roots<'a> {
+    fn from(roots: &'a RootSet) -> Self {
+        Roots::Built(roots)
+    }
+}
+
+/// One allocation's [`Roots`], a lazy set built at most once.
+struct RootCache<'a> {
+    source: Roots<'a>,
+    built: Option<RootSet>,
+}
+
+impl RootCache<'_> {
+    fn get(&mut self) -> &RootSet {
+        match &mut self.source {
+            Roots::Built(roots) => roots,
+            Roots::Lazy(build) => self.built.get_or_insert_with(build),
+        }
+    }
+}
+
 /// Flat per-page classification mirroring the page map. The mark hot
 /// path indexes this instead of walking the fixed-height-2 tree and
 /// matching the full descriptor enum; only slot bitmaps and large-object
@@ -703,11 +737,11 @@ impl GcHeap {
     ///
     /// Returns [`OutOfMemory`] if the heap is exhausted even after a
     /// collection.
-    pub fn alloc_with_roots(
+    pub fn alloc_with_roots<'a>(
         &mut self,
         mem: &mut Memory,
         size: u64,
-        roots: &RootSet,
+        roots: impl Into<Roots<'a>>,
     ) -> Result<u64, OutOfMemory> {
         self.alloc_with_roots_sited(mem, size, roots, None)
     }
@@ -717,18 +751,30 @@ impl GcHeap {
     /// attributed to it. Callers should only build the label when
     /// [`GcHeap::attribution_enabled`] — a `None` site is always correct.
     ///
+    /// `roots` is a prebuilt [`RootSet`] or a [`Roots::Lazy`] builder.
+    /// The heap asks for roots only when this allocation begins or
+    /// finishes a collection (threshold, nursery, emergency) or a mark
+    /// step of an incremental cycle re-scans them; an allocation served
+    /// without collecting, and every sweep step, reads none. The memory of
+    /// a new object is zeroed by [`Memory::fill`], so it commits nothing
+    /// until the mutator writes the object.
+    ///
     /// # Errors
     ///
     /// Returns [`OutOfMemory`] if the heap is exhausted even after a
     /// collection.
-    pub fn alloc_with_roots_sited(
+    pub fn alloc_with_roots_sited<'a>(
         &mut self,
         mem: &mut Memory,
         size: u64,
-        roots: &RootSet,
+        roots: impl Into<Roots<'a>>,
         site: Option<&str>,
     ) -> Result<u64, OutOfMemory> {
-        let res = self.alloc_sited_inner(mem, size, roots, site);
+        let mut roots = RootCache {
+            source: roots.into(),
+            built: None,
+        };
+        let res = self.alloc_sited_inner(mem, size, &mut roots, site);
         if let (Ok(addr), Some(label)) = (&res, site) {
             if self.attribution_enabled() {
                 self.tag_site(*addr, label);
@@ -756,7 +802,7 @@ impl GcHeap {
         &mut self,
         mem: &mut Memory,
         size: u64,
-        roots: &RootSet,
+        roots: &mut RootCache<'_>,
         site: Option<&str>,
     ) -> Result<u64, OutOfMemory> {
         // `full_swept` means a complete mark+sweep just ran: a failed
@@ -774,11 +820,11 @@ impl GcHeap {
                 // Young-only collections stay stop-the-world: the nursery
                 // is bounded by the allocation threshold, so they are
                 // short by construction.
-                self.collect_as(mem, roots, CollectCause::Nursery, site);
+                self.collect_as(mem, roots.get(), CollectCause::Nursery, site);
             } else if self.config.incremental {
-                self.begin_cycle(mem, roots, site);
+                self.begin_cycle(mem, roots.get(), site);
             } else {
-                self.collect_as(mem, roots, CollectCause::Threshold, site);
+                self.collect_as(mem, roots.get(), CollectCause::Threshold, site);
                 full_swept = true;
             }
         }
@@ -790,7 +836,7 @@ impl GcHeap {
                 // (the emergency needs the whole heap swept), else run a
                 // full stop-the-world collection, then retry once.
                 if self.cycle.is_some() {
-                    self.collect_as(mem, roots, CollectCause::Emergency, site);
+                    self.collect_as(mem, roots.get(), CollectCause::Emergency, site);
                     return self.alloc(mem, size);
                 }
                 if self.sweeping.is_some() {
@@ -803,7 +849,7 @@ impl GcHeap {
                         return Ok(a);
                     }
                 }
-                self.collect_as(mem, roots, CollectCause::Emergency, site);
+                self.collect_as(mem, roots.get(), CollectCause::Emergency, site);
                 self.alloc(mem, size)
             }
         }
@@ -1680,17 +1726,20 @@ impl GcHeap {
     /// dry worklist that survives a root re-scan proves every object
     /// reachable at that instant is marked (heap stores were greyed by
     /// the barrier as they happened).
-    fn mark_step(&mut self, mem: &Memory, roots: &RootSet) {
-        let t0 = Instant::now();
+    fn mark_step(&mut self, mem: &Memory, roots: &mut RootCache<'_>) {
         let mut c = self
             .cycle
             .take()
             .expect("mark_step requires an active cycle");
-        let (scanned, words) = self.drain(mem, &mut c, self.config.mark_budget_bytes.max(1));
-        // The termination re-scan runs only in a stop whose drain had
-        // nothing to do — piggybacking it on a full-budget drain would
-        // double that stop's cost.
-        if scanned == 0 {
+        // The termination re-scan runs only in a stop whose drain has
+        // nothing to do (grey entries are never empty ranges, so that is
+        // a dry worklist) — piggybacking it on a full-budget drain would
+        // double that stop's cost. As for every collection, the roots are
+        // gathered before the stop's clock starts.
+        let rescan = c.grey.is_empty().then(|| roots.get());
+        let t0 = Instant::now();
+        let (_, words) = self.drain(mem, &mut c, self.config.mark_budget_bytes.max(1));
+        if let Some(roots) = rescan {
             let rescanned = self.scan_roots(mem, roots, &mut c);
             if c.grey.is_empty() {
                 self.begin_sweep(&mut c);
@@ -1778,6 +1827,13 @@ mod tests {
         (mem, heap)
     }
 
+    fn prebuilt(roots: &RootSet) -> RootCache<'_> {
+        RootCache {
+            source: Roots::Built(roots),
+            built: None,
+        }
+    }
+
     #[test]
     fn alloc_returns_zeroed_distinct_objects() {
         let (mut mem, mut heap) = setup();
@@ -1805,6 +1861,83 @@ mod tests {
         assert!(heap.same_obj(a, a + 31));
         assert!(!heap.same_obj(a, a + 32));
         assert_eq!(heap.stats().same_obj_failures, 1);
+    }
+
+    /// A lazy root provider is called only when the heap scans roots:
+    /// never below the threshold, once per collecting allocation, and in
+    /// a spread cycle at mark stops but never at sweep steps.
+    #[test]
+    fn lazy_roots_are_built_only_when_scanned() {
+        use crate::mem::GLOBAL_BASE;
+        use std::cell::Cell;
+        let calls = Cell::new(0u64);
+        // The provider roots a table of pointers in the globals region.
+        let mut build = || {
+            calls.set(calls.get() + 1);
+            let mut roots = RootSet::new();
+            roots.add_range(GLOBAL_BASE, GLOBAL_BASE + 8 * 64);
+            roots
+        };
+
+        let (mut mem, mut heap) = setup();
+        for _ in 0..100 {
+            heap.alloc_with_roots(&mut mem, 64, Roots::Lazy(&mut build))
+                .unwrap();
+        }
+        assert_eq!((heap.stats().collections, calls.get()), (0, 0));
+
+        let mut heap = GcHeap::new(
+            &mem,
+            HeapConfig {
+                gc_threshold: 1,
+                ..HeapConfig::default()
+            },
+        );
+        for _ in 0..50 {
+            let (before, c0) = (heap.stats().collections, calls.get());
+            heap.alloc_with_roots(&mut mem, 64, Roots::Lazy(&mut build))
+                .unwrap();
+            assert_eq!(calls.get() - c0, heap.stats().collections - before);
+        }
+        assert_eq!(calls.get(), 49);
+
+        let (mut mem, _) = setup();
+        let mut heap = GcHeap::new(
+            &mem,
+            HeapConfig {
+                gc_threshold: 4096,
+                mark_budget_bytes: 256,
+                sweep_chunk_pages: 1,
+                ..HeapConfig::bounded_pause()
+            },
+        );
+        let (mut sweep_steps, mut drain_steps, mut scanning_steps) = (0, 0, 0);
+        for i in 0..4000u64 {
+            let (s0, c0) = (heap.stats(), calls.get());
+            let a = heap
+                .alloc_with_roots(&mut mem, 48, Roots::Lazy(&mut build))
+                .unwrap();
+            // Keep a sliding window of 64 rooted objects.
+            mem.write(GLOBAL_BASE + 8 * (i % 64), 8, a).unwrap();
+            let (s1, called) = (heap.stats(), calls.get() - c0);
+            let stopped =
+                s1.mark_increments > s0.mark_increments || s1.collections > s0.collections;
+            assert!(called <= 1, "allocation {i} built its roots {called} times");
+            if s1.sweep_increments > s0.sweep_increments && !stopped {
+                sweep_steps += 1;
+                assert_eq!(called, 0, "sweep step at allocation {i} built roots");
+            } else if stopped && called == 0 {
+                drain_steps += 1;
+            } else if called == 1 {
+                assert!(stopped, "allocation {i} built roots without scanning them");
+                scanning_steps += 1;
+            }
+        }
+        assert!(heap.stats().mark_increments > 0 && heap.stats().sweep_increments > 0);
+        assert!(
+            sweep_steps > 0 && drain_steps > 0 && scanning_steps > 0,
+            "sweep {sweep_steps}, drain {drain_steps}, scanning {scanning_steps}"
+        );
     }
 
     #[test]
@@ -2572,7 +2705,7 @@ mod tests {
             assert!(heap.barrier_active());
             // One budgeted step scans exactly `a` (16 bytes = the whole
             // budget): `a` is black, `d` still grey, the cycle open.
-            heap.mark_step(&mem, &roots);
+            heap.mark_step(&mem, &mut prebuilt(&roots));
             assert!(heap.marking_active());
             // The mutator stores the only pointer to white `b` into
             // black `a`; no root holds `b`.
@@ -2581,7 +2714,7 @@ mod tests {
                 heap.write_barrier(a, b);
             }
             while heap.marking_active() {
-                heap.mark_step(&mem, &roots);
+                heap.mark_step(&mem, &mut prebuilt(&roots));
             }
             // Marking is over; retire the chunked sweep so the verdict
             // on `b` is final.

@@ -5,7 +5,7 @@
 //!
 //! * [`mem::Memory`] — a flat simulated address space with globals, stack,
 //!   and heap regions (the GC-roots are the first two plus the VM's
-//!   register file);
+//!   register file), each reserved whole and committed as it is written;
 //! * [`pagemap::PageMap`] — the paper's "tree of fixed height 2 describing
 //!   pages of uniformly sized objects", giving O(1) `GC_base`;
 //! * [`heap::GcHeap`] — size-classed allocation (with the paper's one
@@ -39,6 +39,8 @@ pub mod mem;
 pub mod pagemap;
 
 pub use gcprof::{CollectCause, CollectionRecord};
-pub use heap::{GcHeap, HeapConfig, HeapStats, OutOfMemory, PointerPolicy, RootSet, SIZE_CLASSES};
+pub use heap::{
+    GcHeap, HeapConfig, HeapStats, OutOfMemory, PointerPolicy, RootSet, Roots, SIZE_CLASSES,
+};
 pub use mem::{MemFault, MemResult, Memory, Region, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
 pub use pagemap::{PageDesc, PageMap, SmallPage, BITMAP_WORDS, PAGE_SIZE};
