@@ -1,13 +1,71 @@
 //! Component microbenchmarks: the substrates' hot paths (parser, sema,
-//! annotator, collector, page-map lookups) plus an ablation of the
-//! annotator's optimizations.
+//! annotator, collector, page-map lookups), an ablation of the
+//! annotator's optimizations, and the VM's per-step cost.
 
 mod timing;
 
+use cvm::{CompileOptions, VmOptions};
 use gcheap::{GcHeap, Memory, RootSet};
 use timing::bench;
 
+/// VM step-cost kernels, each a loop made mostly of one kind of step:
+/// arithmetic on temps, loads and stores into a heap object, loads and
+/// stores into a stack array, and calls and returns.
+const STEP_KERNELS: &[(&str, &str)] = &[
+    (
+        "alu",
+        "int main(void) { long i; long s = 1;
+           for (i = 0; i < 100000; i++) { s = s + (i ^ (s >> 3)) * 3 - (s & 7); }
+           return (int) (s & 127); }",
+    ),
+    (
+        "heap",
+        "int main(void) { long i; long *p = (long *) malloc(64 * sizeof(long));
+           for (i = 0; i < 64; i++) p[i] = i;
+           for (i = 0; i < 100000; i++) { p[i & 63] = p[(i + 1) & 63] + i; }
+           return (int) (p[5] & 127); }",
+    ),
+    (
+        "frame",
+        "int main(void) { long i; long a[64];
+           for (i = 0; i < 64; i++) a[i] = i;
+           for (i = 0; i < 100000; i++) { a[i & 63] = a[(i + 1) & 63] + i; }
+           return (int) (a[5] & 127); }",
+    ),
+    (
+        "call",
+        "long f(long x, long y) { return x + y; }
+         int main(void) { long i; long s = 0;
+           for (i = 0; i < 50000; i++) { s = f(s, i); }
+           return (int) (s & 127); }",
+    ),
+];
+
+/// Times every step-cost kernel at `-O` and `-g`, printing each run's
+/// step count and the median nanoseconds per step.
+fn step_costs() {
+    println!("== vm step cost ==");
+    for (name, src) in STEP_KERNELS {
+        for (mode, copts) in [
+            ("O", CompileOptions::optimized()),
+            ("g", CompileOptions::debug()),
+        ] {
+            let prog = cvm::compile(src, &copts).expect("compiles");
+            let run = || cvm::run_compiled(&prog, &VmOptions::default()).expect("runs");
+            let steps = run().steps;
+            let ns = bench(&format!("vm_{name}_{mode}"), 2, 20, || run().exit_code);
+            println!(
+                "{:<28} {steps} steps, {:.2} ns/step",
+                "",
+                ns as f64 / steps as f64
+            );
+        }
+    }
+}
+
 fn main() {
+    step_costs();
+
     let src = workloads::by_name("gs").expect("exists").source;
 
     println!("== components ==");

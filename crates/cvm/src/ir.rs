@@ -145,6 +145,7 @@ impl BinIr {
 
     /// Evaluates the operation on two i64 values (C-like semantics,
     /// wrapping; division by zero yields 0 — callers trap separately).
+    #[inline(always)]
     pub fn eval(self, a: i64, b: i64) -> i64 {
         match self {
             BinIr::Add => a.wrapping_add(b),

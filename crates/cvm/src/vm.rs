@@ -15,15 +15,35 @@
 //!
 //! # The interpreter
 //!
-//! A run first lays each function's blocks end to end in a code table of
-//! *borrowed* instructions, so a position in a function is one program
-//! counter and dispatching an instruction is one index. A block that does
-//! not end in a terminator gets one extra slot, and reaching it is
-//! [`VmError::Malformed`] ("fell off block bbN"). Beside the slots, the
-//! table keeps each block's first slot (the jump target) and execution
-//! count (the block-count profile, handed over when the run ends) and,
-//! per `Call` slot, the temps live across that call: the precise roots
-//! above.
+//! A run first decodes each function into a flat table of small `Copy`
+//! ops, its blocks laid end to end, so a position in a function is one
+//! program counter and dispatching an instruction is one index and one
+//! match. Decoding settles once what the IR would otherwise be asked on
+//! every step: whether each operand is a temp or an immediate, a load's
+//! width and extension, `KeepLive` as the move it is at run time, and
+//! each jump's target as its first slot and its block. A block that does
+//! not end in a terminator gets one extra op, and reaching it is
+//! [`VmError::Malformed`] ("fell off block bbN"). Beside the ops, the
+//! table keeps each block's first slot and, per `Call` slot, the temps
+//! live across that call: the precise roots above. The block-count
+//! profile is one counter per block of the program, indexed by the
+//! decoded jump targets and handed over when the run ends.
+//!
+//! The loop keeps the program counter, the active frame's window base
+//! and the step count in locals. It re-reads the active function's ops
+//! and its slice of the register window only at calls and returns,
+//! which are also the only places a run can end. All frames' temps live
+//! in one register window: a frame owns `regs[base..base + temp_count]`,
+//! zeroed when the frame is pushed and truncated away when it returns.
+//! Call arguments are read straight from the caller's window, and
+//! builtin calls are counted in a fixed array.
+//!
+//! Loads, stores, block copies and the string and memory builtins all go
+//! through one checked access (`Space`): with `trap_uaf` on, an address
+//! in the heap range must lie in an allocated object, and a range is
+//! checked at both ends. An address is classified once: one compare
+//! against the heap range, the collector's side table for a heap
+//! address, then the committed run the bytes live in.
 //!
 //! A run pays only for what it touches. Its memory commits bytes as they
 //! are written (see [`gcheap::Memory`]), an allocation hands the collector
@@ -32,17 +52,10 @@
 //! time such a root scan reaches one of its frames, so a run that never
 //! collects never solves liveness.
 //!
-//! All frames' temps live in one register window: a frame owns
-//! `regs[base..base + temp_count]`, zeroed when the frame is pushed and
-//! truncated away when it returns. The active frame's function, program
-//! counter and window base are cached in the VM, so an operand read is
-//! one index. Call arguments are read straight from the caller's window,
-//! and builtin calls are counted in a fixed array.
-//!
 //! The step count, the block counts, every error and its text, and the
 //! order of root words (globals, then the stack, then each frame's live
 //! temps bottom frame first and in ascending temp order) do not depend on
-//! this layout; `tests/gc_golden.rs` pins them.
+//! this layout; `tests/gc_golden.rs` and `tests/vm_golden.rs` pin them.
 
 use crate::ir::*;
 use crate::liveness::visit_call_roots;
@@ -61,8 +74,10 @@ pub struct VmOptions {
     pub input: Vec<u8>,
     /// Instruction budget (guards against runaway programs).
     pub max_steps: u64,
-    /// Trap loads/stores that hit heap addresses outside any allocated
-    /// object (observes premature collection deterministically).
+    /// Trap loads, stores, block copies and the memory and string
+    /// builtins that touch a heap address outside any allocated object,
+    /// checking a range at both ends (observes premature collection
+    /// deterministically).
     pub trap_uaf: bool,
     /// The Extensions-section dynamic check: verify that every pointer
     /// stored into the heap or statics is an object *base* (required by
@@ -263,21 +278,354 @@ impl From<MemFault> for VmError {
 /// checking mode catching bad pointer arithmetic, and `UseAfterFree`
 /// observes premature collection caused by disguised pointers.
 pub fn run(prog: &ProgramIr, opts: &VmOptions) -> Result<ExecOutcome, VmError> {
-    Vm::new(prog, opts)?.run()
+    let mut first_block = 0;
+    let code: Vec<Code> = prog
+        .funcs
+        .iter()
+        .map(|func| {
+            let code = Code::new(func, first_block);
+            first_block += func.blocks.len() as u32;
+            code
+        })
+        .collect();
+    Vm::new(prog, &code, opts)?.run()
 }
 
-/// One function's code table: its blocks' instructions laid end to end,
-/// so a position in the function is one program counter.
+/// An operand of a call, a block copy or a check, which read theirs from
+/// their function's operand table.
+#[derive(Clone, Copy)]
+enum Src {
+    Temp(u32),
+    Imm(i64),
+}
+
+impl Src {
+    fn new(o: Operand) -> Self {
+        match o {
+            Operand::Temp(t) => Src::Temp(t.0),
+            Operand::Const(c) => Src::Imm(c),
+        }
+    }
+
+    /// The operand's value in the frame whose window is `regs`.
+    #[inline]
+    fn read(self, regs: &[i64]) -> i64 {
+        match self {
+            Src::Temp(t) => regs[t as usize],
+            Src::Imm(v) => v,
+        }
+    }
+}
+
+/// Where a jump lands: the block's first slot, and the block's counter
+/// in the run's block-count table.
+#[derive(Clone, Copy)]
+struct Target {
+    slot: u32,
+    block: u32,
+}
+
+impl Target {
+    /// Counts an entry into the block and returns its first slot.
+    #[inline]
+    fn enter(self, counts: &mut [u64]) -> usize {
+        counts[self.block as usize] += 1;
+        self.slot as usize
+    }
+}
+
+/// One decoded instruction. A `u32` operand is a temp of the active
+/// frame; an immediate the IR gives in a hot position is decoded into
+/// an op of its own, and the rarer ops read theirs from the operand
+/// table at `at`.
+#[derive(Clone, Copy)]
+enum Op {
+    /// `dst = value`: also a `Mov` or `KeepLive` of an immediate, and a
+    /// `Bin` of two.
+    Const {
+        dst: u32,
+        value: i64,
+    },
+    /// `dst = src`: also a `KeepLive`, whose force is entirely static.
+    Mov {
+        dst: u32,
+        src: u32,
+    },
+    /// `dst = a op b`.
+    Bin {
+        op: BinIr,
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    /// `dst = a op b` with `b` immediate.
+    BinImm {
+        op: BinIr,
+        dst: u32,
+        a: u32,
+        b: i64,
+    },
+    /// `dst = a op b` with `a` immediate.
+    ImmBin {
+        op: BinIr,
+        dst: u32,
+        a: i64,
+        b: u32,
+    },
+    /// `dst = *addr`.
+    Load {
+        dst: u32,
+        addr: u32,
+        width: u8,
+        signed: bool,
+    },
+    /// `dst = *addr` with `addr` immediate.
+    LoadAt {
+        dst: u32,
+        addr: u64,
+        width: u8,
+        signed: bool,
+    },
+    /// `*addr = value`.
+    Store {
+        addr: u32,
+        value: u32,
+        width: u8,
+    },
+    /// `*addr = value` with `value` immediate.
+    StoreImm {
+        addr: u32,
+        value: i64,
+        width: u8,
+    },
+    /// `*addr = value` with `addr` immediate.
+    StoreAt {
+        addr: u64,
+        value: u32,
+        width: u8,
+    },
+    /// `*addr = value` with both immediate.
+    StoreImmAt {
+        addr: u64,
+        value: i64,
+        width: u8,
+    },
+    /// `dst = sp + offset`.
+    FrameAddr {
+        dst: u32,
+        offset: u32,
+    },
+    /// `memmove(srcs[at], srcs[at + 1], len)`.
+    MemCopy {
+        at: u32,
+        len: u64,
+    },
+    /// `dst = srcs[at]`, which must share an object with `srcs[at + 1]`.
+    CheckSame {
+        dst: u32,
+        at: u32,
+    },
+    Jump {
+        to: Target,
+    },
+    /// A branch on a temp; one on an immediate is decoded as a `Jump`.
+    Branch {
+        cond: u32,
+        if_true: Target,
+        if_false: Target,
+    },
+    Ret {
+        value: Option<Src>,
+    },
+    /// A call of function `callee` with the `n` arguments at `srcs[at..]`.
+    Call {
+        callee: u32,
+        dst: Option<Temp>,
+        at: u32,
+        n: u32,
+    },
+    /// A call through the function pointer `srcs[at]`, with the `n`
+    /// arguments after it.
+    CallIndirect {
+        dst: Option<Temp>,
+        at: u32,
+        n: u32,
+    },
+    /// A builtin call with the `n` arguments at `srcs[at..]`.
+    CallBuiltin {
+        b: Builtin,
+        dst: Option<Temp>,
+        at: u32,
+        n: u8,
+        site: Option<u32>,
+    },
+    /// The slot after block `block`, which does not end in a terminator.
+    FellOff {
+        block: u32,
+    },
+}
+
+const _: () = assert!(std::mem::size_of::<Op>() <= 24);
+
+/// Appends `operands` to an operand table and returns where they start.
+fn push_srcs(srcs: &mut Vec<Src>, operands: impl IntoIterator<Item = Operand>) -> u32 {
+    let at = srcs.len() as u32;
+    srcs.extend(operands.into_iter().map(Src::new));
+    at
+}
+
+/// Decodes one instruction. `to` maps a block to its jump target, and
+/// the operands of calls, block copies and checks are appended to `srcs`.
+fn decode(instr: &Instr, to: impl Fn(BlockId) -> Target, srcs: &mut Vec<Src>) -> Op {
+    use Operand::{Const as I, Temp as T};
+    match *instr {
+        Instr::Const { dst, value } => Op::Const { dst: dst.0, value },
+        Instr::Mov { dst, src }
+        | Instr::KeepLive {
+            dst, value: src, ..
+        } => match src {
+            T(src) => Op::Mov {
+                dst: dst.0,
+                src: src.0,
+            },
+            I(value) => Op::Const { dst: dst.0, value },
+        },
+        Instr::Bin { dst, op, a, b } => {
+            let dst = dst.0;
+            match (a, b) {
+                (T(a), T(b)) => Op::Bin {
+                    op,
+                    dst,
+                    a: a.0,
+                    b: b.0,
+                },
+                (T(a), I(b)) => Op::BinImm { op, dst, a: a.0, b },
+                (I(a), T(b)) => Op::ImmBin { op, dst, a, b: b.0 },
+                // `eval` is total (division by zero yields 0), so a
+                // constant operation is its value.
+                (I(a), I(b)) => Op::Const {
+                    dst,
+                    value: op.eval(a, b),
+                },
+            }
+        }
+        Instr::Load {
+            dst,
+            addr,
+            width,
+            signed,
+        } => match addr {
+            T(addr) => Op::Load {
+                dst: dst.0,
+                addr: addr.0,
+                width,
+                signed,
+            },
+            I(addr) => Op::LoadAt {
+                dst: dst.0,
+                addr: addr as u64,
+                width,
+                signed,
+            },
+        },
+        Instr::Store { addr, value, width } => match (addr, value) {
+            (T(addr), T(value)) => Op::Store {
+                addr: addr.0,
+                value: value.0,
+                width,
+            },
+            (T(addr), I(value)) => Op::StoreImm {
+                addr: addr.0,
+                value,
+                width,
+            },
+            (I(addr), T(value)) => Op::StoreAt {
+                addr: addr as u64,
+                value: value.0,
+                width,
+            },
+            (I(addr), I(value)) => Op::StoreImmAt {
+                addr: addr as u64,
+                value,
+                width,
+            },
+        },
+        Instr::FrameAddr { dst, offset } => Op::FrameAddr { dst: dst.0, offset },
+        Instr::MemCopy {
+            dst_addr,
+            src_addr,
+            len,
+        } => Op::MemCopy {
+            at: push_srcs(srcs, [dst_addr, src_addr]),
+            len,
+        },
+        Instr::CheckSame { dst, value, base } => Op::CheckSame {
+            dst: dst.0,
+            at: push_srcs(srcs, [value, base]),
+        },
+        Instr::Ret { value } => Op::Ret {
+            value: value.map(Src::new),
+        },
+        Instr::Jump { target } => Op::Jump { to: to(target) },
+        Instr::Branch {
+            cond,
+            if_true,
+            if_false,
+        } => match cond {
+            T(cond) => Op::Branch {
+                cond: cond.0,
+                if_true: to(if_true),
+                if_false: to(if_false),
+            },
+            I(c) => Op::Jump {
+                to: to(if c != 0 { if_true } else { if_false }),
+            },
+        },
+        Instr::Call {
+            dst,
+            target,
+            ref args,
+            site,
+        } => match target {
+            CallTarget::Func(callee) => Op::Call {
+                callee: callee as u32,
+                dst,
+                at: push_srcs(srcs, args.iter().copied()),
+                n: args.len() as u32,
+            },
+            CallTarget::Indirect(f) => Op::CallIndirect {
+                dst,
+                at: push_srcs(srcs, std::iter::once(f).chain(args.iter().copied())),
+                n: args.len() as u32,
+            },
+            CallTarget::Builtin(b) => Op::CallBuiltin {
+                b,
+                dst,
+                at: push_srcs(srcs, args.iter().copied()),
+                // Saturating: the loop's three-slot argument array
+                // rejects any count past three.
+                n: u8::try_from(args.len()).unwrap_or(u8::MAX),
+                site,
+            },
+        },
+    }
+}
+
+/// One function's code table: its blocks' instructions decoded and laid
+/// end to end, so a position in the function is one program counter.
 struct Code<'a> {
     /// The function, whose call-site liveness `roots` is solved from.
     func: &'a FuncIr,
-    /// The instructions, borrowed from the program. `None` is the slot
-    /// appended after a block that does not end in a terminator:
-    /// reaching it is falling off that block.
-    slots: Vec<Option<&'a Instr>>,
-    /// Per block: the slot of its first instruction, and how many times
-    /// it has been entered (the block-count profile).
-    blocks: Vec<(usize, u64)>,
+    /// The decoded instructions, plus a [`Op::FellOff`] after each block
+    /// that does not end in a terminator.
+    ops: Vec<Op>,
+    /// The operands of the function's calls, block copies and checks.
+    srcs: Vec<Src>,
+    /// Per block: the slot of its first instruction.
+    starts: Vec<u32>,
+    /// The counter of the entry block in the run's block-count table; the
+    /// function's other blocks follow it.
+    first_block: u32,
     /// The temps live across each call, solved the first time a root
     /// scan reaches a frame of this function.
     roots: OnceCell<CallRoots>,
@@ -293,20 +641,33 @@ struct CallRoots {
 }
 
 impl<'a> Code<'a> {
-    fn new(func: &'a FuncIr) -> Self {
-        let mut slots = Vec::with_capacity(func.instr_count() + func.blocks.len());
-        let mut blocks = Vec::with_capacity(func.blocks.len());
+    /// Decodes `func`, whose blocks' counters start at `first_block`.
+    fn new(func: &'a FuncIr, first_block: u32) -> Self {
+        let falls_off = |b: &Block| !b.instrs.last().is_some_and(Instr::is_terminator);
+        let mut starts = Vec::with_capacity(func.blocks.len());
+        let mut slots = 0;
         for b in &func.blocks {
-            blocks.push((slots.len(), 0));
-            slots.extend(b.instrs.iter().map(Some));
-            if !b.instrs.last().is_some_and(Instr::is_terminator) {
-                slots.push(None);
+            starts.push(slots);
+            slots += b.instrs.len() as u32 + u32::from(falls_off(b));
+        }
+        let to = |b: BlockId| Target {
+            slot: starts[b.0 as usize],
+            block: first_block + b.0,
+        };
+        let mut ops = Vec::with_capacity(slots as usize);
+        let mut srcs = Vec::new();
+        for (i, b) in func.blocks.iter().enumerate() {
+            ops.extend(b.instrs.iter().map(|instr| decode(instr, to, &mut srcs)));
+            if falls_off(b) {
+                ops.push(Op::FellOff { block: i as u32 });
             }
         }
         Code {
             func,
-            slots,
-            blocks,
+            ops,
+            srcs,
+            starts,
+            first_block,
             roots: OnceCell::new(),
         }
     }
@@ -314,17 +675,186 @@ impl<'a> Code<'a> {
     /// The temps live across the call at slot `pc`.
     fn roots_at(&self, pc: usize) -> &[Temp] {
         let table = self.roots.get_or_init(|| {
-            let mut ranges = vec![(0, 0); self.slots.len()];
+            let mut ranges = vec![(0, 0); self.ops.len()];
             let mut temps = Vec::new();
             visit_call_roots(self.func, |block, ip, live| {
                 let start = temps.len() as u32;
                 temps.extend(live.iter());
-                ranges[self.blocks[block].0 + ip] = (start, temps.len() as u32);
+                ranges[self.starts[block] as usize + ip] = (start, temps.len() as u32);
             });
             CallRoots { ranges, temps }
         });
         let (start, end) = table.ranges[pc];
         &table.temps[start as usize..end as usize]
+    }
+}
+
+/// A failed access or check, before it is charged to the function that
+/// made it.
+enum Trap {
+    Fault(MemFault),
+    /// A heap address outside every allocated object.
+    Freed(u64),
+    /// An interior pointer `value` into the object at `base`, stored
+    /// where the collector scans.
+    Interior {
+        value: u64,
+        base: u64,
+    },
+    /// A `value` outside the heap object at `base`.
+    Escaped {
+        value: u64,
+        base: u64,
+    },
+}
+
+impl From<MemFault> for Trap {
+    fn from(e: MemFault) -> Self {
+        Trap::Fault(e)
+    }
+}
+
+impl Trap {
+    /// The error, charged to function `func` of `prog`.
+    #[cold]
+    fn in_func(self, prog: &ProgramIr, func: usize) -> VmError {
+        let func = || prog.funcs[func].name.clone();
+        match self {
+            Trap::Fault(e) => VmError::Fault(e),
+            Trap::Freed(addr) => VmError::UseAfterFree { func: func(), addr },
+            Trap::Interior { value, base } => VmError::InteriorStored {
+                func: func(),
+                value,
+                base,
+            },
+            Trap::Escaped { value, base } => VmError::CheckFailed {
+                func: func(),
+                value,
+                base,
+            },
+        }
+    }
+}
+
+/// The address space as the program sees it: the simulated memory, and
+/// the collector that owns its heap region. Every load, store, block
+/// copy and string or memory builtin goes through here.
+struct Space {
+    mem: Memory,
+    heap: GcHeap,
+    /// [`VmOptions::trap_uaf`].
+    trap_uaf: bool,
+    /// [`VmOptions::check_base_stores`].
+    check_base_stores: bool,
+}
+
+impl Space {
+    /// The `trap_uaf` check of an access at `addr`: one compare against
+    /// the heap range, and for a heap address the collector's side table.
+    #[inline(always)]
+    fn check(&self, addr: u64) -> Result<(), Trap> {
+        if self.trap_uaf && self.mem.in_heap(addr) && !self.heap.is_allocated(addr) {
+            return Err(Trap::Freed(addr));
+        }
+        Ok(())
+    }
+
+    /// [`Space::check`] at both ends of the `len` bytes at `addr`.
+    fn check_range(&self, addr: u64, len: u64) -> Result<(), Trap> {
+        if len > 0 {
+            self.check(addr)?;
+            self.check(addr.wrapping_add(len - 1))?;
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn load(&self, addr: u64, width: u8) -> Result<u64, Trap> {
+        self.check(addr)?;
+        Ok(self.mem.read(addr, width.into())?)
+    }
+
+    /// A `Store`: checked, then (under `check_base_stores`) a pointer-sized
+    /// store must store an object base, and the collector's barrier sees
+    /// the stored bytes.
+    #[inline(always)]
+    fn store(&mut self, addr: u64, value: u64, width: u8) -> Result<(), Trap> {
+        self.check(addr)?;
+        if self.check_base_stores && width == 8 {
+            self.check_base_store(addr, value)?;
+        }
+        self.mem.write(addr, width.into(), value)?;
+        if self.heap.barrier_active() {
+            if width == 8 {
+                self.heap.write_barrier(addr, value);
+            } else {
+                // A narrow store can still turn the containing word into
+                // something the conservative scan reads as a pointer —
+                // re-scan the touched bytes.
+                self.heap.write_barrier_range(&self.mem, addr, width.into());
+            }
+        }
+        Ok(())
+    }
+
+    /// `memmove`: both ranges checked at both ends, and the copied words
+    /// reported to the barrier.
+    #[inline(never)]
+    fn copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Trap> {
+        self.check_range(dst, len)?;
+        self.check_range(src, len)?;
+        self.mem.copy(dst, src, len as usize)?;
+        if self.heap.barrier_active() {
+            self.heap.write_barrier_range(&self.mem, dst, len);
+        }
+        Ok(())
+    }
+
+    /// `memset`, checked at both ends. No barrier: an 8-byte word of one
+    /// repeated byte is 0 or ≥ 0x0101…, never inside the heap range, and
+    /// merely overwriting pointers needs no Dijkstra barrier.
+    fn fill(&mut self, addr: u64, byte: u8, len: u64) -> Result<(), Trap> {
+        self.check_range(addr, len)?;
+        Ok(self.mem.fill(addr, byte, len as usize)?)
+    }
+
+    /// The NUL-terminated string at `addr`, checked at its first byte and
+    /// at its NUL.
+    fn read_cstr(&self, addr: u64) -> Result<Vec<u8>, Trap> {
+        self.check(addr)?;
+        let s = self.mem.read_cstr(addr)?;
+        self.check(addr.wrapping_add(s.len() as u64))?;
+        Ok(s)
+    }
+
+    /// The Extensions-section assertion: a pointer-sized store into the
+    /// heap or statics must store an object base (or a non-heap value).
+    #[inline(never)]
+    fn check_base_store(&self, addr: u64, value: u64) -> Result<(), Trap> {
+        use gcheap::Region;
+        let collector_visible = matches!(
+            self.mem.region_of(addr),
+            Some(Region::Heap | Region::Globals)
+        );
+        if !collector_visible || !self.mem.in_heap(value) {
+            return Ok(());
+        }
+        match self.heap.base(value) {
+            Some(base) if base != value => Err(Trap::Interior { value, base }),
+            _ => Ok(()),
+        }
+    }
+
+    /// `GC_same_obj` semantics: heap pointers must share an object; pairs
+    /// outside the collected heap are not checked (the paper restricts
+    /// attention to heap pointers).
+    #[inline(never)]
+    fn same_obj(&mut self, value: u64, base: u64) -> Result<(), Trap> {
+        if !self.mem.in_heap(base) || self.heap.same_obj(value, base) {
+            Ok(())
+        } else {
+            Err(Trap::Escaped { value, base })
+        }
     }
 }
 
@@ -360,8 +890,8 @@ impl RootView<'_> {
     }
 }
 
-/// A live activation. The active (top) frame's position is cached in
-/// [`Vm`] while it runs; `pc` is written when the frame makes a call.
+/// A live activation. The active (top) frame's position is kept in the
+/// interpreter loop's locals; `pc` is written when the frame makes a call.
 struct Frame {
     func: usize,
     /// The `Call` slot the frame is suspended at.
@@ -374,16 +904,14 @@ struct Frame {
 struct Vm<'a> {
     prog: &'a ProgramIr,
     opts: &'a VmOptions,
-    code: Vec<Code<'a>>,
-    mem: Memory,
-    heap: GcHeap,
+    code: &'a [Code<'a>],
+    space: Space,
     frames: Vec<Frame>,
     /// Every live frame's temps, bottom frame first: the register window.
     regs: Vec<i64>,
-    /// The active frame's function, program counter and window base.
-    func: usize,
-    pc: usize,
-    base: usize,
+    /// Per block of the program, in [`Target::block`] order: how many
+    /// times it has been entered.
+    counts: Vec<u64>,
     sp: u64,
     input_pos: usize,
     output: Vec<u8>,
@@ -391,14 +919,17 @@ struct Vm<'a> {
     /// Builtin invocation counts, indexed by `Builtin as usize`; they
     /// fill [`Profile::builtin_calls`] when the run ends.
     builtin_calls: [u64; Builtin::ALL.len()],
-    steps: u64,
     exit: Option<i64>,
     /// Whether the `begin` heap-graph snapshot has been recorded.
     begin_snapped: bool,
 }
 
 impl<'a> Vm<'a> {
-    fn new(prog: &'a ProgramIr, opts: &'a VmOptions) -> Result<Self, VmError> {
+    fn new(
+        prog: &'a ProgramIr,
+        code: &'a [Code<'a>],
+        opts: &'a VmOptions,
+    ) -> Result<Self, VmError> {
         let mut mem = Memory::new(
             (prog.globals_image.len() + 4096).max(1 << 16),
             opts.stack_bytes,
@@ -416,38 +947,42 @@ impl<'a> Vm<'a> {
         heap.set_prof(opts.prof.clone());
         heap.set_snap_sites(opts.snap.is_enabled() || opts.snapshot_oracle);
         let sp = mem.stack_top();
+        let blocks = code
+            .last()
+            .map_or(0, |c| c.first_block as usize + c.starts.len());
         Ok(Vm {
             prog,
             opts,
-            code: prog.funcs.iter().map(Code::new).collect(),
-            mem,
-            heap,
+            code,
+            space: Space {
+                mem,
+                heap,
+                trap_uaf: opts.trap_uaf,
+                check_base_stores: opts.check_base_stores,
+            },
             frames: Vec::new(),
             regs: Vec::new(),
-            func: prog.main,
-            pc: 0,
-            base: 0,
+            counts: vec![0; blocks],
             sp,
             input_pos: 0,
             output: Vec::new(),
             profile: Profile::default(),
             builtin_calls: [0; Builtin::ALL.len()],
-            steps: 0,
             exit: None,
             begin_snapped: false,
         })
     }
 
-    fn cur_func_name(&self) -> String {
-        self.frames
-            .last()
-            .map(|f| self.prog.funcs[f.func].name.clone())
-            .unwrap_or_else(|| "<top>".into())
+    /// The error `trap` charged to the active function.
+    fn charge(&self, trap: Trap) -> VmError {
+        let frame = self.frames.last().expect("active frame");
+        trap.in_func(self.prog, frame.func)
     }
 
-    /// Pushes a frame for `callee`, whose parameters receive `args`
-    /// evaluated in the active frame, and makes it the active frame.
-    fn call(&mut self, callee: usize, args: &[Operand], dst: Option<Temp>) -> Result<(), VmError> {
+    /// Pushes a frame for `callee`, whose parameters receive `args` read
+    /// in the active frame, and returns the new frame's window base.
+    #[inline(never)]
+    fn enter(&mut self, callee: usize, args: &[Src], dst: Option<Temp>) -> Result<usize, VmError> {
         let f = &self.prog.funcs[callee];
         if args.len() != f.param_temps.len() {
             return Err(VmError::Malformed(format!(
@@ -463,36 +998,44 @@ impl<'a> Vm<'a> {
         }
         self.sp -= frame_size;
         // Zero the frame so stale words cannot retain garbage.
-        self.mem.fill(self.sp, 0, frame_size as usize)?;
+        self.space.mem.fill(self.sp, 0, frame_size as usize)?;
         // The window ends at the caller's last temp, so the callee's temps
         // start zeroed.
+        let caller = self.frames.last().map_or(0, |frame| frame.base);
         let base = self.regs.len();
         self.regs.resize(base + f.temp_count as usize, 0);
         for (pt, a) in f.param_temps.iter().zip(args) {
-            self.regs[base + pt.0 as usize] = self.operand(*a);
+            self.regs[base + pt.0 as usize] = a.read(&self.regs[caller..]);
         }
-        self.code[callee].blocks[0].1 += 1;
+        self.counts[self.code[callee].first_block as usize] += 1;
         self.frames.push(Frame {
             func: callee,
             pc: 0,
             base,
             dst_in_caller: dst,
         });
-        (self.func, self.pc, self.base) = (callee, 0, base);
-        Ok(())
+        Ok(base)
     }
 
-    /// Pops the active frame and resumes its caller after the call.
-    fn ret(&mut self, value: Option<i64>) -> Result<(), VmError> {
+    /// Suspends the active frame at the call in the slot before `pc`: the
+    /// roots of a collection inside the callee are read there.
+    fn suspend(&mut self, pc: usize) {
+        self.frames.last_mut().expect("active frame").pc = pc - 1;
+    }
+
+    /// Pops the active frame and returns the caller to resume (its
+    /// function, the slot after its call, and its window base), or `None`
+    /// once `main` has returned.
+    #[inline(never)]
+    fn leave(&mut self, value: Option<i64>) -> Result<Option<(usize, usize, usize)>, VmError> {
         let frame = self.frames.pop().expect("pop with no frame");
         let f = &self.prog.funcs[frame.func];
         self.sp += f.frame_size as u64;
         self.regs.truncate(frame.base);
         let Some(caller) = self.frames.last() else {
             self.exit = Some(value.unwrap_or(0));
-            return Ok(());
+            return Ok(None);
         };
-        (self.func, self.pc, self.base) = (caller.func, caller.pc + 1, caller.base);
         if let Some(dst) = frame.dst_in_caller {
             // A caller-visible destination with no returned value would
             // silently become 0 — refuse, so miscompilations that drop
@@ -502,25 +1045,202 @@ impl<'a> Vm<'a> {
                     func: f.name.clone(),
                 });
             };
-            self.set_temp(dst, v);
+            self.regs[caller.base + dst.0 as usize] = v;
         }
-        Ok(())
+        Ok(Some((caller.func, caller.pc + 1, caller.base)))
+    }
+
+    /// The interpreter loop: runs `main` until it returns or calls `exit`,
+    /// and returns the step count. Where the active frame is — its
+    /// function's ops and operand table, the pc, and its slice of the
+    /// register window — lives in locals that only calls and returns
+    /// change.
+    fn execute(&mut self) -> Result<u64, VmError> {
+        let (prog, code) = (self.prog, self.code);
+        let mut func = prog.main;
+        let mut base = self.enter(func, &[], None)?;
+        let mut pc = 0;
+        let (mut ops, mut srcs) = (&code[func].ops[..], &code[func].srcs[..]);
+        let mut regs = &mut self.regs[base..];
+        // Steps the budget still admits: a step that completes with none
+        // left is over it.
+        let mut left = self.opts.max_steps;
+        loop {
+            let at = pc;
+            pc += 1;
+            match ops[at] {
+                Op::Const { dst, value } => regs[dst as usize] = value,
+                Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
+                Op::Bin { op, dst, a, b } => {
+                    regs[dst as usize] = op.eval(regs[a as usize], regs[b as usize]);
+                }
+                Op::BinImm { op, dst, a, b } => {
+                    regs[dst as usize] = op.eval(regs[a as usize], b);
+                }
+                Op::ImmBin { op, dst, a, b } => {
+                    regs[dst as usize] = op.eval(a, regs[b as usize]);
+                }
+                Op::Load {
+                    dst,
+                    addr,
+                    width,
+                    signed,
+                } => {
+                    let raw = self
+                        .space
+                        .load(regs[addr as usize] as u64, width)
+                        .map_err(|e| e.in_func(prog, func))?;
+                    regs[dst as usize] = extend(raw, width, signed);
+                }
+                Op::LoadAt {
+                    dst,
+                    addr,
+                    width,
+                    signed,
+                } => {
+                    let raw = self
+                        .space
+                        .load(addr, width)
+                        .map_err(|e| e.in_func(prog, func))?;
+                    regs[dst as usize] = extend(raw, width, signed);
+                }
+                Op::Store { addr, value, width } => self
+                    .space
+                    .store(
+                        regs[addr as usize] as u64,
+                        regs[value as usize] as u64,
+                        width,
+                    )
+                    .map_err(|e| e.in_func(prog, func))?,
+                Op::StoreImm { addr, value, width } => self
+                    .space
+                    .store(regs[addr as usize] as u64, value as u64, width)
+                    .map_err(|e| e.in_func(prog, func))?,
+                Op::StoreAt { addr, value, width } => self
+                    .space
+                    .store(addr, regs[value as usize] as u64, width)
+                    .map_err(|e| e.in_func(prog, func))?,
+                Op::StoreImmAt { addr, value, width } => self
+                    .space
+                    .store(addr, value as u64, width)
+                    .map_err(|e| e.in_func(prog, func))?,
+                Op::FrameAddr { dst, offset } => {
+                    regs[dst as usize] = (self.sp + u64::from(offset)) as i64;
+                }
+                Op::MemCopy { at, len } => {
+                    let at = at as usize;
+                    let (d, s) = (srcs[at].read(regs), srcs[at + 1].read(regs));
+                    self.space
+                        .copy(d as u64, s as u64, len)
+                        .map_err(|e| e.in_func(prog, func))?;
+                }
+                Op::CheckSame { dst, at } => {
+                    let at = at as usize;
+                    let (v, b) = (srcs[at].read(regs), srcs[at + 1].read(regs));
+                    self.space
+                        .same_obj(v as u64, b as u64)
+                        .map_err(|e| e.in_func(prog, func))?;
+                    regs[dst as usize] = v;
+                }
+                Op::Jump { to } => pc = to.enter(&mut self.counts),
+                Op::Branch {
+                    cond,
+                    if_true,
+                    if_false,
+                } => {
+                    let to = if regs[cond as usize] != 0 {
+                        if_true
+                    } else {
+                        if_false
+                    };
+                    pc = to.enter(&mut self.counts);
+                }
+                Op::Ret { value } => {
+                    let value = value.map(|v| v.read(regs));
+                    let Some(caller) = self.leave(value)? else {
+                        break;
+                    };
+                    (func, pc, base) = caller;
+                    (ops, srcs) = (&code[func].ops, &code[func].srcs);
+                    regs = &mut self.regs[base..];
+                }
+                Op::Call { callee, dst, at, n } => {
+                    self.suspend(pc);
+                    let args = &srcs[at as usize..][..n as usize];
+                    func = callee as usize;
+                    base = self.enter(func, args, dst)?;
+                    pc = 0;
+                    (ops, srcs) = (&code[func].ops, &code[func].srcs);
+                    regs = &mut self.regs[base..];
+                }
+                Op::CallIndirect { dst, at, n } => {
+                    let at = at as usize;
+                    let v = srcs[at].read(regs);
+                    let Some(callee) = usize::try_from(v.wrapping_sub(FUNC_PTR_BASE))
+                        .ok()
+                        .filter(|&i| i < code.len())
+                    else {
+                        return Err(VmError::Malformed(format!(
+                            "indirect call through bad function pointer {v:#x}"
+                        )));
+                    };
+                    self.suspend(pc);
+                    let args = &srcs[at + 1..][..n as usize];
+                    func = callee;
+                    base = self.enter(func, args, dst)?;
+                    pc = 0;
+                    (ops, srcs) = (&code[func].ops, &code[func].srcs);
+                    regs = &mut self.regs[base..];
+                }
+                Op::CallBuiltin {
+                    b,
+                    dst,
+                    at,
+                    n,
+                    site,
+                } => {
+                    // No builtin takes more than three arguments, and the
+                    // front end checks every call's arity.
+                    let mut argv = [0; 3];
+                    let argv = &mut argv[..n as usize];
+                    for (v, a) in argv.iter_mut().zip(&srcs[at as usize..]) {
+                        *v = a.read(regs);
+                    }
+                    self.suspend(pc);
+                    let ret = self.builtin(b, argv, site)?;
+                    if self.exit.is_some() {
+                        break;
+                    }
+                    regs = &mut self.regs[base..];
+                    if let Some(d) = dst {
+                        regs[d.0 as usize] = ret;
+                    }
+                }
+                Op::FellOff { block } => {
+                    return Err(VmError::Malformed(format!(
+                        "fell off block bb{block} in '{}'",
+                        prog.funcs[func].name
+                    )));
+                }
+            }
+            let Some(rest) = left.checked_sub(1) else {
+                return Err(VmError::StepLimit);
+            };
+            left = rest;
+        }
+        // The step that ended the run counts against the budget too.
+        let Some(rest) = left.checked_sub(1) else {
+            return Err(VmError::StepLimit);
+        };
+        Ok(self.opts.max_steps - rest)
     }
 
     fn run(mut self) -> Result<ExecOutcome, VmError> {
-        self.call(self.prog.main, &[], None)?;
-        let max_steps = self.opts.max_steps;
-        while self.exit.is_none() {
-            self.step()?;
-            self.steps += 1;
-            if self.steps > max_steps {
-                return Err(VmError::StepLimit);
-            }
-        }
+        let steps = self.execute()?;
         self.profile.block_counts = self
             .code
             .iter()
-            .map(|code| code.blocks.iter().map(|&(_, count)| count).collect())
+            .map(|c| self.counts[c.first_block as usize..][..c.starts.len()].to_vec())
             .collect();
         for &(_, b) in Builtin::ALL {
             let n = self.builtin_calls[b as usize];
@@ -533,32 +1253,34 @@ impl<'a> Vm<'a> {
         // before the final sweep so floating garbage is still visible.
         if self.opts.snap.is_enabled() {
             let roots = self.roots(None);
+            let Space { mem, heap, .. } = &self.space;
             if !self.begin_snapped {
                 self.begin_snapped = true;
-                self.opts.snap.record("begin", || {
-                    self.heap.snapshot(&self.mem, &roots, ROOT_LABELS)
-                });
+                self.opts
+                    .snap
+                    .record("begin", || heap.snapshot(mem, &roots, ROOT_LABELS));
             }
             self.opts
                 .snap
-                .record("end", || self.heap.snapshot(&self.mem, &roots, ROOT_LABELS));
+                .record("end", || heap.snapshot(mem, &roots, ROOT_LABELS));
         }
         if self.opts.snapshot_oracle {
             self.check_snapshot_oracle()?;
         }
         // End-of-run stats barrier: retire outstanding lazy-sweep debt so
         // the final HeapStats and census report no pending queue work.
-        self.heap.sweep_all();
+        let heap = &mut self.space.heap;
+        heap.sweep_all();
         // The end-of-run census: live objects/bytes per size class,
         // fragmentation, blacklist pressure. The walk only happens when
         // profiling is enabled.
-        self.opts.prof.record_census(|| self.heap.census());
+        self.opts.prof.record_census(|| heap.census());
         let outcome = ExecOutcome {
             output: self.output,
             exit_code: self.exit.unwrap_or(0),
             profile: self.profile,
-            heap: self.heap.stats(),
-            steps: self.steps,
+            heap: heap.stats(),
+            steps,
         };
         // Unify the execution profile and the collector stats behind the
         // same sink as the per-collection timeline.
@@ -580,239 +1302,13 @@ impl<'a> Vm<'a> {
         Ok(outcome)
     }
 
-    fn operand(&self, o: Operand) -> i64 {
-        match o {
-            Operand::Const(c) => c,
-            Operand::Temp(t) => self.regs[self.base + t.0 as usize],
-        }
-    }
-
-    fn set_temp(&mut self, t: Temp, v: i64) {
-        self.regs[self.base + t.0 as usize] = v;
-    }
-
-    fn goto(&mut self, target: BlockId) {
-        let (start, count) = &mut self.code[self.func].blocks[target.0 as usize];
-        *count += 1;
-        self.pc = *start;
-    }
-
-    fn check_heap_access(&self, addr: u64) -> Result<(), VmError> {
-        if self.opts.trap_uaf && self.mem.in_heap(addr) && !self.heap.is_allocated(addr) {
-            return Err(VmError::UseAfterFree {
-                func: self.cur_func_name(),
-                addr,
-            });
-        }
-        Ok(())
-    }
-
-    fn frame_addr(&self, offset: u32) -> u64 {
-        self.sp + offset as u64
-    }
-
-    /// The error for reaching the slot after an unterminated block.
-    fn fell_off(&self) -> VmError {
-        let block = self.code[self.func]
-            .blocks
-            .partition_point(|&(start, _)| start <= self.pc)
-            - 1;
-        VmError::Malformed(format!(
-            "fell off block bb{block} in '{}'",
-            self.prog.funcs[self.func].name
-        ))
-    }
-
-    fn step(&mut self) -> Result<(), VmError> {
-        let Some(instr) = self.code[self.func].slots[self.pc] else {
-            return Err(self.fell_off());
-        };
-        match *instr {
-            Instr::Const { dst, value } => {
-                self.set_temp(dst, value);
-                self.pc += 1;
-            }
-            Instr::Mov { dst, src } => {
-                let v = self.operand(src);
-                self.set_temp(dst, v);
-                self.pc += 1;
-            }
-            Instr::Bin { dst, op, a, b } => {
-                let va = self.operand(a);
-                let vb = self.operand(b);
-                self.set_temp(dst, op.eval(va, vb));
-                self.pc += 1;
-            }
-            Instr::Load {
-                dst,
-                addr,
-                width,
-                signed,
-            } => {
-                let a = self.operand(addr) as u64;
-                self.check_heap_access(a)?;
-                let raw = self.mem.read(a, width as u32)?;
-                let v = extend(raw, width, signed);
-                self.set_temp(dst, v);
-                self.pc += 1;
-            }
-            Instr::Store { addr, value, width } => {
-                let a = self.operand(addr) as u64;
-                self.check_heap_access(a)?;
-                let v = self.operand(value) as u64;
-                if self.opts.check_base_stores && width == 8 {
-                    self.check_base_store(a, v)?;
-                }
-                self.mem.write(a, width as u32, v)?;
-                if self.heap.barrier_active() {
-                    if width == 8 {
-                        self.heap.write_barrier(a, v);
-                    } else {
-                        // A narrow store can still turn the containing
-                        // word into something the conservative scan reads
-                        // as a pointer — re-scan the touched bytes.
-                        self.heap.write_barrier_range(&self.mem, a, width as u64);
-                    }
-                }
-                self.pc += 1;
-            }
-            Instr::FrameAddr { dst, offset } => {
-                let a = self.frame_addr(offset) as i64;
-                self.set_temp(dst, a);
-                self.pc += 1;
-            }
-            Instr::MemCopy {
-                dst_addr,
-                src_addr,
-                len,
-            } => {
-                let d = self.operand(dst_addr) as u64;
-                let s = self.operand(src_addr) as u64;
-                self.check_heap_access(d)?;
-                self.check_heap_access(s)?;
-                self.mem.copy(d, s, len as usize)?;
-                if self.heap.barrier_active() {
-                    self.heap.write_barrier_range(&self.mem, d, len);
-                }
-                self.pc += 1;
-            }
-            Instr::KeepLive { dst, value, .. } => {
-                // Semantically the identity; its force is entirely static.
-                let v = self.operand(value);
-                self.set_temp(dst, v);
-                self.pc += 1;
-            }
-            Instr::CheckSame { dst, value, base } => {
-                let v = self.operand(value) as u64;
-                let b = self.operand(base) as u64;
-                self.exec_same_obj_check(v, b)?;
-                self.set_temp(dst, v as i64);
-                self.pc += 1;
-            }
-            Instr::Ret { value } => {
-                let v = value.map(|o| self.operand(o));
-                self.ret(v)?;
-            }
-            Instr::Jump { target } => self.goto(target),
-            Instr::Branch {
-                cond,
-                if_true,
-                if_false,
-            } => {
-                let c = self.operand(cond);
-                self.goto(if c != 0 { if_true } else { if_false });
-            }
-            Instr::Call {
-                dst,
-                target,
-                ref args,
-                site,
-            } => {
-                // Suspend the active frame at this call: the roots of a
-                // collection inside the callee are read at `pc`.
-                self.frames.last_mut().expect("active frame").pc = self.pc;
-                match target {
-                    CallTarget::Func(idx) => self.call(idx, args, dst)?,
-                    CallTarget::Builtin(b) => {
-                        // No builtin takes more than three arguments, and
-                        // the front end checks every call's arity.
-                        let mut argv = [0; 3];
-                        let argv = &mut argv[..args.len()];
-                        for (v, a) in argv.iter_mut().zip(args) {
-                            *v = self.operand(*a);
-                        }
-                        let ret = self.builtin(b, argv, site)?;
-                        if self.exit.is_some() {
-                            return Ok(());
-                        }
-                        if let Some(d) = dst {
-                            self.set_temp(d, ret);
-                        }
-                        self.pc += 1;
-                    }
-                    CallTarget::Indirect(o) => {
-                        let v = self.operand(o);
-                        let idx = v - FUNC_PTR_BASE;
-                        if idx < 0 || idx as usize >= self.prog.funcs.len() {
-                            return Err(VmError::Malformed(format!(
-                                "indirect call through bad function pointer {v:#x}"
-                            )));
-                        }
-                        self.call(idx as usize, args, dst)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The Extensions-section assertion: a pointer-sized store into the
-    /// heap or statics must store an object base (or a non-heap value).
-    fn check_base_store(&mut self, addr: u64, value: u64) -> Result<(), VmError> {
-        use gcheap::Region;
-        let collector_visible = matches!(
-            self.mem.region_of(addr),
-            Some(Region::Heap | Region::Globals)
-        );
-        if !collector_visible || !self.mem.in_heap(value) {
-            return Ok(());
-        }
-        match self.heap.base(value) {
-            Some(b) if b != value => Err(VmError::InteriorStored {
-                func: self.cur_func_name(),
-                value,
-                base: b,
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// `GC_same_obj` semantics: heap pointers must share an object; pairs
-    /// outside the collected heap are not checked (the paper restricts
-    /// attention to heap pointers).
-    fn exec_same_obj_check(&mut self, value: u64, base: u64) -> Result<(), VmError> {
-        if !self.mem.in_heap(base) {
-            return Ok(());
-        }
-        if self.heap.same_obj(value, base) {
-            Ok(())
-        } else {
-            Err(VmError::CheckFailed {
-                func: self.cur_func_name(),
-                value,
-                base,
-            })
-        }
-    }
-
     /// The VM split into its [`RootView`] and the heap and memory a
     /// collection mutates.
     fn split(&mut self) -> (RootView<'_>, &mut GcHeap, &mut Memory) {
         let Vm {
             prog,
             code,
-            mem,
-            heap,
+            space: Space { mem, heap, .. },
             frames,
             regs,
             sp,
@@ -860,16 +1356,17 @@ impl<'a> Vm<'a> {
     /// snapshot nodes, and every snapshot node survived the collection.)
     fn check_snapshot_oracle(&mut self) -> Result<(), VmError> {
         let roots = self.roots(None);
+        let Space { mem, heap, .. } = &mut self.space;
         // Two collections on purpose: the first one may merely *finish*
         // an in-flight incremental cycle, whose snapshot-at-the-beginning
         // marks (taken against mid-run roots, plus allocate-black births)
         // legitimately keep mid-cycle garbage alive. The second runs
         // against the retired heap, so afterwards the heap holds exactly
         // what the marker proves live from the end-of-run roots.
-        self.heap.collect(&mut self.mem, &roots);
-        self.heap.collect(&mut self.mem, &roots);
-        self.heap.sweep_all();
-        let snap = self.heap.snapshot(&self.mem, &roots, ROOT_LABELS);
+        heap.collect(mem, &roots);
+        heap.collect(mem, &roots);
+        heap.sweep_all();
+        let snap = heap.snapshot(mem, &roots, ROOT_LABELS);
         let a = gcsnap::analyze(&snap);
         if a.floating_objects != 0 {
             let first = snap
@@ -918,15 +1415,20 @@ impl<'a> Vm<'a> {
         if self.opts.snap.is_enabled() && !self.begin_snapped {
             self.begin_snapped = true;
             let roots = self.roots(held);
-            self.opts.snap.record("begin", || {
-                self.heap.snapshot(&self.mem, &roots, ROOT_LABELS)
-            });
+            let Space { mem, heap, .. } = &self.space;
+            self.opts
+                .snap
+                .record("begin", || heap.snapshot(mem, &roots, ROOT_LABELS));
         }
         // Build the site key eagerly only when an attached trace or
         // profile will consume it — it both attributes the allocation to
         // its stack and labels any collection this request triggers. The
         // uninstrumented hot path pays one branch and builds no string.
-        let label = self.heap.attribution_enabled().then(|| self.site_key(site));
+        let label = self
+            .space
+            .heap
+            .attribution_enabled()
+            .then(|| self.site_key(site));
         // The roots are built only if the allocation collects.
         let (view, heap, mem) = self.split();
         match heap.alloc_with_roots_sited(
@@ -936,7 +1438,7 @@ impl<'a> Vm<'a> {
             label.as_deref(),
         ) {
             Ok(addr) => {
-                let prof = self.heap.prof().clone();
+                let prof = self.space.heap.prof().clone();
                 match label {
                     Some(l) => prof.record_site(size, move || l),
                     // Unreachable in practice (an enabled profile implies
@@ -950,6 +1452,14 @@ impl<'a> Vm<'a> {
         }
     }
 
+    /// The NUL-terminated string at `addr`, through the checked access.
+    fn cstr(&mut self, addr: i64) -> Result<Vec<u8>, VmError> {
+        self.space
+            .read_cstr(addr as u64)
+            .map_err(|e| self.charge(e))
+    }
+
+    #[inline(never)]
     fn builtin(&mut self, b: Builtin, args: &[i64], site: Option<u32>) -> Result<i64, VmError> {
         self.builtin_calls[b as usize] += 1;
         match b {
@@ -961,88 +1471,89 @@ impl<'a> Vm<'a> {
                 if old == 0 {
                     return self.allocate(new_size, site, None);
                 }
-                let old_extent = self.heap.extent(old).map(|(_, s)| s).unwrap_or(0);
+                let old_extent = self.space.heap.extent(old).map(|(_, s)| s).unwrap_or(0);
                 // The caller may hold `old` nowhere else (`a = realloc(a,
                 // n)` kills it), but the copy below still reads it: root
                 // it for the allocation, as GC_realloc's own frame would.
                 let new = self.allocate(new_size, site, Some(old))? as u64;
                 let n = old_extent.min(new_size.max(0) as u64) as usize;
-                self.mem.copy(new, old, n)?;
+                let Space { mem, heap, .. } = &mut self.space;
+                mem.copy(new, old, n)?;
                 // The new object is allocated black mid-cycle but never
                 // scanned: the copied-in pointers must be greyed.
-                if self.heap.barrier_active() {
-                    self.heap.write_barrier_range(&self.mem, new, n as u64);
+                if heap.barrier_active() {
+                    heap.write_barrier_range(mem, new, n as u64);
                 }
                 Ok(new as i64)
             }
             Builtin::Free => Ok(0), // the collector reclaims
             Builtin::Strlen => {
-                let s = self.mem.read_cstr(args[0] as u64)?;
+                let s = self.cstr(args[0])?;
                 self.profile.builtin_byte_work += s.len() as u64 + 1;
                 Ok(s.len() as i64)
             }
             Builtin::Strcmp => {
-                let a = self.mem.read_cstr(args[0] as u64)?;
-                let b2 = self.mem.read_cstr(args[1] as u64)?;
+                let a = self.cstr(args[0])?;
+                let b2 = self.cstr(args[1])?;
                 self.profile.builtin_byte_work += (a.len().min(b2.len()) + 1) as u64;
                 Ok(cmp_bytes(&a, &b2))
             }
             Builtin::Strncmp => {
                 let n = args[2].max(0) as usize;
-                let a = self.mem.read_cstr(args[0] as u64)?;
-                let b2 = self.mem.read_cstr(args[1] as u64)?;
+                let a = self.cstr(args[0])?;
+                let b2 = self.cstr(args[1])?;
                 let a = &a[..a.len().min(n)];
                 let b2 = &b2[..b2.len().min(n)];
                 self.profile.builtin_byte_work += (a.len().min(b2.len()) + 1) as u64;
                 Ok(cmp_bytes(a, b2))
             }
             Builtin::Strcpy => {
-                let src = self.mem.read_cstr(args[1] as u64)?;
+                let src = self.cstr(args[1])?;
                 let dst = args[0] as u64;
-                self.check_heap_access(dst)?;
-                for (i, byte) in src.iter().enumerate() {
-                    self.mem.write(dst + i as u64, 1, *byte as u64)?;
+                let len = src.len() as u64 + 1;
+                self.space
+                    .check_range(dst, len)
+                    .map_err(|e| self.charge(e))?;
+                let Space { mem, heap, .. } = &mut self.space;
+                for (i, byte) in src.iter().chain([&0]).enumerate() {
+                    mem.write(dst + i as u64, 1, *byte as u64)?;
                 }
-                self.mem.write(dst + src.len() as u64, 1, 0)?;
-                if self.heap.barrier_active() {
-                    self.heap
-                        .write_barrier_range(&self.mem, dst, src.len() as u64 + 1);
+                if heap.barrier_active() {
+                    heap.write_barrier_range(mem, dst, len);
                 }
-                self.profile.builtin_byte_work += src.len() as u64 + 1;
+                self.profile.builtin_byte_work += len;
                 Ok(args[0])
             }
             Builtin::Memcpy => {
-                let n = args[2].max(0) as usize;
-                self.mem.copy(args[0] as u64, args[1] as u64, n)?;
-                if self.heap.barrier_active() {
-                    self.heap
-                        .write_barrier_range(&self.mem, args[0] as u64, n as u64);
-                }
-                self.profile.builtin_byte_work += n as u64;
+                let n = args[2].max(0) as u64;
+                self.space
+                    .copy(args[0] as u64, args[1] as u64, n)
+                    .map_err(|e| self.charge(e))?;
+                self.profile.builtin_byte_work += n;
                 Ok(args[0])
             }
             Builtin::Memset => {
-                let n = args[2].max(0) as usize;
-                self.mem.fill(args[0] as u64, args[1] as u8, n)?;
-                // No barrier: an 8-byte word of one repeated byte is 0 or
-                // ≥ 0x0101…, never inside the heap range, and merely
-                // overwriting pointers needs no Dijkstra barrier.
-                self.profile.builtin_byte_work += n as u64;
+                let n = args[2].max(0) as u64;
+                self.space
+                    .fill(args[0] as u64, args[1] as u8, n)
+                    .map_err(|e| self.charge(e))?;
+                self.profile.builtin_byte_work += n;
                 Ok(args[0])
             }
             Builtin::Memcmp => {
-                let n = args[2].max(0) as usize;
-                self.profile.builtin_byte_work += n as u64;
-                let mut r = 0i64;
+                let n = args[2].max(0) as u64;
+                self.profile.builtin_byte_work += n;
                 for i in 0..n {
-                    let x = self.mem.read(args[0] as u64 + i as u64, 1)? as i64;
-                    let y = self.mem.read(args[1] as u64 + i as u64, 1)? as i64;
+                    let byte = |a: i64| self.space.load((a as u64).wrapping_add(i), 1);
+                    let (x, y) = match (byte(args[0]), byte(args[1])) {
+                        (Ok(x), Ok(y)) => (x, y),
+                        (Err(e), _) | (_, Err(e)) => return Err(self.charge(e)),
+                    };
                     if x != y {
-                        r = if x < y { -1 } else { 1 };
-                        break;
+                        return Ok(if x < y { -1 } else { 1 });
                     }
                 }
-                Ok(r)
+                Ok(0)
             }
             Builtin::Getchar => {
                 if self.input_pos < self.opts.input.len() {
@@ -1058,7 +1569,7 @@ impl<'a> Vm<'a> {
                 Ok(args[0])
             }
             Builtin::Putstr => {
-                let s = self.mem.read_cstr(args[0] as u64)?;
+                let s = self.cstr(args[0])?;
                 self.profile.builtin_byte_work += s.len() as u64;
                 self.output.extend_from_slice(&s);
                 Ok(0)
@@ -1075,30 +1586,30 @@ impl<'a> Vm<'a> {
             Builtin::Abort => Err(VmError::Aborted),
             Builtin::GcCollect => {
                 let roots = self.roots(None);
-                self.heap.collect(&mut self.mem, &roots);
+                let Space { mem, heap, .. } = &mut self.space;
+                heap.collect(mem, &roots);
                 Ok(0)
             }
-            Builtin::GcHeapSize => Ok(self.heap.stats().bytes_live as i64),
-            Builtin::GcBase => Ok(self.heap.base(args[0] as u64).unwrap_or(0) as i64),
+            Builtin::GcHeapSize => Ok(self.space.heap.stats().bytes_live as i64),
+            Builtin::GcBase => Ok(self.space.heap.base(args[0] as u64).unwrap_or(0) as i64),
             Builtin::GcSameObj => {
-                let v = args[0] as u64;
-                let base = args[1] as u64;
-                self.exec_same_obj_check(v, base)?;
+                self.space
+                    .same_obj(args[0] as u64, args[1] as u64)
+                    .map_err(|e| self.charge(e))?;
                 Ok(args[0])
             }
             Builtin::KeepLiveFn => Ok(args[0]),
             Builtin::GcPreIncr | Builtin::GcPostIncr => {
                 let pp = args[0] as u64;
-                let delta = args[1];
-                self.check_heap_access(pp)?;
-                let old = self.mem.read(pp, 8)? as i64;
-                let new = old.wrapping_add(delta);
-                if self.mem.in_heap(old as u64) {
-                    self.exec_same_obj_check(new as u64, old as u64)?;
-                }
-                self.mem.write(pp, 8, new as u64)?;
-                if self.heap.barrier_active() {
-                    self.heap.write_barrier(pp, new as u64);
+                let old = self.space.load(pp, 8).map_err(|e| self.charge(e))? as i64;
+                let new = old.wrapping_add(args[1]);
+                self.space
+                    .same_obj(new as u64, old as u64)
+                    .map_err(|e| self.charge(e))?;
+                let Space { mem, heap, .. } = &mut self.space;
+                mem.write(pp, 8, new as u64)?;
+                if heap.barrier_active() {
+                    heap.write_barrier(pp, new as u64);
                 }
                 Ok(if b == Builtin::GcPreIncr { new } else { old })
             }
@@ -1512,5 +2023,508 @@ mod vm_behavior_tests {
             }
         "#;
         assert!(matches!(run_err(src), VmError::Malformed(_)));
+    }
+
+    #[test]
+    fn indirect_call_through_the_sign_bit_is_malformed() {
+        // `v - FUNC_PTR_BASE` overflows for the most negative pointer;
+        // debug and release builds must both report the bad pointer.
+        let src = r#"
+            int main(void) {
+                int (*f)(int, int);
+                long v = 1;
+                v = v << 63;
+                f = (int (*)(int, int)) v;
+                return f(1, 2);
+            }
+        "#;
+        for copts in [CompileOptions::optimized(), CompileOptions::debug()] {
+            assert_eq!(
+                compile_and_run(src, &copts, &VmOptions::default()).unwrap_err(),
+                VmError::Malformed(
+                    "indirect call through bad function pointer 0x8000000000000000".into()
+                )
+            );
+        }
+    }
+
+    /// A `-g` program that allocates `p`, fills it, hides its only
+    /// pointer in `q` and collects, then runs `access` on the freed
+    /// object at `(char *)(q - 100000)`.
+    fn after_free(access: &str) -> Result<ExecOutcome, VmError> {
+        let src = format!(
+            r#"
+            struct pair {{ long a; long b; }};
+            int main(void) {{
+                char *p = (char *) malloc(100);
+                char buf[128];
+                struct pair s;
+                long q;
+                long r = 0;
+                strcpy(buf, "abc");
+                memset(p, 'a', 99);
+                p[99] = 0;
+                q = (long) p + 100000;
+                p = 0;
+                gc_collect();
+                {access}
+                putint(r);
+                return 0;
+            }}
+        "#
+        );
+        compile_and_run(&src, &CompileOptions::debug(), &VmOptions::default())
+    }
+
+    #[test]
+    fn every_access_to_a_freed_object_traps() {
+        let accesses = [
+            "r = *(char *)(q - 100000);",
+            "*(char *)(q - 100000) = 1;",
+            "s = *(struct pair *)(q - 100000);",
+            "*(struct pair *)(q - 100000) = s;",
+            "memcpy(buf, (char *)(q - 100000), 1); r = buf[0];",
+            "memcpy((char *)(q - 100000), buf, 1);",
+            "memset((char *)(q - 100000), 0, 1);",
+            "r = memcmp(buf, (char *)(q - 100000), 1);",
+            "r = strlen((char *)(q - 100000));",
+            "r = strcmp(buf, (char *)(q - 100000));",
+            "r = strncmp((char *)(q - 100000), buf, 2);",
+            "putstr((char *)(q - 100000));",
+            "strcpy(buf, (char *)(q - 100000));",
+            "strcpy((char *)(q - 100000), buf);",
+        ];
+        for access in accesses {
+            let r = after_free(access);
+            assert!(
+                matches!(r, Err(VmError::UseAfterFree { ref func, .. }) if func == "main"),
+                "{access}: {r:?}"
+            );
+        }
+        // Without the access to the freed object the program runs.
+        let live = after_free("r = strlen(buf);").expect("runs");
+        assert_eq!(live.output, b"3");
+    }
+
+    #[test]
+    fn a_range_is_trapped_at_its_far_end() {
+        // `a`'s first byte is live; the last byte of each `n`-byte range
+        // is 8 bytes into the freed slot after it.
+        for access in [
+            "memset(a, 'x', n);",
+            "memcpy(a, buf, n);",
+            "memcpy(buf, a, n);",
+            "strcpy(a, buf);",
+            "r = strlen(a);",
+        ] {
+            let src = format!(
+                r#"
+                int main(void) {{
+                    char *a = (char *) malloc(32);
+                    char *b = (char *) malloc(32);
+                    char buf[128];
+                    long qa = (long) a;
+                    long qb = (long) b + 100000;
+                    long n;
+                    long r = 0;
+                    b = 0;
+                    gc_collect();
+                    n = qb - 100000 - qa + 8;
+                    if (n > 100) return 99;
+                    memset(buf, 'y', n - 1);
+                    buf[n - 1] = 0;
+                    memset(a, 'z', n - 8);
+                    {access}
+                    return (int) r;
+                }}
+            "#
+            );
+            let r = compile_and_run(&src, &CompileOptions::debug(), &VmOptions::default());
+            assert!(
+                matches!(r, Err(VmError::UseAfterFree { .. })),
+                "{access}: {r:?}"
+            );
+        }
+    }
+
+    fn ir_func(name: &str, temp_count: u32, params: &[u32], blocks: Vec<Vec<Instr>>) -> FuncIr {
+        FuncIr {
+            name: name.into(),
+            blocks: blocks.into_iter().map(|instrs| Block { instrs }).collect(),
+            temp_count,
+            param_temps: params.iter().map(|&t| Temp(t)).collect(),
+            frame_size: 0,
+            returns_value: true,
+        }
+    }
+
+    fn run_ir(funcs: Vec<FuncIr>, globals: &[u8], max_steps: u64) -> Result<ExecOutcome, VmError> {
+        let prog = ProgramIr {
+            funcs,
+            main: 0,
+            globals_image: globals.to_vec(),
+            globals_size: globals.len() as u64,
+            alloc_sites: vec![],
+        };
+        super::run(
+            &prog,
+            &VmOptions {
+                max_steps,
+                ..VmOptions::default()
+            },
+        )
+    }
+
+    fn t(n: u32) -> Operand {
+        Operand::Temp(Temp(n))
+    }
+
+    fn imm(v: i64) -> Operand {
+        Operand::Const(v)
+    }
+
+    fn builtin(b: Builtin, args: Vec<Operand>) -> Instr {
+        Instr::Call {
+            dst: None,
+            target: CallTarget::Builtin(b),
+            args,
+            site: None,
+        }
+    }
+
+    /// `putint(v); putchar(' ');`
+    fn print(v: Operand) -> [Instr; 2] {
+        [
+            builtin(Builtin::Putint, vec![v]),
+            builtin(Builtin::Putchar, vec![imm(b' ' as i64)]),
+        ]
+    }
+
+    #[test]
+    fn immediates_in_moves_and_arithmetic() {
+        let mut body = vec![
+            Instr::Mov {
+                dst: Temp(0),
+                src: imm(5),
+            },
+            Instr::KeepLive {
+                dst: Temp(1),
+                value: imm(7),
+                base: Some(imm(1)),
+            },
+            Instr::Bin {
+                dst: Temp(2),
+                op: BinIr::Sub,
+                a: imm(100),
+                b: t(0),
+            },
+            Instr::Bin {
+                dst: Temp(3),
+                op: BinIr::Sub,
+                a: t(1),
+                b: imm(2),
+            },
+            Instr::Bin {
+                dst: Temp(4),
+                op: BinIr::Sub,
+                a: imm(50),
+                b: imm(8),
+            },
+        ];
+        for i in 0..5 {
+            body.extend(print(t(i)));
+        }
+        body.push(Instr::Ret {
+            value: Some(imm(0)),
+        });
+        let out = run_ir(vec![ir_func("main", 5, &[], vec![body])], &[], u64::MAX).expect("runs");
+        assert_eq!(out.output, b"5 7 95 5 42 ");
+    }
+
+    #[test]
+    fn immediates_as_memory_addresses_and_stored_values() {
+        let g = GLOBAL_BASE as i64;
+        let mut body = vec![
+            // Address immediate.
+            Instr::Load {
+                dst: Temp(0),
+                addr: imm(g + 1),
+                width: 1,
+                signed: false,
+            },
+            // Address and value immediate.
+            Instr::Store {
+                addr: imm(g + 8),
+                value: imm(-3),
+                width: 4,
+            },
+            Instr::Load {
+                dst: Temp(1),
+                addr: imm(g + 8),
+                width: 4,
+                signed: true,
+            },
+            // Value immediate.
+            Instr::Const {
+                dst: Temp(2),
+                value: g + 12,
+            },
+            Instr::Store {
+                addr: t(2),
+                value: imm(200),
+                width: 1,
+            },
+            Instr::Load {
+                dst: Temp(3),
+                addr: t(2),
+                width: 1,
+                signed: false,
+            },
+            // Address immediate, value in a temp.
+            Instr::Store {
+                addr: imm(g + 16),
+                value: t(3),
+                width: 8,
+            },
+            Instr::Load {
+                dst: Temp(4),
+                addr: imm(g + 16),
+                width: 8,
+                signed: false,
+            },
+            // Both block-copy addresses immediate.
+            Instr::MemCopy {
+                dst_addr: imm(g + 24),
+                src_addr: imm(g),
+                len: 2,
+            },
+            Instr::Load {
+                dst: Temp(5),
+                addr: imm(g + 24),
+                width: 2,
+                signed: false,
+            },
+        ];
+        for i in [0, 1, 3, 4, 5] {
+            body.extend(print(t(i)));
+        }
+        body.push(Instr::Ret {
+            value: Some(imm(0)),
+        });
+        let globals = [0x11, 0x22, 0, 0, 0, 0, 0, 0];
+        let out = run_ir(
+            vec![ir_func("main", 6, &[], vec![body])],
+            &globals,
+            u64::MAX,
+        )
+        .expect("runs");
+        assert_eq!(out.output, b"34 -3 200 200 8721 ");
+    }
+
+    #[test]
+    fn immediates_in_checks_branches_calls_and_returns() {
+        let h = gcheap::HEAP_BASE as i64;
+        // sub(a, b) = a - b; nine() = 9.
+        let sub = ir_func(
+            "sub",
+            3,
+            &[0, 1],
+            vec![vec![
+                Instr::Bin {
+                    dst: Temp(2),
+                    op: BinIr::Sub,
+                    a: t(0),
+                    b: t(1),
+                },
+                Instr::Ret { value: Some(t(2)) },
+            ]],
+        );
+        let nine = ir_func(
+            "nine",
+            0,
+            &[],
+            vec![vec![Instr::Ret {
+                value: Some(imm(9)),
+            }]],
+        );
+        let call = |dst, target, args| Instr::Call {
+            dst: Some(Temp(dst)),
+            target,
+            args,
+            site: None,
+        };
+        let mut entry = vec![
+            call(0, CallTarget::Builtin(Builtin::Malloc), vec![imm(16)]),
+            Instr::Bin {
+                dst: Temp(1),
+                op: BinIr::Sub,
+                a: t(0),
+                b: imm(h),
+            },
+            // Both check operands immediate: the first object's base and
+            // a pointer 8 bytes into it.
+            Instr::CheckSame {
+                dst: Temp(2),
+                value: imm(h + 8),
+                base: imm(h),
+            },
+            Instr::Bin {
+                dst: Temp(2),
+                op: BinIr::Sub,
+                a: t(2),
+                b: imm(h),
+            },
+            call(3, CallTarget::Func(1), vec![imm(4), imm(15)]),
+            call(
+                4,
+                CallTarget::Indirect(imm(FUNC_PTR_BASE + 1)),
+                vec![imm(20), imm(3)],
+            ),
+            call(5, CallTarget::Func(2), vec![]),
+        ];
+        for i in 1..6 {
+            entry.extend(print(t(i)));
+        }
+        entry.push(Instr::Branch {
+            cond: imm(0),
+            if_true: BlockId(3),
+            if_false: BlockId(1),
+        });
+        let blocks = vec![
+            entry,
+            vec![Instr::Branch {
+                cond: imm(7),
+                if_true: BlockId(2),
+                if_false: BlockId(3),
+            }],
+            vec![Instr::Ret {
+                value: Some(imm(33)),
+            }],
+            vec![builtin(Builtin::Abort, vec![]), Instr::Ret { value: None }],
+        ];
+        let out = run_ir(
+            vec![ir_func("main", 6, &[], blocks), sub, nine],
+            &[],
+            u64::MAX,
+        )
+        .expect("runs");
+        assert_eq!(
+            (out.exit_code, &out.output[..]),
+            (33, &b"0 8 -11 17 9 "[..])
+        );
+        assert_eq!(out.profile.block_counts[0], [1, 1, 1, 0]);
+
+        // An immediate check that fails reports both operands.
+        let failing = vec![
+            call(0, CallTarget::Builtin(Builtin::Malloc), vec![imm(16)]),
+            Instr::CheckSame {
+                dst: Temp(1),
+                value: imm(h + 40),
+                base: imm(h),
+            },
+            Instr::Ret {
+                value: Some(imm(0)),
+            },
+        ];
+        assert_eq!(
+            run_ir(vec![ir_func("main", 2, &[], vec![failing])], &[], u64::MAX).unwrap_err(),
+            VmError::CheckFailed {
+                func: "main".into(),
+                value: (h + 40) as u64,
+                base: h as u64,
+            }
+        );
+    }
+
+    #[test]
+    fn a_fault_on_step_k_needs_a_budget_of_k_minus_one() {
+        // The load on step 3 faults.
+        let main = || {
+            ir_func(
+                "main",
+                2,
+                &[],
+                vec![vec![
+                    Instr::Const {
+                        dst: Temp(0),
+                        value: 0,
+                    },
+                    Instr::Const {
+                        dst: Temp(1),
+                        value: 1,
+                    },
+                    Instr::Load {
+                        dst: Temp(1),
+                        addr: t(0),
+                        width: 8,
+                        signed: false,
+                    },
+                    Instr::Ret { value: Some(t(1)) },
+                ]],
+            )
+        };
+        for budget in [u64::MAX, 2] {
+            assert!(
+                matches!(
+                    run_ir(vec![main()], &[], budget),
+                    Err(VmError::Fault(MemFault { addr: 0, .. }))
+                ),
+                "budget {budget}"
+            );
+        }
+        assert_eq!(
+            run_ir(vec![main()], &[], 1).unwrap_err(),
+            VmError::StepLimit
+        );
+    }
+
+    #[test]
+    fn exit_from_a_nested_frame_needs_exactly_its_steps() {
+        // main: t0 = 1; f(); abort.  f: t0 = 3; putchar('x'); exit(t0).
+        let funcs = || {
+            vec![
+                ir_func(
+                    "main",
+                    1,
+                    &[],
+                    vec![vec![
+                        Instr::Const {
+                            dst: Temp(0),
+                            value: 1,
+                        },
+                        Instr::Call {
+                            dst: None,
+                            target: CallTarget::Func(1),
+                            args: vec![],
+                            site: None,
+                        },
+                        builtin(Builtin::Abort, vec![]),
+                        Instr::Ret { value: None },
+                    ]],
+                ),
+                ir_func(
+                    "f",
+                    1,
+                    &[],
+                    vec![vec![
+                        Instr::Const {
+                            dst: Temp(0),
+                            value: 3,
+                        },
+                        builtin(Builtin::Putchar, vec![imm(b'x' as i64)]),
+                        builtin(Builtin::Exit, vec![t(0)]),
+                        Instr::Ret { value: None },
+                    ]],
+                ),
+            ]
+        };
+        let out = run_ir(funcs(), &[], u64::MAX).expect("runs");
+        assert_eq!(
+            (out.steps, out.exit_code, &out.output[..]),
+            (5, 3, &b"x"[..])
+        );
+        let out = run_ir(funcs(), &[], 5).expect("five steps fit a budget of five");
+        assert_eq!((out.steps, out.exit_code), (5, 3));
+        assert_eq!(run_ir(funcs(), &[], 4).unwrap_err(), VmError::StepLimit);
     }
 }

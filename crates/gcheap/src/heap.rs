@@ -24,6 +24,21 @@ use std::time::Instant;
 /// become multi-page "large" objects.
 pub const SIZE_CLASSES: &[u32] = &[16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024, 2048];
 
+/// Per size class, `ceil(2^32 / size)`: an offset into a page times it,
+/// shifted right by 32, is the offset's slot, with no division. It is
+/// exact: the product overshoots `offset / size` by less than
+/// `offset / 2^32`, which is below `1 / size` because
+/// `offset × size < 2^24`, so it never reaches the next slot.
+const SLOT_RECIPROCALS: [u64; SIZE_CLASSES.len()] = {
+    let mut r = [0; SIZE_CLASSES.len()];
+    let mut ci = 0;
+    while ci < r.len() {
+        r[ci] = (1u64 << 32).div_ceil(SIZE_CLASSES[ci] as u64);
+        ci += 1;
+    }
+    r
+};
+
 /// Nanoseconds elapsed since `t0`, saturating at `u64::MAX`.
 fn elapsed_ns(t0: &Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -959,9 +974,32 @@ impl GcHeap {
         self.map.object_extent(addr)
     }
 
-    /// Whether `addr` points into a currently allocated object.
+    /// Whether `addr` points into a currently allocated object. The VM
+    /// asks this on every heap access it traps, so the flat side table
+    /// classifies the page and a multiply by the class's reciprocal finds
+    /// the slot; only the slot's allocation bit is read from the page map.
+    #[inline(always)]
     pub fn is_allocated(&self, addr: u64) -> bool {
-        self.map.object_base(addr).is_some()
+        let off = addr.wrapping_sub(self.heap_base);
+        if off >= self.heap_limit - self.heap_base {
+            return false;
+        }
+        let idx = (off >> PAGE_SHIFT) as usize;
+        match self.side[idx] {
+            PageKind::Free => false,
+            PageKind::Small { ci, .. } => {
+                let slot = ((off & (PAGE_SIZE - 1)) * SLOT_RECIPROCALS[ci as usize]) >> 32;
+                let PageDesc::Small(sp) = self.map.desc(idx) else {
+                    unreachable!("side table says small page")
+                };
+                // An offset in a ragged class's tail gap maps to the slot
+                // after the last, whose bit is never set.
+                sp.alloc_bit(slot as usize)
+            }
+            PageKind::LargeHead | PageKind::LargeCont { .. } => {
+                self.map.object_base(addr).is_some()
+            }
+        }
     }
 
     /// `GC_same_obj`: whether `p` and `q` point into the same allocated
@@ -1852,6 +1890,42 @@ mod tests {
         // (base+32) must still resolve to the object.
         let a = heap.alloc(&mut mem, 32).unwrap();
         assert_eq!(heap.base(a + 32), Some(a));
+    }
+
+    #[test]
+    fn slot_reciprocals_divide_exactly() {
+        for (ci, &size) in SIZE_CLASSES.iter().enumerate() {
+            for off in 0..PAGE_SIZE {
+                assert_eq!(
+                    (off * SLOT_RECIPROCALS[ci]) >> 32,
+                    off / u64::from(size),
+                    "offset {off}, size {size}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn is_allocated_agrees_with_the_page_map() {
+        let mut mem = Memory::new(4096, 4096, 64 * PAGE_SIZE as usize);
+        let mut heap = GcHeap::with_defaults(&mem);
+        let mut kept = RootSet::new();
+        // Every class, a ragged one among them, and a large object.
+        for (i, &size) in SIZE_CLASSES.iter().chain(&[5000, 48, 48, 48]).enumerate() {
+            let a = heap.alloc(&mut mem, u64::from(size) - 1).expect("fits");
+            if i % 2 == 0 {
+                kept.add_word(a);
+            }
+        }
+        heap.collect(&mut mem, &kept);
+        let mut seen = [0; 2];
+        let limit = HEAP_BASE + mem.heap_size() as u64;
+        for addr in (HEAP_BASE - 8..limit + 8).step_by(8) {
+            let allocated = heap.is_allocated(addr);
+            assert_eq!(allocated, heap.base(addr).is_some(), "{addr:#x}");
+            seen[usize::from(allocated)] += 1;
+        }
+        assert!(seen[0] > 0 && seen[1] > 0, "{seen:?}");
     }
 
     #[test]

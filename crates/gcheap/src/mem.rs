@@ -105,8 +105,10 @@ impl Segment {
         self.base + self.size as u64
     }
 
+    /// Whether `addr` is reserved here: one compare.
+    #[inline]
     fn contains(&self, addr: u64) -> bool {
-        (self.base..self.end()).contains(&addr)
+        addr.wrapping_sub(self.base) < self.size as u64
     }
 
     /// Where the `len` bytes at `addr` sit in the committed run, if all of
@@ -246,9 +248,10 @@ impl Memory {
         }
     }
 
-    /// Whether `addr` lies in the heap region.
+    /// Whether `addr` lies in the heap region: one compare.
+    #[inline]
     pub fn in_heap(&self, addr: u64) -> bool {
-        matches!(self.region_of(addr), Some(Region::Heap))
+        self.seg(Region::Heap).contains(addr)
     }
 
     /// The region and run offset of the `len` bytes at `addr`, if they
@@ -285,10 +288,17 @@ impl Memory {
     /// # Errors
     ///
     /// Returns a [`MemFault`] for unmapped or out-of-range accesses.
+    #[inline(always)]
     pub fn read(&self, addr: u64, width: u32) -> MemResult<u64> {
-        if let Some((region, off)) = self.find_committed(addr, width as usize) {
-            return Ok(decode(&self.seg(region).bytes[off..], width));
+        match self.find_committed(addr, width as usize) {
+            Some((region, off)) => Ok(decode(&self.seg(region).bytes[off..], width)),
+            None => self.read_uncommitted(addr, width),
         }
+    }
+
+    /// [`Memory::read`] of bytes not all committed: zeros, or a fault.
+    #[inline(never)]
+    fn read_uncommitted(&self, addr: u64, width: u32) -> MemResult<u64> {
         let region = self.locate(addr, width as usize, false)?;
         let mut word = [0; 8];
         self.seg(region)
@@ -302,13 +312,11 @@ impl Memory {
     /// # Errors
     ///
     /// Returns a [`MemFault`] for unmapped or out-of-range accesses.
+    #[inline(always)]
     pub fn write(&mut self, addr: u64, width: u32, value: u64) -> MemResult<()> {
         let (region, off) = match self.find_committed(addr, width as usize) {
             Some(hit) => hit,
-            None => {
-                let region = self.locate(addr, width as usize, true)?;
-                (region, self.seg_mut(region).grow(addr, width as usize))
-            }
+            None => self.commit_for_write(addr, width)?,
         };
         let buf = &mut self.seg_mut(region).bytes;
         match width {
@@ -319,6 +327,14 @@ impl Memory {
             _ => panic!("unsupported access width {width}"),
         }
         Ok(())
+    }
+
+    /// [`Memory::write`] past the committed runs: the region and run
+    /// offset of the `width` bytes at `addr` once committed, or a fault.
+    #[inline(never)]
+    fn commit_for_write(&mut self, addr: u64, width: u32) -> MemResult<(Region, usize)> {
+        let region = self.locate(addr, width as usize, true)?;
+        Ok((region, self.seg_mut(region).grow(addr, width as usize)))
     }
 
     /// Copies `len` bytes within the address space (regions may differ;

@@ -90,6 +90,7 @@ impl SmallPage {
     }
 
     /// Whether slot `slot` is allocated.
+    #[inline]
     pub fn alloc_bit(&self, slot: usize) -> bool {
         self.alloc[slot / 64] >> (slot % 64) & 1 != 0
     }
@@ -204,6 +205,7 @@ impl PageMap {
     }
 
     /// Level-1 then level-2 lookup (the fixed-height-2 tree walk).
+    #[inline]
     pub fn desc(&self, idx: usize) -> &PageDesc {
         const FREE: PageDesc = PageDesc::Free;
         match &self.top[idx / LEAF_PAGES] {

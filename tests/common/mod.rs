@@ -1,4 +1,5 @@
-//! Shared deterministic PRNG for the randomized integration tests.
+//! Shared helpers for the integration tests: a deterministic PRNG for
+//! the randomized ones, and the VM result line the goldens pin.
 //!
 //! The container builds fully offline, so the suite hand-rolls its
 //! randomness instead of depending on an external property-testing
@@ -9,11 +10,42 @@
 // Shared by several test binaries; none of them uses every helper.
 #![allow(dead_code)]
 
+use cvm::{ExecOutcome, ProgramIr};
+
 /// 64-bit FNV-1a over `bytes`.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf29ce484222325, |h, b| {
         (h ^ b as u64).wrapping_mul(0x100000001b3)
     })
+}
+
+/// One line of what a VM run reports: the step count, the dynamic
+/// instruction count, the sorted builtin call counts, the builtin byte
+/// work, and FNV-1a digests of the output bytes and of the per-block
+/// execution counts.
+pub fn vm_line(prog: &ProgramIr, out: &ExecOutcome) -> String {
+    let mut builtins: Vec<String> = out
+        .profile
+        .builtin_calls
+        .iter()
+        .map(|(b, n)| format!("{b:?}:{n}"))
+        .collect();
+    builtins.sort();
+    let blocks = out.profile.block_counts.iter().flat_map(|counts| {
+        std::iter::once(counts.len() as u64)
+            .chain(counts.iter().copied())
+            .flat_map(u64::to_le_bytes)
+    });
+    format!(
+        "vm steps={} dynamic_instrs={} builtins=[{}] builtin_byte_work={} output_fnv={:016x} \
+         blocks_fnv={:016x}",
+        out.steps,
+        out.profile.dynamic_instrs(prog),
+        builtins.join(" "),
+        out.profile.builtin_byte_work,
+        fnv1a(out.output.iter().copied()),
+        fnv1a(blocks),
+    )
 }
 
 /// xorshift64* — tiny, fast, and plenty good for test-case generation.

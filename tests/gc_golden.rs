@@ -29,8 +29,8 @@
 
 mod common;
 
-use common::{fnv1a, Rng};
-use cvm::{CompileOptions, ExecOutcome, ProgramIr, VmOptions};
+use common::{vm_line, Rng};
+use cvm::{CompileOptions, VmOptions};
 use gcheap::{CollectionRecord, GcHeap, HeapConfig, HeapStats, Memory, RootSet};
 use gcprof::{HeapCensus, ProfHandle};
 use std::fmt::Write;
@@ -121,31 +121,6 @@ fn record_line(r: &CollectionRecord) -> String {
         r.increments,
         r.increment_words_encoded(),
         r.young_pages_swept,
-    )
-}
-
-fn vm_line(prog: &ProgramIr, out: &ExecOutcome) -> String {
-    let mut builtins: Vec<String> = out
-        .profile
-        .builtin_calls
-        .iter()
-        .map(|(b, n)| format!("{b:?}:{n}"))
-        .collect();
-    builtins.sort();
-    let blocks = out.profile.block_counts.iter().flat_map(|counts| {
-        std::iter::once(counts.len() as u64)
-            .chain(counts.iter().copied())
-            .flat_map(u64::to_le_bytes)
-    });
-    format!(
-        "vm steps={} dynamic_instrs={} builtins=[{}] builtin_byte_work={} output_fnv={:016x} \
-         blocks_fnv={:016x}",
-        out.steps,
-        out.profile.dynamic_instrs(prog),
-        builtins.join(" "),
-        out.profile.builtin_byte_work,
-        fnv1a(out.output.iter().copied()),
-        fnv1a(blocks),
     )
 }
 
