@@ -285,9 +285,9 @@ fn main() {
         if repeat > 1 {
             // Robust statistics: rerun the whole measurement and fold
             // the runs (median wall-clock fields, min for the per-run
-            // maximum max_pause_ns, MAD as the noise estimate the
-            // regression gate keys on). Deterministic counts must not
-            // move between repeats; aggregate() enforces that.
+            // maximum max_pause_ns, MAD as the noise estimate `bench
+            // compare` prints). Deterministic counts must not move
+            // between repeats; aggregate() enforces that.
             let mut runs = Vec::with_capacity(repeat);
             match gcwatch::stats::parse_cells(&text) {
                 Ok(cells) => runs.push(cells),

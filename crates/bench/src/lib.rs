@@ -245,10 +245,11 @@ pub fn analysis_listing() -> String {
 ///
 /// * **opt 1 off** — copies are wrapped too ("there is clearly no reason
 ///   to replace the assignment p = q by p = KEEP_LIVE(q, q)");
-/// * **opt 3 on** — the slowly-varying base heuristic;
-/// * **opt 4 on** — call-site-only collection drops dereference wraps
-///   ("the number of KEEP_LIVE invocations could often be reduced
-///   dramatically").
+/// * **opt 3 on** — the slowly-varying base heuristic.
+///
+/// Optimization 4 (no dereference wraps when collections happen only at
+/// call sites) has no column: scheduling hoists a displaced base above an
+/// allocating call, so such a build loses objects under a collecting VM.
 ///
 /// # Errors
 ///
@@ -263,8 +264,8 @@ pub fn ablation_table(scale: Scale, opt: &[OptCycles]) -> Result<String, String>
     );
     let _ = writeln!(
         out,
-        "{:10}{:>10}{:>12}{:>12}{:>12}{:>14}{:>13}",
-        "", "-O", "safe", "no-opt1", "base-heur", "call-sites", "naive-call"
+        "{:10}{:>10}{:>12}{:>12}{:>12}{:>13}",
+        "", "-O", "safe", "no-opt1", "base-heur", "naive-call"
     );
     let annotated = |config: gcsafe::Config| CompileOptions {
         annotate: Some(config),
@@ -278,10 +279,6 @@ pub fn ablation_table(scale: Scale, opt: &[OptCycles]) -> Result<String, String>
         }),
         annotated(gcsafe::Config {
             base_heuristic: true,
-            ..gcsafe::Config::gc_safe()
-        }),
-        annotated(gcsafe::Config {
-            call_sites_only: true,
             ..gcsafe::Config::gc_safe()
         }),
         CompileOptions::optimized_safe_naive(),
@@ -985,8 +982,10 @@ pub fn folded_export(data: &Dataset) -> String {
 /// object per line — first every (workload, mode) matrix cell's collector
 /// statistics, then the [`gc_microbench`] schedules. Schema `gc/1`; every
 /// consumer keys on `"kind"` (`"matrix"` or `"micro"`). Timing fields
-/// (`*_ns`, `allocs_per_sec`) are wall-clock and move run to run; every
-/// count is deterministic.
+/// (`*_ns`, `allocs_per_sec`) and the MMU windows computed from them are
+/// wall-clock and move run to run; every count is deterministic, and
+/// `bench compare` checks a fresh run's counts against the committed
+/// trajectory's.
 pub fn bench_gc_json(data: &Dataset, micro: &[MicroCell]) -> String {
     let mut lines = Vec::new();
     let heap_fields = |w: &mut gctrace::json::Writer, h: &gcheap::HeapStats| {
@@ -1016,12 +1015,17 @@ pub fn bench_gc_json(data: &Dataset, micro: &[MicroCell]) -> String {
         w.uint_field("sweep_increments", h.sweep_increments);
         w.uint_field("barrier_marks", h.barrier_marks);
     };
-    // Pause attribution and MMU windows ride along whenever the cell was
-    // profiled: the worst pause's cause/site answer "why" for every
-    // max_pause_ns in the trajectory, and the MMU floors in budgets.toml
-    // key on the mmu_* fields.
+    // The collections' work, pause attribution and MMU windows ride
+    // along whenever the cell was profiled: the summed work counts are
+    // what the timeline's virtual clock runs on, the worst pause's
+    // cause/site answer "why" for every max_pause_ns in the trajectory,
+    // and the mmu_* fields show how much of the mutator's time it kept.
     let prof_fields = |w: &mut gctrace::json::Writer, d: &ProfData| {
-        if let Some(worst) = d.collection_log.iter().max_by_key(|r| r.pause_ns) {
+        let log = &d.collection_log;
+        w.uint_field("words_marked", log.iter().map(|r| r.words_marked).sum());
+        w.uint_field("pages_swept", log.iter().map(|r| r.pages_swept).sum());
+        w.uint_field("roots_scanned", log.iter().map(|r| r.roots_scanned).sum());
+        if let Some(worst) = log.iter().max_by_key(|r| r.pause_ns) {
             w.str_field("max_pause_cause", worst.cause.as_str());
             w.str_field("max_pause_site", worst.site.as_deref().unwrap_or("-"));
         }
@@ -1059,23 +1063,18 @@ pub fn bench_gc_json(data: &Dataset, micro: &[MicroCell]) -> String {
     format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
-/// Validates a [`bench_gc_json`] document: every line between the array
-/// brackets must parse as a flat JSON object carrying the `gc/1` schema
-/// tag and the fields every trajectory consumer keys on. Returns the
-/// number of cells.
+/// Validates a [`bench_gc_json`] document: every cell must carry the
+/// `gc/1` schema tag and the fields every trajectory consumer keys on.
+/// Returns the number of cells.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line.
+/// Returns a message naming the first malformed cell.
 pub fn validate_bench_gc_json(text: &str) -> Result<usize, String> {
-    let mut cells = 0;
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
-            continue;
-        }
-        let obj = gctrace::json::parse_object(line).map_err(|e| format!("bad cell: {e}"))?;
-        for key in [
+    let cells = gcwatch::stats::parse_cells(text)?;
+    for cell in &cells {
+        let key = gcwatch::stats::cell_key(cell);
+        for field in [
             "schema",
             "kind",
             "workload",
@@ -1086,19 +1085,22 @@ pub fn validate_bench_gc_json(text: &str) -> Result<usize, String> {
             "total_sweep_ns",
             "max_pause_ns",
         ] {
-            if !obj.contains_key(key) {
-                return Err(format!("cell missing {key:?}: {line}"));
+            if !cell.contains_key(field) {
+                return Err(format!("cell {key} is missing {field:?}"));
             }
         }
-        if obj.get("schema").and_then(gctrace::json::JsonValue::as_str) != Some("gc/1") {
-            return Err(format!("unknown schema in cell: {line}"));
+        if cell
+            .get("schema")
+            .and_then(gctrace::json::JsonValue::as_str)
+            != Some("gc/1")
+        {
+            return Err(format!("cell {key} has an unknown schema"));
         }
-        cells += 1;
     }
-    if cells == 0 {
+    if cells.is_empty() {
         return Err("no cells".into());
     }
-    Ok(cells)
+    Ok(cells.len())
 }
 
 /// The minimum collections per collecting cell the harness considers
@@ -1116,30 +1118,17 @@ pub const MIN_COLLECTIONS: u64 = 10;
 ///
 /// Propagates parse errors from the document.
 pub fn low_collection_cells(text: &str, min: u64) -> Result<Vec<(String, u64)>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
-            continue;
-        }
-        let obj = gctrace::json::parse_object(line).map_err(|e| format!("bad cell: {e}"))?;
-        let get = |k: &str| obj.get(k).and_then(gctrace::json::JsonValue::as_str);
-        let collections = obj
-            .get("collections")
-            .and_then(gctrace::json::JsonValue::as_u64)
-            .unwrap_or(0);
-        if collections < min {
-            out.push((
-                format!(
-                    "{}/{}",
-                    get("workload").unwrap_or("?"),
-                    get("mode").unwrap_or("?")
-                ),
-                collections,
-            ));
-        }
-    }
-    Ok(out)
+    let cells = gcwatch::stats::parse_cells(text)?;
+    Ok(cells
+        .iter()
+        .filter_map(|cell| {
+            let collections = cell
+                .get("collections")
+                .and_then(gctrace::json::JsonValue::as_u64)
+                .unwrap_or(0);
+            (collections < min).then(|| (gcwatch::stats::cell_key(cell), collections))
+        })
+        .collect())
 }
 
 /// Builds the Perfetto timeline cells for `--timeline`: every profiled
@@ -1398,15 +1387,22 @@ mod tests {
 
     #[test]
     fn bench_gc_json_is_valid_and_covers_matrix_and_micro() {
-        let data = collect(
-            Scale::Tiny,
-            gc_safety::default_jobs(),
-            &Instruments::default(),
-        )
-        .expect("all workloads run");
+        // Profiled like `tables --bench-json`, so every cell carries the
+        // collection log's work totals.
+        let prof = Instruments {
+            prof: ProfHandle::enabled(),
+            ..Instruments::default()
+        };
+        let data =
+            collect(Scale::Tiny, gc_safety::default_jobs(), &prof).expect("all workloads run");
         let micro = gc_microbench(true);
         let text = bench_gc_json(&data, &micro);
         let cells = validate_bench_gc_json(&text).expect("parses");
+        for cell in gcwatch::stats::parse_cells(&text).unwrap() {
+            for field in ["words_marked", "pages_swept", "roots_scanned"] {
+                assert!(cell.contains_key(field), "{cell:?} lacks {field}");
+            }
+        }
         // Cells whose VM run traps (g-checked catching a hazard) carry no
         // heap stats and are skipped, so count from the dataset itself.
         let measured: usize = data

@@ -14,15 +14,17 @@
 //! * `churn-ptr` — barrier-heavy: lists rewired across generations so
 //!   every allocation is chased by pointer stores into existing objects.
 //!
-//! Every schedule uses [`HeapConfig::bounded_pause`] (256 KiB threshold,
-//! incremental marking, nursery collections, poisoning on), drives
+//! Every schedule uses [`HeapConfig::bounded_pause`] (48 KiB threshold,
+//! incremental marking, nursery collections), drives
 //! allocation exactly the way the VM does
 //! ([`GcHeap::alloc_with_roots_sited`]: threshold/increment work at the
 //! safe point, retry through an emergency collection on OOM), reports
 //! heap pointer stores through [`GcHeap::write_barrier`], and is seeded
 //! xorshift-deterministic: the allocation *counts* are byte-identical
-//! run to run; only the nanosecond timings move. The results seed
-//! `BENCH_gc.json`, the repo's perf trajectory.
+//! run to run; only the nanosecond timings move. The results are the
+//! `micro` cells of `BENCH_gc.json`, the repo's perf trajectory, where
+//! `bench compare` checks their counts and only prints their timings; the
+//! tests below pin that all four schedules run and collect.
 //!
 //! Unlike the VM, which hands the heap a [`gcheap::Roots::Lazy`] builder,
 //! every schedule builds its full [`RootSet`] before each allocation and
@@ -37,14 +39,14 @@ use std::time::Instant;
 /// One measured microbench schedule.
 #[derive(Debug, Clone)]
 pub struct MicroCell {
-    /// Schedule name (`churn-small`, `churn-mixed`, `graph`).
+    /// Schedule name (`churn-small`, `churn-mixed`, `graph`, `churn-ptr`).
     pub name: &'static str,
     /// Final collector statistics for the run.
     pub stats: HeapStats,
     /// Wall-clock time for the whole schedule, in nanoseconds.
     pub wall_ns: u64,
     /// The schedule's profile: pause timeline (for MMU windows) and the
-    /// per-collection attribution log (for timelines and budgets).
+    /// per-collection attribution log (for timelines and work totals).
     pub prof: ProfData,
 }
 
@@ -113,8 +115,8 @@ fn run_schedule(
     let mut mem = Memory::new(1 << 16, 1 << 16, 32 << 20);
     let mut heap = GcHeap::new(&mem, HeapConfig::bounded_pause());
     // Every schedule runs profiled: the pause timeline feeds the MMU
-    // floors in BENCH_gc.json and the collection log feeds the timeline
-    // export. The overhead is identical across runs, so the trajectory
+    // windows in BENCH_gc.json and the collection log feeds its work
+    // totals and the timeline export. The overhead is identical across runs, so the trajectory
     // stays comparable with itself.
     let prof = ProfHandle::enabled();
     heap.set_prof(prof.clone());
@@ -269,7 +271,10 @@ mod tests {
 
     #[test]
     fn microbench_schedules_actually_collect() {
-        for cell in gc_microbench(true) {
+        let cells = gc_microbench(true);
+        let names: Vec<&str> = cells.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["churn-small", "churn-mixed", "graph", "churn-ptr"]);
+        for cell in cells {
             assert!(
                 cell.stats.collections > 0,
                 "{}: no collections under default threshold",

@@ -55,7 +55,7 @@ const TRANSCRIPTS: &[Transcript] = &[
         columns: &[
             (1, "`-O` cycles", 0),
             (2, "safe (asm primitive)", 1),
-            (3, "naive (identity call)", 5),
+            (3, "naive (identity call)", 4),
         ],
     },
     Transcript {

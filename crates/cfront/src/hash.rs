@@ -23,29 +23,11 @@ use crate::ast::{Block, Expr, ExprKind, FuncDef, GlobalDecl, Init, Param, Progra
 use crate::types::{Type, TypeTable};
 use std::hash::Hash;
 
-/// Per-function and whole-program structural hashes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgramHashes {
-    /// The whole-program hash: types, globals, enum constants, and every
-    /// function, in declaration order. This is the sound memoization key
-    /// — function bodies are compiled against the program's record
-    /// layouts and globals, so per-function hashes alone are not.
-    pub whole: u64,
-    /// `(name, hash)` per function, in declaration order. Function hashes
-    /// cover the signature and body but reference record types by table
-    /// index, so they are only comparable between programs whose type
-    /// tables agree (which the whole-program hash certifies).
-    pub funcs: Vec<(String, u64)>,
-}
-
-/// Hashes a whole program structurally (spans/ids/types excluded).
+/// Hashes a whole program structurally (spans/ids/types excluded): types,
+/// globals, enum constants, and every function, in declaration order.
+/// Function bodies are compiled against the program's record layouts and
+/// globals, so only the whole program is a sound memoization key.
 pub fn program_hash(p: &Program) -> u64 {
-    program_hashes(p).whole
-}
-
-/// Computes the whole-program hash plus per-function hashes in one walk.
-pub fn program_hashes(p: &Program) -> ProgramHashes {
-    let mut funcs = Vec::with_capacity(p.funcs.len());
     let mut w = StructHasher::new();
     w.tag(b'P');
     hash_type_table(&mut w, &p.types);
@@ -60,18 +42,13 @@ pub fn program_hashes(p: &Program) -> ProgramHashes {
     }
     w.len(p.funcs.len());
     for f in &p.funcs {
-        let fh = function_hash(f);
-        funcs.push((f.name.clone(), fh));
-        w.u64(fh);
+        w.u64(hash_function(f));
     }
-    ProgramHashes {
-        whole: w.finish(),
-        funcs,
-    }
+    w.finish()
 }
 
 /// Hashes one function definition or prototype structurally.
-pub fn function_hash(f: &FuncDef) -> u64 {
+fn hash_function(f: &FuncDef) -> u64 {
     let mut w = StructHasher::new();
     w.tag(b'F');
     w.str(&f.name);
@@ -482,7 +459,6 @@ mod tests {
             .join("\n/* reformatted */\n");
         let b = parse(&squeezed).unwrap();
         assert_eq!(program_hash(&a), program_hash(&b));
-        assert_eq!(program_hashes(&a).funcs, program_hashes(&b).funcs);
     }
 
     #[test]
@@ -514,22 +490,6 @@ mod tests {
             let b = parse(&edited).unwrap();
             assert_ne!(program_hash(&a), program_hash(&b), "{what}");
         }
-    }
-
-    #[test]
-    fn per_function_hashes_isolate_the_changed_function() {
-        let a = program_hashes(&parse(SRC).unwrap());
-        let edited = SRC.replace("return sum(head);", "return sum(head) + 1;");
-        let b = program_hashes(&parse(&edited).unwrap());
-        assert_ne!(a.whole, b.whole);
-        let diff: Vec<&str> = a
-            .funcs
-            .iter()
-            .zip(&b.funcs)
-            .filter(|((_, ha), (_, hb))| ha != hb)
-            .map(|((name, _), _)| name.as_str())
-            .collect();
-        assert_eq!(diff, vec!["main"], "only main changed");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod types;
 pub use ast::{Block, Expr, ExprKind, FuncDef, NodeId, Program, Stmt};
 pub use edit::EditList;
 pub use error::{FrontError, FrontResult};
-pub use hash::{function_hash, program_hash, program_hashes, ProgramHashes};
+pub use hash::program_hash;
 pub use normalize::{normalize_expr, normalize_program};
 pub use parser::{parse, parse_expr};
 pub use sema::{analyze, Builtin, Resolution, SemaInfo, VarId};

@@ -14,16 +14,20 @@
 //!   the specialized `GC_pre_incr` / `GC_post_incr` calls — the debugging
 //!   pointer-arithmetic checker.
 //!
-//! The paper's four optimizations are individually switchable for
-//! ablation:
+//! Three of the paper's four optimizations are individually switchable
+//! for ablation:
 //!
 //! 1. skip `KEEP_LIVE` on plain copies (`p = q`);
 //! 2. specialized expansion of `++`/`--` that avoids forcing the operand
 //!    to memory in GC-safe mode;
 //! 3. the base-pointer heuristic — "replace base pointers … by equivalent,
-//!    but less rapidly varying base pointers" (the `strcpy` example);
-//! 4. call-site-only collection: drop the dereference-address wraps, keep
-//!    the stored-value wraps.
+//!    but less rapidly varying base pointers" (the `strcpy` example).
+//!
+//! The fourth, dropping the dereference-address wraps when collections
+//! happen only at call sites, is not built: reassociation and scheduling
+//! hoist a displaced base such as `p - 1000` above an allocating call, so
+//! the dropped wrap was the only thing keeping `p` live
+//! (`tests/gc_unsafety.rs`).
 
 use crate::base::{Base, BaseAnalysis};
 use cfront::ast::*;
@@ -55,9 +59,6 @@ pub struct Config {
     pub specialize_incdec: bool,
     /// Optimization 3: prefer slowly varying equivalent base pointers.
     pub base_heuristic: bool,
-    /// Optimization 4: collections only at call sites — dereference-address
-    /// wraps become unnecessary.
-    pub call_sites_only: bool,
 }
 
 impl Default for Config {
@@ -67,7 +68,6 @@ impl Default for Config {
             skip_copies: true,
             specialize_incdec: true,
             base_heuristic: false,
-            call_sites_only: false,
         }
     }
 }
@@ -101,8 +101,6 @@ pub struct AnnotStats {
     pub skipped_copies: usize,
     /// Base pointers replaced by a slower-varying equivalent (optimization 3).
     pub base_heuristic_hits: usize,
-    /// Dereference wraps skipped under call-site-only mode (optimization 4).
-    pub skipped_deref_wraps: usize,
 }
 
 /// Result of annotating a program.
@@ -174,10 +172,6 @@ pub fn annotate_traced(
                 .field(
                     "base_heuristic_hits",
                     stats.base_heuristic_hits - before.base_heuristic_hits,
-                )
-                .field(
-                    "skipped_deref_wraps",
-                    stats.skipped_deref_wraps - before.skipped_deref_wraps,
                 )
         });
     }
@@ -548,7 +542,7 @@ impl Annotator<'_> {
     /// The dereference-address transformation: rewrites `a[i]` / `e->x` /
     /// `e.x`-via-pointer into `*WRAP(&lvalue, base)` per the paper's
     /// `*&(e1[e2].x)` normalization. Returns `None` when no wrap applies
-    /// (non-heap base, or call-site-only mode).
+    /// (a non-heap base).
     fn deref_address(&mut self, e: &Expr) -> Option<Base> {
         let base = match &e.kind {
             ExprKind::Index(..) | ExprKind::Member { .. } => self.analysis().base_addr(e),
@@ -560,11 +554,6 @@ impl Annotator<'_> {
         // paper's introduced temporary would have been. Nil: provably
         // non-heap, leave alone.
         if matches!(base, Base::Nil) {
-            return None;
-        }
-        if self.cfg.call_sites_only {
-            self.stats.skipped_deref_wraps += 1;
-            self.audit_skip(e, "opt4_call_sites_only");
             return None;
         }
         Some(base)

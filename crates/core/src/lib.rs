@@ -249,25 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn call_site_only_drops_deref_wraps_keeps_stores() {
-        let src = "char *f(char *p, long i) { char *q; q = p + i; return p[i]; }";
-        let full = annotate_program(src, &Config::gc_safe()).unwrap();
-        let cfg = Config {
-            call_sites_only: true,
-            ..Config::gc_safe()
-        };
-        let reduced = annotate_program(src, &cfg).unwrap();
-        let (kf, _) = count_wraps(&full.program);
-        let (kr, _) = count_wraps(&reduced.program);
-        assert!(
-            kr < kf,
-            "call-site-only must reduce wrap count ({kr} vs {kf})"
-        );
-        assert!(kr >= 1, "the stored value q = p + i is still wrapped");
-        assert!(reduced.result.stats.skipped_deref_wraps > 0);
-    }
-
-    #[test]
     fn base_heuristic_uses_slow_base() {
         // The paper's canonical string-copy loop: bases p, q should be
         // replaced by the loop-invariant s, t.

@@ -24,6 +24,12 @@ use std::time::Instant;
 /// become multi-page "large" objects.
 pub const SIZE_CLASSES: &[u32] = &[16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024, 2048];
 
+/// The byte the sweep writes over every freed object's committed bytes,
+/// so that freed memory read without the VM's `trap_uaf` check shows
+/// garbage rather than the object it held. Bytes never written stay
+/// uncommitted and read zero (see [`Memory::fill_committed`]).
+const POISON: u8 = 0xDD;
+
 /// Per size class, `ceil(2^32 / size)`: an offset into a page times it,
 /// shifted right by 32, is the offset's slot, with no division. It is
 /// exact: the product overshoots `offset / size` by less than
@@ -65,9 +71,6 @@ pub struct HeapConfig {
     pub policy: PointerPolicy,
     /// Allocate one extra byte per object (paper default: on).
     pub extra_byte: bool,
-    /// Overwrite freed memory with `0xDD` so premature collection is
-    /// observable (used by the GC-unsafety demonstrations).
-    pub poison: bool,
     /// Bytes allocated between automatic collections.
     pub gc_threshold: u64,
     /// \[Boehm93\]-style page blacklisting: candidate words observed during
@@ -105,7 +108,6 @@ impl Default for HeapConfig {
         HeapConfig {
             policy: PointerPolicy::InteriorEverywhere,
             extra_byte: true,
-            poison: true,
             gc_threshold: 256 * 1024,
             blacklisting: false,
             incremental: false,
@@ -1352,7 +1354,6 @@ impl GcHeap {
         out: &mut SweepOutcome,
     ) -> usize {
         let t_page = timed.then(Instant::now);
-        let poison = self.config.poison;
         let page_start = self.map.page_addr(idx);
         let (slot, touched) = match self.side[idx] {
             PageKind::Free => return 0,
@@ -1366,10 +1367,10 @@ impl GcHeap {
                 for w in 0..sp.words() {
                     let mut garbage = sp.garbage_word(w);
                     freed += u64::from(garbage.count_ones());
-                    while poison && garbage != 0 {
+                    while garbage != 0 {
                         let slot = w * 64 + garbage.trailing_zeros() as usize;
                         garbage &= garbage - 1;
-                        mem.fill(page_start + slot as u64 * obj, 0xDD, obj as usize)
+                        mem.fill_committed(page_start + slot as u64 * obj, POISON, obj as usize)
                             .expect("freed object is mapped");
                     }
                 }
@@ -1408,10 +1409,8 @@ impl GcHeap {
                 if dead {
                     out.objects_swept += 1;
                     out.bytes_swept += size;
-                    if poison {
-                        mem.fill(page_start, 0xDD, size as usize)
-                            .expect("freed object is mapped");
-                    }
+                    mem.fill_committed(page_start, POISON, size as usize)
+                        .expect("freed object is mapped");
                     for i in idx..idx + run {
                         *self.map.desc_mut(i) = PageDesc::Free;
                         self.side[i] = PageKind::Free;
@@ -2019,6 +2018,7 @@ mod tests {
         let (mut mem, mut heap) = setup();
         let keep = heap.alloc(&mut mem, 40).unwrap();
         let lose = heap.alloc(&mut mem, 40).unwrap();
+        mem.write(lose, 8, 42).unwrap();
         let mut roots = RootSet::new();
         roots.add_word(keep);
         heap.collect(&mut mem, &roots);
@@ -2026,7 +2026,52 @@ mod tests {
         assert!(!heap.is_allocated(lose));
         assert_eq!(heap.stats().objects_freed, 1);
         // Freed memory is poisoned.
-        assert_eq!(mem.read(lose, 1).unwrap(), 0xDD);
+        assert_eq!(mem.read(lose, 1).unwrap(), u64::from(POISON));
+    }
+
+    #[test]
+    fn collections_commit_no_memory() {
+        // Small and large garbage the program never wrote lies past the
+        // heap's committed run; freeing it must not commit any of it, in
+        // any kind of collection stop.
+        let schedules = [
+            ("stop-the-world", HeapConfig::default()),
+            (
+                "bounded",
+                HeapConfig {
+                    mark_budget_bytes: 256,
+                    sweep_chunk_pages: 2,
+                    ..HeapConfig::bounded_pause()
+                },
+            ),
+        ];
+        for (name, config) in schedules {
+            let mem = Memory::new(1 << 16, 1 << 16, 1 << 22);
+            let mut heap = GcHeap::new(&mem, config);
+            let mut mem = mem;
+            let keep = heap.alloc(&mut mem, 64).unwrap();
+            mem.write(keep, 8, 7).unwrap();
+            let mut roots = RootSet::new();
+            roots.add_word(keep);
+            let before = mem.committed();
+            for i in 0..600 {
+                let size = if i % 8 == 0 { 3 * PAGE_SIZE } else { 48 };
+                heap.alloc_with_roots(&mut mem, size, &roots).unwrap();
+                assert_eq!(mem.committed(), before, "{name}: allocation {i}");
+            }
+            heap.collect(&mut mem, &roots);
+            assert_eq!(mem.committed(), before, "{name}: explicit collection");
+            assert!(heap.is_allocated(keep));
+            let s = heap.stats();
+            assert!(s.objects_freed > 500, "{name}: {s:?}");
+            if heap.config().incremental {
+                assert!(s.collections_nursery > 0, "{s:?}");
+                assert!(s.mark_increments > 0, "{s:?}");
+                assert!(s.sweep_increments > 0, "{s:?}");
+            } else {
+                assert!(s.collections_threshold > 0, "{s:?}");
+            }
+        }
     }
 
     #[test]

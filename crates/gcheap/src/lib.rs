@@ -10,7 +10,7 @@
 //!   pages of uniformly sized objects", giving O(1) `GC_base`;
 //! * [`heap::GcHeap`] — size-classed allocation (with the paper's one
 //!   extra byte per object), conservative marking with interior-pointer
-//!   recognition, sweeping with optional poisoning, and the
+//!   recognition, sweeping that poisons freed memory, and the
 //!   `GC_same_obj` facility used by the checking mode.
 //!
 //! ## Example

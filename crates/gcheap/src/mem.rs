@@ -14,9 +14,12 @@
 //! for the globals and the heap, a suffix ending at the stack top for the
 //! downward-growing stack. A write past the run grows it, at least
 //! doubling each time; every byte outside the run reads as zero, and
-//! zeroing ([`Memory::fill`] with 0) commits nothing. So a run that
-//! touches a few KiB never zeroes a megabyte of stack or maps the whole
-//! heap.
+//! zeroing ([`Memory::fill`] with 0) commits nothing. Neither does a
+//! collection: the sweep poisons only the committed bytes of freed
+//! objects, so a dead object the program never wrote stays uncommitted
+//! and reads zero, as it did while it was live. So a run that touches a
+//! few KiB never zeroes a megabyte of stack or maps the whole heap, and
+//! no collection stop pays to grow a region.
 //!
 //! The paper's GC-roots are "the machine stack, registers, and statically
 //! allocated memory" — the first two regions plus the VM register file.
@@ -376,6 +379,22 @@ impl Memory {
     ///
     /// Returns a [`MemFault`] if the range is invalid.
     pub fn fill(&mut self, addr: u64, byte: u8, len: usize) -> MemResult<()> {
+        if byte != 0 && len != 0 && self.find_committed(addr, len).is_none() {
+            let region = self.locate(addr, len, true)?;
+            self.seg_mut(region).grow(addr, len);
+        }
+        self.fill_committed(addr, byte, len)
+    }
+
+    /// Fills the committed bytes among the `len` at `addr` with `byte` and
+    /// commits nothing: the others keep reading as zero. The collector
+    /// poisons freed objects this way, so a collection never grows a
+    /// region.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`MemFault`] if the range is invalid.
+    pub(crate) fn fill_committed(&mut self, addr: u64, byte: u8, len: usize) -> MemResult<()> {
         if len == 0 {
             return Ok(());
         }
@@ -384,15 +403,10 @@ impl Memory {
             return Ok(());
         }
         let seg = self.seg_mut(self.locate(addr, len, true)?);
-        if byte == 0 {
-            let (lo, hi) = seg.overlap(addr, addr + len as u64);
-            if lo < hi {
-                let from = (lo - seg.start) as usize;
-                seg.bytes[from..from + (hi - lo) as usize].fill(0);
-            }
-        } else {
-            let off = seg.grow(addr, len);
-            seg.bytes[off..off + len].fill(byte);
+        let (lo, hi) = seg.overlap(addr, addr + len as u64);
+        if lo < hi {
+            let from = (lo - seg.start) as usize;
+            seg.bytes[from..from + (hi - lo) as usize].fill(byte);
         }
         Ok(())
     }
@@ -420,6 +434,12 @@ impl Memory {
                 });
             }
         }
+    }
+
+    /// Bytes committed per region, in [`Region`] order.
+    #[cfg(test)]
+    pub(crate) fn committed(&self) -> [usize; 3] {
+        self.segs.each_ref().map(|s| s.bytes.len())
     }
 
     /// Calls `f` with each 8-byte-aligned full word of the range, without
@@ -613,6 +633,24 @@ mod tests {
     }
 
     #[test]
+    fn fill_committed_overwrites_only_committed_bytes() {
+        let mut m = Memory::new(4096, 4096, 4 * COMMIT_STEP);
+        m.write(HEAP_BASE, 8, u64::MAX).unwrap();
+        let run = committed(&m)[2];
+        let edge = HEAP_BASE + run as u64 - 8;
+        m.fill_committed(edge, 0xDD, 16).unwrap();
+        assert_eq!(committed(&m)[2], run, "nothing committed");
+        assert_eq!(m.read(edge, 8).unwrap(), 0xDDDD_DDDD_DDDD_DDDD);
+        assert_eq!(m.read(edge + 8, 8).unwrap(), 0);
+        m.fill_committed(HEAP_BASE + 2 * COMMIT_STEP as u64, 0xDD, 64)
+            .unwrap();
+        assert_eq!(committed(&m)[2], run);
+        assert!(m
+            .fill_committed(HEAP_BASE + run as u64, 0xDD, 4 * COMMIT_STEP)
+            .is_err());
+    }
+
+    #[test]
     fn scan_words_skips_partial() {
         let mut m = Memory::new(4096, 4096, 4096);
         m.write(STACK_BASE + 8, 8, 42).unwrap();
@@ -622,7 +660,7 @@ mod tests {
     }
 
     fn committed(m: &Memory) -> [usize; 3] {
-        m.segs.each_ref().map(|s| s.bytes.len())
+        m.committed()
     }
 
     #[test]

@@ -1,29 +1,25 @@
-//! The regression-gate CLI.
+//! The trajectory and snapshot CLI.
 //!
 //! ```text
-//! bench compare <baseline.json|-> <candidate.json> --budgets budgets.toml [--allow-new-cells]
-//! bench seed-budgets <bench.json> [--margin-permille 1500] [--out budgets.toml]
+//! bench compare <committed.json> <fresh.json>
 //! bench validate-timeline <timeline.json>
 //! bench snap diff <a.json> <b.json> [--budget-bytes N]
 //! ```
 //!
-//! `compare` prints the diff table and exits 1 when the gate fails;
-//! pass `-` as the baseline for budgets-only mode (cross-machine CI).
-//! Cells missing from the candidate, or new cells the baseline/budgets
-//! never gated, are hard failures; `--allow-new-cells` accepts the new
-//! ones for the run where the matrix intentionally grew (reseed the
-//! budgets afterwards). `seed-budgets` writes ceilings/floors with
-//! margin from a measured document. `snap diff` validates two `snap/1`
-//! heap snapshots, prints per-site retained-size growth, and exits 1
-//! when reachable growth exceeds `--budget-bytes` (default 0, i.e. any
-//! reachable growth fails the gate). Usage errors exit 2.
+//! `compare` checks a fresh `BENCH_gc.json` against the committed one:
+//! the same cells in the same order, every deterministic field equal. It
+//! prints each fresh wall-clock value beside the committed value and its
+//! MAD as advice, and exits 1 naming every cell and field that differs.
+//! `validate-timeline` checks a Perfetto timeline. `snap diff` validates
+//! two `snap/1` heap snapshots, prints per-site retained-size growth, and
+//! exits 1 when reachable growth exceeds `--budget-bytes` (default 0,
+//! i.e. any reachable growth fails). Usage errors exit 2.
 
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  bench compare <baseline.json|-> <candidate.json> --budgets <budgets.toml> [--allow-new-cells]\n  \
-bench seed-budgets <bench.json> [--margin-permille N] [--out <file>]\n  \
+        "usage:\n  bench compare <committed.json> <fresh.json>\n  \
 bench validate-timeline <timeline.json>\n  \
 bench snap diff <a.json> <b.json> [--budget-bytes N]"
     );
@@ -38,68 +34,16 @@ fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("compare") => {
-            let mut budgets_path = None;
-            let mut allow_new_cells = false;
-            let mut pos = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                if a == "--budgets" {
-                    budgets_path = Some(it.next().ok_or("--budgets wants a path")?.clone());
-                } else if a == "--allow-new-cells" {
-                    allow_new_cells = true;
-                } else {
-                    pos.push(a.clone());
-                }
-            }
-            let [base, cand] = pos.as_slice() else {
+            let [committed, fresh] = &args[1..] else {
                 return Ok(usage());
             };
-            let budgets = match budgets_path {
-                Some(p) => gcwatch::budgets::parse(&read(&p)?)?,
-                None => gcwatch::Budgets::default(),
-            };
-            let base_text = if base == "-" { None } else { Some(read(base)?) };
-            let cand_text = read(cand)?;
-            let verdict =
-                gcwatch::compare(base_text.as_deref(), &cand_text, &budgets, allow_new_cells)?;
-            print!("{}", verdict.table());
+            let verdict = gcwatch::compare(&read(committed)?, &read(fresh)?)?;
+            print!("{}", verdict.report());
             Ok(if verdict.passed() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
             })
-        }
-        Some("seed-budgets") => {
-            let mut margin = 1500u64;
-            let mut out = None;
-            let mut pos = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--margin-permille" => {
-                        margin = it
-                            .next()
-                            .ok_or("--margin-permille wants a number")?
-                            .parse()
-                            .map_err(|e| format!("--margin-permille: {e}"))?;
-                    }
-                    "--out" => out = Some(it.next().ok_or("--out wants a path")?.clone()),
-                    _ => pos.push(a.clone()),
-                }
-            }
-            let [bench] = pos.as_slice() else {
-                return Ok(usage());
-            };
-            let budgets = gcwatch::budgets::seed(&read(bench)?, margin)?;
-            let text = gcwatch::budgets::render(&budgets);
-            match out {
-                Some(p) => {
-                    std::fs::write(&p, &text).map_err(|e| format!("{p}: {e}"))?;
-                    eprintln!("wrote {} cell budgets to {p}", budgets.cells.len());
-                }
-                None => print!("{text}"),
-            }
-            Ok(ExitCode::SUCCESS)
         }
         Some("snap") => {
             if args.get(1).map(String::as_str) != Some("diff") {

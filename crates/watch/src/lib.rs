@@ -15,20 +15,18 @@
 //!   counters (bytes allocated, roots scanned, words marked, pages
 //!   swept), so the exported JSON is byte-identical run to run and at any
 //!   `--jobs` level.
-//! * [`budgets`] / [`compare`](mod@compare) — a noise-aware
-//!   perf-regression gate: per-cell `max_pause_ns` ceilings and MMU
-//!   floors in a tiny TOML subset, compared against a candidate
-//!   `BENCH_gc.json` with a median + k·MAD noise gate, producing a
-//!   human-readable diff table and a nonzero exit for CI.
+//! * [`compare`](mod@compare) — the trajectory check: a fresh
+//!   `BENCH_gc.json` must reproduce every deterministic field of the
+//!   committed one, cell for cell, or the check names each cell and field
+//!   that differs. Wall-clock fields are printed beside the committed
+//!   median and MAD as advice and never fail it.
 
 #![warn(missing_docs)]
 
-pub mod budgets;
 pub mod chrome;
 pub mod compare;
 pub mod stats;
 
-pub use budgets::{Budgets, CellBudget, Gate};
 pub use chrome::{chrome_trace, validate_chrome_trace, TimelineCell};
 pub use compare::{compare, Verdict};
 pub use stats::{aggregate, mad, median};

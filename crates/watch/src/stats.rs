@@ -3,10 +3,11 @@
 //! Wall-clock numbers on a shared machine are noisy and heavy-tailed;
 //! mean/stddev chase outliers. The trajectory therefore stores the
 //! **median** of N repeats for every timing field, plus the **median
-//! absolute deviation** (MAD) as the noise estimate the regression gate
-//! keys its thresholds on. Deterministic counts are not averaged — they
-//! are asserted byte-identical across repeats, because a count that moves
-//! between runs is a bug, not noise.
+//! absolute deviation** (MAD) as its noise estimate, which
+//! [`compare`](crate::compare::compare) prints beside a fresh run's
+//! values. Deterministic counts are not averaged — they are asserted
+//! byte-identical across repeats, because a count that moves between runs
+//! is a bug, not noise.
 //!
 //! One field gets a different estimator: `max_pause_ns` is the maximum
 //! over every stop in a run, and a single descheduling event landing in
@@ -70,7 +71,7 @@ pub fn parse_cells(text: &str) -> Result<Vec<BTreeMap<String, JsonValue>>, Strin
 }
 
 /// The `workload/mode` key a cell is addressed by everywhere in gcwatch
-/// (budgets, compare tables, aggregation errors).
+/// (compare reports, aggregation errors).
 pub fn cell_key(cell: &BTreeMap<String, JsonValue>) -> String {
     let w = cell
         .get("workload")
@@ -92,7 +93,7 @@ pub fn is_wall_clock_field(key: &str) -> bool {
 /// the worst pause). They legitimately differ between repeats; the
 /// aggregate keeps the value from the repeat whose `max_pause_ns` was
 /// smallest — the same repeat the aggregated `max_pause_ns` comes from.
-fn is_attribution_field(key: &str) -> bool {
+pub(crate) fn is_attribution_field(key: &str) -> bool {
     key == "max_pause_cause" || key == "max_pause_site"
 }
 

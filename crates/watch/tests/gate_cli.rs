@@ -1,216 +1,141 @@
-//! The regression gate's acceptance contract, end to end through the
-//! `bench` binary: a baseline aggregated from three noisy repeats plus
-//! seeded budgets must pass a clean candidate, and must fail — nonzero
-//! exit, cell named in the diff table — when one microbench cell's
-//! `max_pause_ns` is inflated 2×.
+//! The trajectory check end to end through the `bench` binary: a fresh
+//! run passes against a committed trajectory aggregated from three
+//! repeats however far its wall-clock fields move, and fails — exit 1,
+//! the cell and field named — when a deterministic count moves or a cell
+//! goes missing or appears.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// One synthetic `BENCH_gc.json` run: two matrix cells and one micro
-/// cell, with wall-clock fields jittered by `noise_ns` and the micro
-/// cell's pause scaled by `inflate_permille`.
-fn run_doc(noise_ns: u64, inflate_permille: u64) -> String {
-    let micro_pause = 2_000_000 * inflate_permille / 1000 + noise_ns;
+/// cell, with every wall-clock field scaled by `slow` and the micro
+/// cell's `words_marked` by `words`.
+fn run_doc(slow: u64, words: u64) -> String {
+    let cell = |kind: &str, workload: &str, mode: &str, marked: u64, pause: u64| {
+        format!(
+            "{{\"schema\":\"gc/1\",\"kind\":\"{kind}\",\"workload\":\"{workload}\",\"mode\":\"{mode}\",\
+\"collections\":13,\"objects_freed\":900,\"words_marked\":{marked},\"pages_swept\":40,\"roots_scanned\":120,\
+\"max_pause_ns\":{},\"total_pause_ns\":{},\"mmu_10ms_permille\":{},\
+\"max_pause_cause\":\"threshold\",\"max_pause_site\":\"micro\"}}",
+            pause * slow,
+            10 * pause * slow,
+            1000 / slow,
+        )
+    };
     format!(
-        "[\n  \
-{{\"schema\":\"gc/1\",\"kind\":\"matrix\",\"workload\":\"cfrac\",\"mode\":\"O\",\"collections\":13,\
-\"max_pause_ns\":{},\"max_pause_cause\":\"threshold\",\"max_pause_site\":\"factor;big_mod_small;malloc@92:14\"}},\n  \
-{{\"schema\":\"gc/1\",\"kind\":\"matrix\",\"workload\":\"cfrac\",\"mode\":\"g\",\"collections\":13,\
-\"max_pause_ns\":{}}},\n  \
-{{\"schema\":\"gc/1\",\"kind\":\"micro\",\"workload\":\"churn-small\",\"mode\":\"heap-direct\",\"collections\":40,\
-\"max_pause_ns\":{micro_pause},\"max_pause_cause\":\"threshold\",\"max_pause_site\":\"micro\",\"mmu_10ms_permille\":620}}\n]\n",
-        800_000 + noise_ns,
-        900_000 + noise_ns,
+        "[\n  {},\n  {},\n  {}\n]\n",
+        cell("matrix", "cfrac", "O", 5_000, 80_000),
+        cell("matrix", "cfrac", "g", 5_200, 90_000),
+        cell(
+            "micro",
+            "churn-small",
+            "heap-direct",
+            7_000 * words,
+            200_000
+        ),
     )
 }
 
-fn write(dir: &std::path::Path, name: &str, text: &str) -> PathBuf {
+fn write(dir: &Path, name: &str, text: &str) -> PathBuf {
     let p = dir.join(name);
     std::fs::write(&p, text).expect("write temp file");
     p
 }
 
-fn bench(args: &[&str]) -> (bool, String, String) {
+/// Runs `bench compare committed fresh`: (exit code, stdout).
+fn compare(committed: &Path, fresh: &Path) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_bench"))
-        .args(args)
+        .args([
+            "compare",
+            committed.to_str().unwrap(),
+            fresh.to_str().unwrap(),
+        ])
         .output()
         .expect("bench binary runs");
     (
-        out.status.success(),
+        out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
 
-#[test]
-fn gate_passes_clean_rerun_and_fails_doubled_micro_pause() {
-    let dir = std::env::temp_dir().join(format!("gcwatch-gate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    // Baseline: three noisy repeats folded by the same aggregator
-    // `tables --bench-json --repeat 3` uses.
-    let repeats: Vec<_> = [0u64, 40_000, 90_000]
+/// A committed trajectory folded from three repeats by the same
+/// aggregator `tables --bench-json --repeat 3` uses.
+fn committed(dir: &Path) -> PathBuf {
+    let repeats: Vec<_> = [1, 2, 1]
         .iter()
-        .map(|&n| gcwatch::stats::parse_cells(&run_doc(n, 1000)).expect("repeat parses"))
+        .map(|&slow| gcwatch::stats::parse_cells(&run_doc(slow, 1)).expect("repeat parses"))
         .collect();
-    let baseline = gcwatch::aggregate(&repeats).expect("aggregates");
-    assert!(baseline.contains("\"repeats\":3"), "{baseline}");
-    assert!(baseline.contains("max_pause_ns_mad"), "{baseline}");
-    let base_path = write(&dir, "baseline.json", &baseline);
+    let text = gcwatch::aggregate(&repeats).expect("aggregates");
+    assert!(text.contains("\"repeats\":3"), "{text}");
+    assert!(text.contains("max_pause_ns_mad"), "{text}");
+    write(dir, "committed.json", &text)
+}
 
-    // Budgets seeded at 1.5× the aggregated baseline.
-    let budgets_path = dir.join("budgets.toml");
-    let (ok, _, err) = bench(&[
-        "seed-budgets",
-        base_path.to_str().unwrap(),
-        "--margin-permille",
-        "1500",
-        "--out",
-        budgets_path.to_str().unwrap(),
-    ]);
-    assert!(ok, "seed-budgets failed: {err}");
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("gcwatch-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
 
-    // A clean re-run — fresh wall-clock jitter, same behavior — passes.
-    let clean = write(&dir, "clean.json", &run_doc(60_000, 1000));
-    let (ok, table, err) = bench(&[
-        "compare",
-        base_path.to_str().unwrap(),
-        clean.to_str().unwrap(),
-        "--budgets",
-        budgets_path.to_str().unwrap(),
-    ]);
-    assert!(ok, "clean candidate must pass:\n{table}{err}");
-    assert!(table.contains("gate: PASS"), "{table}");
+#[test]
+fn wall_clock_moves_pass_and_a_doubled_count_fails() {
+    let dir = temp_dir("check");
+    let committed = committed(&dir);
 
-    // 2× inflation on the micro cell: nonzero exit, cell named.
-    let inflated = write(&dir, "inflated.json", &run_doc(60_000, 2000));
-    let (ok, table, _) = bench(&[
-        "compare",
-        base_path.to_str().unwrap(),
-        inflated.to_str().unwrap(),
-        "--budgets",
-        budgets_path.to_str().unwrap(),
-    ]);
-    assert!(!ok, "doubled pause must fail the gate:\n{table}");
+    // Ten times slower everywhere, same work: passes, and the report
+    // shows the fresh pause beside the committed one.
+    let slow = write(&dir, "slow.json", &run_doc(10, 1));
+    let (code, report) = compare(&committed, &slow);
+    assert_eq!(code, Some(0), "only wall clock moved:\n{report}");
+    assert!(report.contains("check: PASS (3 cells"), "{report}");
     assert!(
-        table.contains("FAIL churn-small/heap-direct"),
-        "diff table names the inflated cell:\n{table}"
+        report.contains("churn-small/heap-direct max_pause_ns 2000000 (200000 ± 0)"),
+        "{report}"
     );
-    assert!(table.contains("gate: FAIL"), "{table}");
-    // The untouched matrix cells still read ok.
-    assert!(table.contains("cfrac/O"), "{table}");
 
-    // Budgets-only mode (CI shape): same verdicts without a baseline.
-    let (ok, _, _) = bench(&[
-        "compare",
-        "-",
-        clean.to_str().unwrap(),
-        "--budgets",
-        budgets_path.to_str().unwrap(),
-    ]);
-    assert!(ok, "budgets-only clean pass");
-    let (ok, table, _) = bench(&[
-        "compare",
-        "-",
-        inflated.to_str().unwrap(),
-        "--budgets",
-        budgets_path.to_str().unwrap(),
-    ]);
-    assert!(!ok && table.contains("churn-small/heap-direct"), "{table}");
+    // The micro cell marks twice the words: exit 1, cell and field named.
+    let doubled = write(&dir, "doubled.json", &run_doc(1, 2));
+    let (code, report) = compare(&committed, &doubled);
+    assert_eq!(code, Some(1), "a moved count must fail:\n{report}");
+    assert!(
+        report.contains("FAIL churn-small/heap-direct: words_marked committed 7000, fresh 14000"),
+        "{report}"
+    );
+    assert!(report.contains("check: FAIL (1 differences)"), "{report}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A run missing a cell the budgets gate, or sprouting a cell nothing
-/// gates, must fail loudly — `--allow-new-cells` accepts only the
-/// latter, for the run where the matrix intentionally grew.
 #[test]
-fn gate_names_missing_and_new_cells_and_honors_allow_new_cells() {
-    let dir = std::env::temp_dir().join(format!("gcwatch-cells-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    let base_path = write(&dir, "baseline.json", &run_doc(0, 1000));
-    let budgets_path = dir.join("budgets.toml");
-    let (ok, _, err) = bench(&[
-        "seed-budgets",
-        base_path.to_str().unwrap(),
-        "--out",
-        budgets_path.to_str().unwrap(),
-    ]);
-    assert!(ok, "seed-budgets failed: {err}");
-
-    // Candidate silently drops the micro cell: hard failure naming it,
-    // in both baseline and budgets-only mode, flag or no flag.
-    let full = run_doc(10_000, 1000);
-    let micro_line = full
+fn a_missing_or_extra_cell_fails() {
+    let dir = temp_dir("cells");
+    let committed = committed(&dir);
+    let full = run_doc(1, 1);
+    let micro = full
         .lines()
         .find(|l| l.contains("\"kind\":\"micro\""))
-        .expect("doc has the micro cell")
-        .trim_end_matches(',')
-        .to_string();
-    let mut lines: Vec<String> = full
-        .lines()
-        .filter(|l| !l.contains("\"kind\":\"micro\""))
-        .map(str::to_string)
-        .collect();
-    let last_cell = lines.len() - 2; // the cell before the closing "]"
-    lines[last_cell] = lines[last_cell].trim_end_matches(',').to_string();
-    let dropped = lines.join("\n") + "\n";
-    let dropped_path = write(&dir, "dropped.json", &dropped);
-    for extra in [&[][..], &["--allow-new-cells"][..]] {
-        let mut args = vec![
-            "compare",
-            "-",
-            dropped_path.to_str().unwrap(),
-            "--budgets",
-            budgets_path.to_str().unwrap(),
-        ];
-        args.extend_from_slice(extra);
-        let (ok, table, _) = bench(&args);
-        assert!(!ok, "skipped cell must fail (extra={extra:?}):\n{table}");
-        assert!(
-            table.contains("FAIL churn-small/heap-direct")
-                && table.contains("missing from candidate"),
-            "{table}"
-        );
-    }
+        .expect("doc has the micro cell");
 
-    // Candidate grows a cell nothing gates: fails by default, passes
-    // with --allow-new-cells (and the note still names it).
-    let grown = full.replace(
-        &micro_line,
-        &format!(
-            "{micro_line},\n{}",
-            micro_line.replace("churn-small", "churn-new")
-        ),
-    );
-    assert_ne!(grown, full, "the grown doc really has an extra cell");
-    let grown_path = write(&dir, "grown.json", &grown);
-    let (ok, table, _) = bench(&[
-        "compare",
-        base_path.to_str().unwrap(),
-        grown_path.to_str().unwrap(),
-        "--budgets",
-        budgets_path.to_str().unwrap(),
-    ]);
-    assert!(!ok, "ungated new cell must fail:\n{table}");
+    // The micro cell silently dropped.
+    let dropped = full.replace(&format!(",\n{micro}"), "");
+    assert_eq!(dropped.lines().count(), full.lines().count() - 1);
+    let dropped = write(&dir, "dropped.json", &dropped);
+    let (code, report) = compare(&committed, &dropped);
+    assert_eq!(code, Some(1), "a skipped cell must fail:\n{report}");
     assert!(
-        table.contains("FAIL churn-new/heap-direct"),
-        "new cell named:\n{table}"
+        report.contains("FAIL churn-small/heap-direct: missing from the fresh run"),
+        "{report}"
     );
-    let (ok, table, _) = bench(&[
-        "compare",
-        base_path.to_str().unwrap(),
-        grown_path.to_str().unwrap(),
-        "--budgets",
-        budgets_path.to_str().unwrap(),
-        "--allow-new-cells",
-    ]);
-    assert!(ok, "--allow-new-cells accepts the growth:\n{table}");
+
+    // A cell the committed trajectory never had.
+    let extra = micro.replace("churn-small", "churn-new");
+    let grown = full.replace(micro, &format!("{micro},\n{extra}"));
+    let grown = write(&dir, "grown.json", &grown);
+    let (code, report) = compare(&committed, &grown);
+    assert_eq!(code, Some(1), "a new cell must fail:\n{report}");
     assert!(
-        table.contains("note churn-new/heap-direct"),
-        "accepted cell still noted:\n{table}"
+        report.contains("FAIL churn-new/heap-direct: not in the committed trajectory"),
+        "{report}"
     );
 
     std::fs::remove_dir_all(&dir).ok();

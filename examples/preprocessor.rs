@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --example preprocessor -- [--checked] [--base-heuristic] \
-//!     [--call-sites-only] [--no-skip-copies] [file.c]
+//!     [--no-skip-copies] [file.c]
 //! ```
 //!
 //! Reads the file (or a built-in demo when omitted), prints the annotated
@@ -48,7 +48,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match a.as_str() {
             "--checked" => config.mode = Mode::Checked,
             "--base-heuristic" => config.base_heuristic = true,
-            "--call-sites-only" => config.call_sites_only = true,
             "--no-skip-copies" => config.skip_copies = false,
             other => path = Some(other.to_string()),
         }

@@ -42,6 +42,11 @@ const GOLDEN: &str = include_str!("golden/gc.txt");
 /// 90 KiB of slots, far below the default 256 KiB trigger.
 const WORKLOAD_THRESHOLD: u64 = 1024;
 
+/// Step budget for the workload runs: the largest pinned run takes
+/// 1,232,524 steps, so a change that makes a run loop fails in seconds
+/// instead of running out `VmOptions::default()`'s two billion steps.
+const WORKLOAD_MAX_STEPS: u64 = 20_000_000;
+
 fn stats_line(s: &HeapStats) -> String {
     format!(
         "stats collections={} allocations={} bytes_requested={} failed_allocations={} \
@@ -159,6 +164,7 @@ fn workload_runs(log: &mut String) {
                     },
                     input: input.clone(),
                     prof: prof.clone(),
+                    max_steps: WORKLOAD_MAX_STEPS,
                     ..VmOptions::default()
                 };
                 writeln!(log, "run {} {mode} {cname}", w.name).unwrap();

@@ -7,6 +7,7 @@
 
 use cvm::{compile, compile_and_run, CompileOptions, VmError, VmOptions};
 use gcheap::HeapConfig;
+use gcsafe::Config;
 
 const SRC: &str = r#"
     char hazard(char *p) {
@@ -180,4 +181,72 @@ fn disabling_licm_hides_the_loop_hazard() {
     let r = compile_and_run(LOOP_SRC, &opts, &aggressive_vm())
         .expect("without hoisting the base survives in-loop");
     assert_eq!(r.exit_code, 0);
+}
+
+// ---------------------------------------------------------------------
+// Every annotator configuration the ablation table measures must be
+// GC-safe, not only the paper's: each one's `-O` build runs both
+// hazards, the loop form and the fuzz corpus's copy of the hazard under
+// the paranoid collector, stop-the-world and bounded-pause.
+// ---------------------------------------------------------------------
+
+/// The fuzz corpus's displaced-base entry, which also prints its result.
+const CORPUS_SRC: &str = include_str!("corpus/displaced_base.c");
+
+/// The ablation table's annotated `-O` builds, by column name.
+fn ablation_builds() -> [(&'static str, CompileOptions); 4] {
+    let annotated = |config: Config| CompileOptions {
+        annotate: Some(config),
+        ..CompileOptions::optimized_safe()
+    };
+    [
+        ("safe", CompileOptions::optimized_safe()),
+        (
+            "no-opt1",
+            annotated(Config {
+                skip_copies: false,
+                ..Config::gc_safe()
+            }),
+        ),
+        (
+            "base-heur",
+            annotated(Config {
+                base_heuristic: true,
+                ..Config::gc_safe()
+            }),
+        ),
+        ("naive-call", CompileOptions::optimized_safe_naive()),
+    ]
+}
+
+#[test]
+fn every_ablation_build_survives_the_paranoid_collector() {
+    let bounded = VmOptions {
+        heap_config: HeapConfig {
+            gc_threshold: 1,
+            mark_budget_bytes: 64,
+            ..HeapConfig::bounded_pause()
+        },
+        ..VmOptions::default()
+    };
+    let programs = [
+        ("hazard", SRC),
+        ("loop", LOOP_SRC),
+        ("displaced_base.c", CORPUS_SRC),
+    ];
+    for (program, src) in programs {
+        let want = compile_and_run(src, &CompileOptions::debug(), &VmOptions::default())
+            .unwrap_or_else(|e| panic!("{program} -g: {e:?}"));
+        for (build, copts) in ablation_builds() {
+            for (collector, vm) in [("paranoid", aggressive_vm()), ("bounded", bounded.clone())] {
+                let got = compile_and_run(src, &copts, &vm)
+                    .unwrap_or_else(|e| panic!("{program}, {build} build, {collector}: {e:?}"));
+                assert_eq!(
+                    (got.exit_code, &got.output),
+                    (want.exit_code, &want.output),
+                    "{program}, {build} build, {collector}"
+                );
+            }
+        }
+    }
 }
