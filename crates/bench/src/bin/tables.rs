@@ -250,20 +250,16 @@ fn main() {
             );
             println!("{}", register_pressure_report());
 
-            match opt_pass_fires() {
-                Ok(sweep) => {
-                    println!("{}", opt_report(&sweep));
-                    let zero = zero_fire_passes(&sweep);
-                    if !zero.is_empty() {
-                        eprintln!(
-                            "warning: {} registered pass(es) never fired across the matrix \
-                             (regressed matching or an unexercised registry entry): {}",
-                            zero.len(),
-                            zero.join(", ")
-                        );
-                    }
-                }
-                Err(e) => eprintln!("warning: optimizer fire sweep failed: {e}"),
+            let sweep = or_exit(opt_pass_fires());
+            println!("{}", opt_report(&sweep));
+            let zero = zero_fire_passes(&sweep);
+            if !zero.is_empty() {
+                eprintln!(
+                    "warning: {} registered pass(es) never fired on the paper workloads \
+                     at -O and -O safe (regressed matching or a pass they never exercise): {}",
+                    zero.len(),
+                    zero.join(", ")
+                );
             }
             println!("{}", opt_cycles_table(&cycles));
             println!("Analysis listing (F1):\n{}", analysis_listing());

@@ -1156,54 +1156,13 @@ pub fn timeline_cells(data: &Dataset, micro: &[MicroCell]) -> Vec<gcwatch::Timel
     out
 }
 
-/// A deterministic synthetic kernel folded into the optimizer fire-count
-/// sweep alongside the paper workloads. Each region is shaped for one of
-/// the registry's second-crop passes — back-to-back stores for dse, a
-/// branch that binds the same constant on both arms for sccp, a
-/// loop-carried scaled index for strength reduction, and a dominated
-/// recomputation for gvn — so no pass's firing depends on the paper
-/// sources happening to contain its shape.
-const OPT_KERNEL_SOURCE: &str = r#"
-int main(void) {
-    long n = 64;
-    long *a = (long *) malloc(n * sizeof(long));
-    long *t = (long *) malloc(2 * sizeof(long));
-    long i; long s = 0; long f = 0; long m = 0; long x = 0; long y = 0;
-    for (i = 0; i < n; i++) a[i] = i * 2 + 1;
-    /* dse: the first store to t[0] is overwritten before any read or
-       call can observe it. */
-    for (i = 0; i < n; i++) {
-        t[0] = s + 7;
-        t[0] = i * 3;
-        s = s + t[0] + a[i];
-    }
-    /* sccp: both arms bind the same constant, so only constant
-       propagation through the branch proves the loop-body condition. */
-    if (n > 4) f = 5; else f = 5;
-    for (i = 0; i < n; i++) {
-        if (f > 4) s = s + a[i]; else s = s - a[i] * 2;
-    }
-    /* strength: a loop-carried scaled index becomes a strided pointer. */
-    m = n / 3;
-    for (i = 0; i < m; i++) s = s + a[i * 3];
-    /* gvn: the entry computation of x*9+1 dominates the recomputation
-       inside the loop. */
-    x = s / 7;
-    y = x * 9 + 1;
-    for (i = 0; i < 4; i++) s = s + x * 9 + 1 - y;
-    putint(s & 0xffffff);
-    return 0;
-}
-"#;
-
 /// Per-pass fire totals and fixpoint-driver statistics over the
-/// optimizer sweep: every paper workload plus a synthetic kernel with
-/// one region shaped for each gated pass, compiled to pre-optimizer IR
+/// optimizer sweep: every paper workload, compiled to pre-optimizer IR
 /// under each optimizer-running mode, then driven to fixpoint with a
-/// ledger attached. Everything here is a
-/// deterministic function of the sources and the pass registry — no
-/// wall-clock, no thread schedule — so the numbers are byte-identical
-/// at any `--jobs` and across cold/warm compilation caches.
+/// ledger attached. Everything here is a deterministic function of the
+/// sources and the pass registry — no wall-clock, no thread schedule —
+/// so the numbers are byte-identical at any `--jobs` and across
+/// cold/warm compilation caches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptSweep {
     /// `(pass name, total fires)` in registry order, summed over the sweep.
@@ -1222,13 +1181,13 @@ pub struct OptSweep {
 /// The optimizer-running modes are `-O` and `-O safe`; `-O safe+post`
 /// shares the safe build's optimizer configuration (the postprocessor
 /// runs after codegen), so counting it would only double the safe rows.
-/// Each source is compiled with the optimizer disabled to obtain the
+/// Each workload is compiled with the optimizer disabled to obtain the
 /// exact pre-optimizer IR, then every function is cloned and driven
 /// through [`cvm::optimize_func_ledger`] under the mode's real options.
 ///
 /// # Errors
 ///
-/// Returns a message naming the source/mode whose front-end failed.
+/// Returns a message naming the workload/mode whose front-end failed.
 pub fn opt_pass_fires() -> Result<OptSweep, String> {
     let mut sweep = OptSweep {
         fires: cvm::pass_names().iter().map(|n| (*n, 0u64)).collect(),
@@ -1236,18 +1195,13 @@ pub fn opt_pass_fires() -> Result<OptSweep, String> {
         sweeps_total: 0,
         sweeps_max: 0,
     };
-    let mut sources: Vec<(&str, &str)> = workloads::all()
-        .iter()
-        .map(|w| (w.name, w.source))
-        .collect();
-    sources.push(("optkernel", OPT_KERNEL_SOURCE));
-    for (name, source) in sources {
+    for w in workloads::all() {
         for mode in [Mode::O, Mode::OSafe] {
             let copts = mode.compile_options();
             let mut front = mode.compile_options();
             front.opt.enabled = false;
-            let prog = cvm::compile(source, &front)
-                .map_err(|e| format!("opt bench: {name}/{} front-end: {e}", mode.key()))?;
+            let prog = cvm::compile(w.source, &front)
+                .map_err(|e| format!("opt bench: {}/{} front-end: {e}", w.name, mode.key()))?;
             for f in &prog.funcs {
                 let mut again = f.clone();
                 let ledger = cvm::optimize_func_ledger(&mut again, copts.opt);
@@ -1267,7 +1221,7 @@ pub fn opt_pass_fires() -> Result<OptSweep, String> {
 /// Registered passes that never fired across the sweep — the signal the
 /// tables runner warns on, and `every_registered_pass_fires_in_the_opt_sweep`
 /// fails on: a zero-fire pass is either regressed pattern matching or a
-/// registry entry nothing exercises.
+/// registry entry the paper's programs never exercise.
 pub fn zero_fire_passes(sweep: &OptSweep) -> Vec<&'static str> {
     sweep
         .fires
@@ -1282,7 +1236,7 @@ pub fn opt_report(sweep: &OptSweep) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Optimizer pass fires (paper workloads + kernel, -O and -O safe):"
+        "Optimizer pass fires (paper workloads, -O and -O safe):"
     );
     for (pass, fires) in &sweep.fires {
         let _ = writeln!(out, "  {pass:16}{fires:>8}");
@@ -1299,22 +1253,22 @@ pub fn opt_report(sweep: &OptSweep) -> String {
 }
 
 /// One `-O` cycle-comparison cell: a workload's measured cycles with the
-/// seed pipeline (gvn, sccp, dse and strength disabled) against the full
-/// registry, on one machine model.
+/// seed pipeline (gvn and sccp disabled) against the full registry, on
+/// one machine model.
 #[derive(Debug, Clone)]
 pub struct OptCycles {
     /// Workload name.
     pub workload: &'static str,
     /// Machine key (`sparc2`, `sparc10`, `pentium90`).
     pub machine: &'static str,
-    /// Cycles with gvn/sccp/dse/strength disabled.
+    /// Cycles with gvn and sccp disabled.
     pub cycles_seed: u64,
     /// Cycles with the full registry.
     pub cycles_full: u64,
 }
 
 /// Measures every paper workload under `-O` with the seed pipeline
-/// (gvn/sccp/dse/strength off) and with the full registry, and reports
+/// (gvn and sccp off) and with the full registry, and reports
 /// cycles per machine model. Deterministic: the VM's cycle model has no
 /// wall-clock input.
 ///
@@ -1327,8 +1281,6 @@ pub fn opt_cycles(scale: Scale) -> Result<Vec<OptCycles>, String> {
     let mut seed = full.clone();
     seed.opt.gvn = false;
     seed.opt.sccp = false;
-    seed.opt.dse = false;
-    seed.opt.strength = false;
     let mut out = Vec::new();
     for w in workloads::all() {
         let seed_cycles = cycles_on(&w, scale, &seed, &keys)?;
@@ -1354,7 +1306,7 @@ pub fn opt_cycles_table(cycles: &[OptCycles]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Optimizer cycles at -O: seed pipeline (no gvn, sccp, dse, strength) vs full registry:"
+        "Optimizer cycles at -O: seed pipeline (no gvn, sccp) vs full registry:"
     );
     let _ = writeln!(
         out,
@@ -1542,31 +1494,32 @@ mod tests {
 
     #[test]
     fn every_registered_pass_fires_in_the_opt_sweep() {
-        // The fire-count sweep's core claim: the paper workloads plus the
-        // synthetic kernel give every registered pass — in particular
-        // the second crop (gvn, sccp, dse, strength) — at least one
-        // firing opportunity, and the sweep is deterministic.
+        // A pass stays registered only while the paper's own programs
+        // fire it: the sweep drives exactly the four workloads' functions
+        // under `-O` and `-O safe`, nothing else, and every registered
+        // pass fires somewhere in it. The sweep is deterministic.
         let sweep = opt_pass_fires().expect("sweep runs");
         assert_eq!(zero_fire_passes(&sweep), Vec::<&str>::new());
-        for pass in ["gvn", "sccp", "dse", "strength"] {
-            let (_, fires) = sweep
-                .fires
-                .iter()
-                .find(|(p, _)| *p == pass)
-                .expect("registered");
-            assert!(*fires > 0, "{pass} never fired");
-        }
-        assert!(sweep.functions > 0 && sweep.sweeps_max >= 2);
+        let functions: usize = workloads::all()
+            .iter()
+            .flat_map(|w| {
+                [Mode::O, Mode::OSafe]
+                    .map(|mode| cvm::compile(w.source, &mode.compile_options()).unwrap())
+            })
+            .map(|prog| prog.funcs.len())
+            .sum();
+        assert_eq!(sweep.functions, functions as u64, "paper workloads only");
+        assert!(sweep.sweeps_max >= 2);
         assert!(sweep.sweeps_max as usize <= cvm::opt::FIXPOINT_SWEEP_CAP);
         assert_eq!(sweep, opt_pass_fires().expect("sweep reruns"));
     }
 
     #[test]
     fn full_registry_saves_a_permille_on_gawk_and_gs() {
-        // gvn, sccp, dse and strength save at least 1‰ of the seed
-        // pipeline's cycles on gawk and gs on every machine; cfrac gains
-        // under a permille and cordtest runs slower, so neither is
-        // floored.
+        // gvn and sccp save at least 1‰ of the seed pipeline's cycles on
+        // gawk and gs on every machine; cfrac gains under a permille and
+        // cordtest runs slower (gvn's doing, see the next test), so
+        // neither is floored.
         let cycles = opt_cycles(Scale::Tiny).expect("opt cycles measure");
         assert_eq!(cycles.len(), 4 * 3, "every workload × machine");
         let floored: Vec<&OptCycles> = cycles
@@ -1584,6 +1537,48 @@ mod tests {
                 c.cycles_full,
                 c.cycles_seed
             );
+        }
+    }
+
+    #[test]
+    fn leaving_out_any_gated_pass_moves_an_o_cycle_cell() {
+        // Leave-one-out over the 12 `-O` workload × machine cells: each
+        // gated pass changes at least one, so none is dead weight on the
+        // paper's programs. gvn is also why the full registry loses to
+        // the seed pipeline on cordtest: without it, cordtest's `-O` is
+        // cheaper on every machine.
+        let keys = ["sparc2", "sparc10", "pentium90"];
+        let cells = |copts: &gc_safety::CompileOptions| -> Vec<(&str, Vec<u64>)> {
+            workloads::all()
+                .iter()
+                .map(|w| (w.name, cycles_on(w, Scale::Tiny, copts, &keys).unwrap()))
+                .collect()
+        };
+        let full = Mode::O.compile_options();
+        let with_all = cells(&full);
+        type TurnOff = fn(&mut cvm::OptOptions);
+        let knobs: [(&str, TurnOff); 5] = [
+            ("reassociate", |o| o.reassociate = false),
+            ("schedule_early", |o| o.schedule = false),
+            ("licm", |o| o.licm = false),
+            ("gvn", |o| o.gvn = false),
+            ("sccp", |o| o.sccp = false),
+        ];
+        for (pass, turn_off) in knobs {
+            let mut copts = full.clone();
+            turn_off(&mut copts.opt);
+            let without = cells(&copts);
+            assert_ne!(without, with_all, "no -O cell moves without {pass}");
+            if pass == "gvn" {
+                let (name, cordtest) = &without[0];
+                assert_eq!(*name, "cordtest");
+                for ((machine, off), on) in keys.iter().zip(cordtest).zip(&with_all[0].1) {
+                    assert!(
+                        off < on,
+                        "cordtest on {machine}: {off} cycles without gvn, {on} with"
+                    );
+                }
+            }
         }
     }
 }

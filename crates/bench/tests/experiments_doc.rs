@@ -60,8 +60,7 @@ const TRANSCRIPTS: &[Transcript] = &[
     },
     Transcript {
         heading: "## Optimizer: seed pipeline vs full registry",
-        golden:
-            "Optimizer cycles at -O: seed pipeline (no gvn, sccp, dse, strength) vs full registry:",
+        golden: "Optimizer cycles at -O: seed pipeline (no gvn, sccp) vs full registry:",
         columns: &[
             (1, "machine", 0),
             (2, "seed cycles", 1),

@@ -11,18 +11,19 @@
 //! * [`schedule_early`] hoists pure arithmetic upward, past calls — so the
 //!   out-of-object intermediate can be the only surviving value when a
 //!   collection triggers inside an allocation call;
+//! * [`licm`] hoists that displaced base out of a loop, leaving only the
+//!   out-of-object pointer live across every allocation in the body;
 //! * [`gvn`] merges recomputations across blocks, stretching a derived
-//!   pointer's live range over call-bearing paths;
-//! * [`strength_reduce`] turns `a + i*s` indexing into a pointer that is
-//!   *incremented* around the loop — an interior pointer that may be the
-//!   only surviving reference when an in-loop allocation collects;
-//! * [`dse`] deletes heap stores that are overwritten before any read —
-//!   it stops at calls precisely because a call is a collection point and
-//!   the store may be what makes a pointer findable.
+//!   pointer's live range over call-bearing paths.
 //!
 //! With annotations, none of these passes is blocked; the `KeepLive`
 //! *base* use simply keeps the original pointer live across the call,
 //! which is the whole trick.
+//!
+//! Every registered pass fires on the paper's own workloads (gcbench's
+//! `every_registered_pass_fires_in_the_opt_sweep` pins it). [`dce`] is
+//! not registered: reassociate's slot runs it in every sweep, so a
+//! registered copy found nothing left to remove.
 //!
 //! # Driver
 //!
@@ -30,51 +31,49 @@
 //! [`registry`]. The driver sweeps the registered pipeline repeatedly
 //! until a full sweep reports zero changes, or [`FIXPOINT_SWEEP_CAP`]
 //! sweeps have run. Termination is argued pass-by-pass: every rewrite
-//! either strictly removes an instruction (dce, dse, cse/gvn duplicates
-//! become moves that copy-prop + dce retire), replaces an instruction
-//! with a strictly simpler form that no pass re-complicates (const_fold,
-//! sccp rewrites toward constants; `Mul`→`Shl` is one-way), or moves a
-//! computation to a place where its own guard no longer fires
-//! (reassociate refuses displaced bases it already created, licm's
-//! hoisted instructions are no longer in the loop, schedule_early finds
-//! every instruction already in its earliest slot, strength reduction
-//! consumes the `i*s` multiply it matched on). The cap is a backstop,
-//! not a crutch — the idempotence property test asserts a second driver
-//! run reports zero fires for every pass.
+//! either strictly removes an instruction (cse/gvn duplicates become
+//! moves that copy-prop and the dce in reassociate's slot retire),
+//! replaces an instruction with a strictly simpler form that no pass
+//! re-complicates (const_fold, sccp rewrites toward constants;
+//! `Mul`→`Shl` is one-way), or moves a computation to a place where its
+//! own guard no longer fires (reassociate refuses displaced bases it
+//! already created, licm's hoisted instructions are no longer in the
+//! loop, schedule_early finds every instruction already in its earliest
+//! slot). The cap is a backstop, not a crutch — the idempotence property
+//! test asserts a second driver run reports zero fires for every pass.
 
 mod cfg;
-mod dse;
 mod gvn;
 mod licm;
 mod reassoc;
 mod scalar;
 mod sccp;
 mod schedule;
-mod strength;
 
 #[cfg(test)]
 mod tests;
 
-pub use dse::dse;
 pub use gvn::gvn;
 pub use licm::licm;
 pub use reassoc::reassociate;
 pub use scalar::{const_fold, copy_prop, cse, dce};
 pub use sccp::sccp;
 pub use schedule::schedule_early;
-pub use strength::strength_reduce;
 
 use crate::ir::*;
 use gctrace::{Event, TraceHandle};
 
-/// Optimizer configuration: one enable flag per gated pass, so the
-/// fuzzer's five-mode oracle can bisect a divergence to the pass that
-/// introduced it.
+/// Optimizer configuration: one enable flag per gated pass. The flags
+/// serve the ablation tests (`tests/gc_unsafety.rs` shows each hazard
+/// vanish with its disguising passes off, `tests/random_programs.rs`
+/// checks that every ablation computes the same values) and gcbench's
+/// seed-vs-full `-O` cycle table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptOptions {
     /// Master switch (false = `-g`-style unoptimized code).
     pub enabled: bool,
-    /// Run the displacement reassociation pass.
+    /// Run the displacement reassociation pass. Its registry slot runs
+    /// [`dce`] either way.
     pub reassociate: bool,
     /// Run the eager scheduler.
     pub schedule: bool,
@@ -84,10 +83,6 @@ pub struct OptOptions {
     pub gvn: bool,
     /// Run sparse conditional constant propagation.
     pub sccp: bool,
-    /// Run dead-store elimination.
-    pub dse: bool,
-    /// Run strength reduction on address arithmetic.
-    pub strength: bool,
 }
 
 impl Default for OptOptions {
@@ -99,8 +94,6 @@ impl Default for OptOptions {
             licm: true,
             gvn: true,
             sccp: true,
-            dse: true,
-            strength: true,
         }
     }
 }
@@ -120,72 +113,71 @@ impl OptOptions {
             licm: false,
             gvn: false,
             sccp: false,
-            dse: false,
-            strength: false,
         }
     }
 }
 
 /// A registered optimization pass.
 ///
-/// `run` applies the pass once and returns the number of rewrites it
-/// performed; the fixpoint driver sums these per sweep and stops when a
-/// full sweep fires nothing. A pass must report zero once it has nothing
-/// left to do — a pass that "fires" without changing the function would
-/// spin the driver into its sweep cap.
+/// `run` applies the pass once under `opts` and returns the number of
+/// rewrites it performed; the fixpoint driver sums these per sweep and
+/// stops when a full sweep fires nothing. A pass its option turns off
+/// reports zero. A pass must report zero once it has nothing left to do
+/// — a pass that "fires" without changing the function would spin the
+/// driver into its sweep cap.
 pub trait Pass: Sync {
     /// Stable name used in trace events, Prometheus labels, and tables.
     fn name(&self) -> &'static str;
-    /// Whether this pass is enabled under the given options.
-    fn enabled(&self, opts: &OptOptions) -> bool;
-    /// Apply the pass once; returns the number of rewrites.
-    fn run(&self, f: &mut FuncIr) -> usize;
+    /// Apply the pass once under `opts`; returns the number of rewrites.
+    fn run(&self, f: &mut FuncIr, opts: &OptOptions) -> usize;
 }
 
 macro_rules! register_pass {
-    ($ty:ident, $name:literal, $gate:expr, $run:expr) => {
+    ($ty:ident, $name:literal, $run:expr) => {
         struct $ty;
         impl Pass for $ty {
             fn name(&self) -> &'static str {
                 $name
             }
-            fn enabled(&self, opts: &OptOptions) -> bool {
-                let gate: fn(&OptOptions) -> bool = $gate;
-                gate(opts)
-            }
-            fn run(&self, f: &mut FuncIr) -> usize {
-                let run: fn(&mut FuncIr) -> usize = $run;
-                run(f)
+            fn run(&self, f: &mut FuncIr, opts: &OptOptions) -> usize {
+                let run: fn(&mut FuncIr, &OptOptions) -> usize = $run;
+                run(f, opts)
             }
         }
     };
 }
 
-register_pass!(CopyProp, "copy_prop", |_| true, copy_prop);
-register_pass!(Sccp, "sccp", |o| o.sccp, sccp);
-register_pass!(ConstFold, "const_fold", |_| true, const_fold);
-register_pass!(Reassociate, "reassociate", |o| o.reassociate, reassociate);
-register_pass!(Gvn, "gvn", |o| o.gvn, gvn);
-register_pass!(Cse, "cse", |_| true, cse);
-register_pass!(Dse, "dse", |o| o.dse, dse);
-register_pass!(Licm, "licm", |o| o.licm, licm);
-register_pass!(Strength, "strength", |o| o.strength, strength_reduce);
-register_pass!(Dce, "dce", |_| true, dce);
-register_pass!(
-    ScheduleEarly,
-    "schedule_early",
-    |o| o.schedule,
-    schedule_early
-);
+register_pass!(CopyProp, "copy_prop", |f, _| copy_prop(f));
+register_pass!(Sccp, "sccp", |f, o| if o.sccp { sccp(f) } else { 0 });
+register_pass!(ConstFold, "const_fold", |f, _| const_fold(f));
+// Reassociation ends every run with dce; turned off, its slot still
+// sweeps dead temps, so the knob ablates the rewrite alone.
+register_pass!(Reassociate, "reassociate", |f, o| {
+    if o.reassociate {
+        reassociate(f)
+    } else {
+        dce(f);
+        0
+    }
+});
+register_pass!(Gvn, "gvn", |f, o| if o.gvn { gvn(f) } else { 0 });
+register_pass!(Cse, "cse", |f, _| cse(f));
+register_pass!(Licm, "licm", |f, o| if o.licm { licm(f) } else { 0 });
+register_pass!(ScheduleEarly, "schedule_early", |f, o| {
+    if o.schedule {
+        schedule_early(f)
+    } else {
+        0
+    }
+});
 
 /// The registered pipeline, in sweep order. Ordering rationale:
 /// copy/constant facts first (copy_prop, sccp, const_fold) so the
 /// pattern-matching passes see canonical operands; reassociate before
-/// gvn/cse so displaced bases participate in value numbering; dse after
-/// cse's load elimination; licm before strength reduction so invariant
-/// operands are already hoisted when induction candidates are matched;
-/// dce sweeps the corpses; the scheduler runs last because it only moves
-/// instructions that survived.
+/// gvn/cse so displaced bases participate in value numbering, and the
+/// dce it ends with retires the moves copy_prop and value numbering left
+/// dead; licm hoists what value numbering left in loops; the scheduler
+/// runs last because it only moves instructions that survived.
 pub fn registry() -> &'static [&'static dyn Pass] {
     const REGISTRY: &[&'static dyn Pass] = &[
         &CopyProp,
@@ -194,10 +186,7 @@ pub fn registry() -> &'static [&'static dyn Pass] {
         &Reassociate,
         &Gvn,
         &Cse,
-        &Dse,
         &Licm,
-        &Strength,
-        &Dce,
         &ScheduleEarly,
     ];
     REGISTRY
@@ -272,10 +261,7 @@ pub fn optimize_func_ledger(f: &mut FuncIr, opts: OptOptions) -> PassLedger {
         ledger.sweeps += 1;
         let mut sweep_fires = 0usize;
         for (i, p) in passes.iter().enumerate() {
-            if !p.enabled(&opts) {
-                continue;
-            }
-            let fires = p.run(f);
+            let fires = p.run(f, &opts);
             ledger.fires[i].1 += fires;
             sweep_fires += fires;
         }

@@ -419,44 +419,115 @@ fn registry_names_are_unique_and_ledger_matches() {
 
 #[test]
 fn disabled_passes_never_fire() {
+    // A shape both gated value passes fire on: bb3 recomputes bb0's
+    // `t0 + 8` (gvn), and both arms set t1 to 5, so bb3's comparison is
+    // a constant (sccp).
+    //
+    // bb0: t2 = t0 + 8; br t0 ? bb1 : bb2
+    // bb1: t1 = 5; jump bb3
+    // bb2: t1 = 5; jump bb3
+    // bb3: t3 = t0 + 8; t4 = t1 > 4; br t4 ? bb4 : bb5
+    // bb4: ret t3
+    // bb5: ret t2
+    let shape = || {
+        let add8 = |dst| Instr::Bin {
+            dst,
+            op: BinIr::Add,
+            a: t(0).into(),
+            b: Operand::Const(8),
+        };
+        let branch = |cond: Temp, if_true, if_false| Instr::Branch {
+            cond: cond.into(),
+            if_true: BlockId(if_true),
+            if_false: BlockId(if_false),
+        };
+        let arm = Block {
+            instrs: vec![
+                Instr::Const {
+                    dst: t(1),
+                    value: 5,
+                },
+                Instr::Jump { target: BlockId(3) },
+            ],
+        };
+        let ret = |v| Block {
+            instrs: vec![Instr::Ret {
+                value: Some(t(v).into()),
+            }],
+        };
+        FuncIr {
+            name: "gated".into(),
+            blocks: vec![
+                Block {
+                    instrs: vec![add8(t(2)), branch(t(0), 1, 2)],
+                },
+                arm.clone(),
+                arm,
+                Block {
+                    instrs: vec![
+                        add8(t(3)),
+                        Instr::Bin {
+                            dst: t(4),
+                            op: BinIr::CmpGt,
+                            a: t(1).into(),
+                            b: Operand::Const(4),
+                        },
+                        branch(t(4), 4, 5),
+                    ],
+                },
+                ret(3),
+                ret(2),
+            ],
+            temp_count: 5,
+            param_temps: vec![t(0)],
+            frame_size: 0,
+            returns_value: true,
+        }
+    };
+    let full = optimize_func_ledger(&mut shape(), OptOptions::full());
+    for pass in ["gvn", "sccp"] {
+        assert!(full.fires_for(pass) > 0, "{pass} finds nothing to fire on");
+    }
     let mut opts = OptOptions::full();
     opts.gvn = false;
     opts.sccp = false;
-    opts.dse = false;
-    opts.strength = false;
-    // A shape every gated pass would fire on: a dead store pair plus a
-    // branch-constant condition.
-    let mut f = func(
-        vec![
-            Instr::Store {
-                addr: t(0).into(),
-                value: Operand::Const(1),
-                width: 8,
-            },
-            Instr::Store {
-                addr: t(0).into(),
-                value: Operand::Const(2),
-                width: 8,
-            },
-            Instr::Ret { value: None },
-        ],
-        1,
-    );
+    let mut f = shape();
     let ledger = optimize_func_ledger(&mut f, opts);
-    for pass in ["gvn", "sccp", "dse", "strength"] {
+    for pass in ["gvn", "sccp"] {
         assert_eq!(ledger.fires_for(pass), 0, "{pass} fired while disabled");
     }
-    assert_eq!(
-        f.blocks[0].instrs.len(),
-        3,
-        "dead store survives with dse off"
+    assert_eq!(f.blocks[3], shape().blocks[3], "{}", f.dump());
+}
+
+#[test]
+fn reassociate_off_still_sweeps_dead_temps() {
+    // dce runs in reassociate's slot, so turning reassociation off must
+    // not keep dead code the full pipeline would remove.
+    let mut f = func(
+        vec![
+            Instr::Bin {
+                dst: t(1),
+                op: BinIr::Add,
+                a: t(0).into(),
+                b: Operand::Const(1),
+            },
+            Instr::Ret {
+                value: Some(t(0).into()),
+            },
+        ],
+        2,
     );
+    let mut opts = OptOptions::full();
+    opts.reassociate = false;
+    let ledger = optimize_func_ledger(&mut f, opts);
+    assert_eq!(ledger.fires_for("reassociate"), 0);
+    assert_eq!(f.instr_count(), 1, "{}", f.dump());
 }
 
 #[test]
 fn driver_reaches_fixpoint_and_is_idempotent() {
-    // A little bit of everything: constants to fold, a dead store, and a
-    // redundant add.
+    // A little bit of everything: constants to fold, an overwritten
+    // store, and a redundant add.
     let instrs = vec![
         Instr::Const {
             dst: t(1),
@@ -758,374 +829,12 @@ mod sccp_tests {
     }
 }
 
-mod dse_tests {
-    use super::*;
-
-    #[test]
-    fn overwritten_store_is_removed() {
-        let mut f = func(
-            vec![
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: Operand::Const(1),
-                    width: 8,
-                },
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: Operand::Const(2),
-                    width: 8,
-                },
-                Instr::Ret { value: None },
-            ],
-            1,
-        );
-        assert_eq!(dse(&mut f), 1);
-        assert!(matches!(
-            f.blocks[0].instrs[0],
-            Instr::Store {
-                value: Operand::Const(2),
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn call_is_a_collection_point_barrier() {
-        // The call between the stores may collect — the first store could
-        // be what makes a pointer findable, so it must survive.
-        let mut f = func(
-            vec![
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: t(1).into(),
-                    width: 8,
-                },
-                Instr::Call {
-                    dst: Some(t(2)),
-                    target: CallTarget::Builtin(cfront::Builtin::Malloc),
-                    args: vec![Operand::Const(8)],
-                    site: None,
-                },
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: t(2).into(),
-                    width: 8,
-                },
-                Instr::Ret { value: None },
-            ],
-            3,
-        );
-        assert_eq!(dse(&mut f), 0, "{}", f.dump());
-    }
-
-    #[test]
-    fn load_between_stores_blocks_elimination() {
-        let mut f = func(
-            vec![
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: Operand::Const(1),
-                    width: 8,
-                },
-                Instr::Load {
-                    dst: t(1),
-                    addr: t(0).into(),
-                    width: 8,
-                    signed: false,
-                },
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: t(1).into(),
-                    width: 8,
-                },
-                Instr::Ret { value: None },
-            ],
-            2,
-        );
-        assert_eq!(dse(&mut f), 0);
-    }
-
-    #[test]
-    fn narrower_overwrite_keeps_the_wide_store() {
-        let mut f = func(
-            vec![
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: Operand::Const(1),
-                    width: 8,
-                },
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: Operand::Const(2),
-                    width: 1,
-                },
-                Instr::Ret { value: None },
-            ],
-            1,
-        );
-        assert_eq!(dse(&mut f), 0, "bytes 1..8 still observable");
-    }
-
-    #[test]
-    fn redefined_address_blocks_elimination() {
-        let mut f = func(
-            vec![
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: Operand::Const(1),
-                    width: 8,
-                },
-                Instr::Bin {
-                    dst: t(0),
-                    op: BinIr::Add,
-                    a: t(0).into(),
-                    b: Operand::Const(8),
-                },
-                Instr::Store {
-                    addr: t(0).into(),
-                    value: Operand::Const(2),
-                    width: 8,
-                },
-                Instr::Ret { value: None },
-            ],
-            1,
-        );
-        assert_eq!(dse(&mut f), 0, "same temp, different address");
-    }
-}
-
-mod strength_tests {
-    use super::*;
-
-    /// bb0: t1 = 0; jump bb1
-    /// bb1: t2 = t1 * 8; t3 = t0 + t2; t4 = load t3; t1 = t1 + 1;
-    ///      t5 = t1 < 10; br t5 ? bb1 : bb2
-    /// bb2: ret t4
-    fn indexed_loop(scale_op: BinIr, scale: i64) -> FuncIr {
-        FuncIr {
-            name: "sr".into(),
-            blocks: vec![
-                Block {
-                    instrs: vec![
-                        Instr::Const {
-                            dst: t(1),
-                            value: 0,
-                        },
-                        Instr::Jump { target: BlockId(1) },
-                    ],
-                },
-                Block {
-                    instrs: vec![
-                        Instr::Bin {
-                            dst: t(2),
-                            op: scale_op,
-                            a: t(1).into(),
-                            b: Operand::Const(scale),
-                        },
-                        Instr::Bin {
-                            dst: t(3),
-                            op: BinIr::Add,
-                            a: t(0).into(),
-                            b: t(2).into(),
-                        },
-                        Instr::Load {
-                            dst: t(4),
-                            addr: t(3).into(),
-                            width: 8,
-                            signed: false,
-                        },
-                        Instr::Bin {
-                            dst: t(1),
-                            op: BinIr::Add,
-                            a: t(1).into(),
-                            b: Operand::Const(1),
-                        },
-                        Instr::Bin {
-                            dst: t(5),
-                            op: BinIr::CmpLt,
-                            a: t(1).into(),
-                            b: Operand::Const(10),
-                        },
-                        Instr::Branch {
-                            cond: t(5).into(),
-                            if_true: BlockId(1),
-                            if_false: BlockId(2),
-                        },
-                    ],
-                },
-                Block {
-                    instrs: vec![Instr::Ret {
-                        value: Some(t(4).into()),
-                    }],
-                },
-            ],
-            temp_count: 6,
-            param_temps: vec![t(0)],
-            frame_size: 0,
-            returns_value: true,
-        }
-    }
-
-    #[test]
-    fn reduces_scaled_index_to_pointer_increment() {
-        let mut f = indexed_loop(BinIr::Mul, 8);
-        assert_eq!(strength_reduce(&mut f), 1, "{}", f.dump());
-        // A preheader block appeared, entered from bb0.
-        assert_eq!(f.blocks.len(), 4, "{}", f.dump());
-        assert_eq!(
-            f.blocks[0].successors().collect::<Vec<_>>(),
-            vec![BlockId(3)]
-        );
-        // The address computation is now a copy of the running pointer,
-        // and a pointer increment by 8 follows the IV increment.
-        let body = &f.blocks[1].instrs;
-        assert!(
-            body.iter()
-                .any(|i| matches!(i, Instr::Mov { dst: Temp(3), .. })),
-            "address became a copy:\n{}",
-            f.dump()
-        );
-        assert!(
-            body.iter().any(|i| matches!(
-                i,
-                Instr::Bin {
-                    op: BinIr::Add,
-                    b: Operand::Const(8),
-                    ..
-                }
-            )),
-            "pointer increment inserted:\n{}",
-            f.dump()
-        );
-        // dce retires the multiply once its only use is gone.
-        dce(&mut f);
-        assert!(
-            !f.blocks[1]
-                .instrs
-                .iter()
-                .any(|i| matches!(i, Instr::Bin { op: BinIr::Mul, .. })),
-            "multiply left the loop:\n{}",
-            f.dump()
-        );
-        // Idempotent: the matched multiply is gone.
-        assert_eq!(strength_reduce(&mut f), 0);
-    }
-
-    #[test]
-    fn shift_only_chain_is_not_reduced() {
-        // const_fold turns `i*8` into `i<<3` before this pass runs on
-        // real programs. A shift is as cheap as the add that would
-        // replace it, so reducing a shift-only chain would buy nothing
-        // and cost a loop-long pointer live range — the pass must leave
-        // it alone.
-        let mut f = indexed_loop(BinIr::Shl, 3);
-        assert_eq!(strength_reduce(&mut f), 0, "{}", f.dump());
-    }
-
-    #[test]
-    fn reduces_two_level_stride_chain() {
-        // `a[i * 3]` on a long array lowers to `m1 = i*3; m2 = m1<<3;
-        // addr = a + m2` — the chain must reduce with combined scale 24.
-        let mut f = indexed_loop(BinIr::Mul, 3);
-        f.blocks[1].instrs.insert(
-            1,
-            Instr::Bin {
-                dst: t(6),
-                op: BinIr::Shl,
-                a: t(2).into(),
-                b: Operand::Const(3),
-            },
-        );
-        f.temp_count = 7;
-        // Retarget the add at the outer scale.
-        let Instr::Bin { b, .. } = &mut f.blocks[1].instrs[2] else {
-            panic!()
-        };
-        *b = t(6).into();
-        assert_eq!(strength_reduce(&mut f), 1, "{}", f.dump());
-        assert!(
-            f.blocks[1].instrs.iter().any(|i| matches!(
-                i,
-                Instr::Bin {
-                    op: BinIr::Add,
-                    b: Operand::Const(24),
-                    ..
-                }
-            )),
-            "pointer advances by the combined scale:\n{}",
-            f.dump()
-        );
-        // Both chain levels die once the add is a copy.
-        dce(&mut f);
-        assert!(
-            !f.blocks[1]
-                .instrs
-                .iter()
-                .any(|i| matches!(i, Instr::Bin { op: BinIr::Mul, .. })
-                    || matches!(i, Instr::Bin { op: BinIr::Shl, .. })),
-            "scale chain left the loop:\n{}",
-            f.dump()
-        );
-    }
-
-    #[test]
-    fn variant_base_is_not_reduced() {
-        let mut f = indexed_loop(BinIr::Mul, 8);
-        // Redefine the base inside the loop: no longer invariant.
-        f.blocks[1].instrs.insert(
-            3,
-            Instr::Bin {
-                dst: t(0),
-                op: BinIr::Add,
-                a: t(0).into(),
-                b: Operand::Const(0),
-            },
-        );
-        assert_eq!(strength_reduce(&mut f), 0, "{}", f.dump());
-    }
-
-    #[test]
-    fn executes_identically_after_reduction() {
-        // Run the loop shape through the VM before and after the pass on
-        // a frame-backed array and compare the sums.
-        use crate::{compile, run_compiled, CompileOptions, VmOptions};
-        let src = r#"
-            long sum(long *a, long n) {
-                long s; long i;
-                s = 0;
-                for (i = 0; i < n; i++) {
-                    s = s + a[i * 2];
-                }
-                return s;
-            }
-            int main(void) {
-                long a[16]; long i;
-                for (i = 0; i < 16; i++) { a[i] = i * 3; }
-                putint(sum(a, 8));
-                return 0;
-            }
-        "#;
-        let unopt = {
-            let prog = compile(src, &CompileOptions::debug()).expect("compiles");
-            run_compiled(&prog, &VmOptions::default()).expect("runs")
-        };
-        let opt = {
-            let prog = compile(src, &CompileOptions::optimized()).expect("compiles");
-            run_compiled(&prog, &VmOptions::default()).expect("runs")
-        };
-        assert_eq!(unopt.output, opt.output);
-        assert_eq!(unopt.exit_code, opt.exit_code);
-    }
-}
-
 mod allocation_preservation_tests {
     use super::*;
     use crate::{compile, CompileOptions};
 
-    fn count_mallocs(src: &str, opts: &CompileOptions) -> usize {
-        let prog = compile(src, opts).expect("compiles");
-        let main = &prog.funcs[prog.main];
-        main.blocks
+    fn count_mallocs(f: &FuncIr) -> usize {
+        f.blocks
             .iter()
             .flat_map(|b| &b.instrs)
             .filter(|i| {
@@ -1153,38 +862,38 @@ mod allocation_preservation_tests {
                 return 0;
             }
         "#;
-        assert_eq!(count_mallocs(src, &CompileOptions::optimized()), 2);
+        let prog = compile(src, &CompileOptions::optimized()).expect("compiles");
+        assert_eq!(count_mallocs(&prog.funcs[prog.main]), 2);
     }
 
-    /// The same assumption, checked per new pass: each of the second-crop
-    /// passes enabled alone must preserve allocation calls whose results
-    /// feed stores that die, branches that fold, or addresses that reduce.
+    /// The same assumption, checked per gated value pass: gvn or sccp
+    /// enabled alone fires on allocation results that feed a recomputed
+    /// address or a branch that folds, and keeps both allocation calls.
     #[test]
     fn each_new_pass_preserves_allocations_alone() {
         let src = r#"
             int main(void) {
-                long *p; long *q; long i;
+                long *p; long *q; long f;
                 p = (long *) malloc(64);
                 q = (long *) malloc(64);
-                p[0] = 1;
-                p[0] = 2;           /* dead store */
-                if (1) { q[0] = 3; } else { q[0] = 4; }  /* branch-constant */
-                for (i = 0; i < 4; i++) { p[i * 2] = i; }  /* induction addr */
-                putint(p[0] + q[0]);
+                if (p[0] > 0) f = 5; else f = 5;
+                p[1] = f;
+                if (f > 4) { q[0] = 3; } else { q[0] = 4; }  /* sccp */
+                putint(p[1] + q[0]);               /* gvn: p + 8 again */
                 return 0;
             }
         "#;
-        for pass in ["gvn", "sccp", "dse", "strength"] {
-            let mut opts = CompileOptions::optimized();
-            opts.opt.gvn = pass == "gvn";
-            opts.opt.sccp = pass == "sccp";
-            opts.opt.dse = pass == "dse";
-            opts.opt.strength = pass == "strength";
-            assert_eq!(
-                count_mallocs(src, &opts),
-                2,
-                "pass {pass} elided an allocation"
-            );
+        let mut front = CompileOptions::optimized();
+        front.opt.enabled = false;
+        let unoptimized = compile(src, &front).expect("compiles");
+        for pass in ["gvn", "sccp"] {
+            let mut opts = OptOptions::full();
+            opts.gvn = pass == "gvn";
+            opts.sccp = pass == "sccp";
+            let mut main = unoptimized.funcs[unoptimized.main].clone();
+            let ledger = optimize_func_ledger(&mut main, opts);
+            assert!(ledger.fires_for(pass) > 0, "{pass} never fired");
+            assert_eq!(count_mallocs(&main), 2, "pass {pass} elided an allocation");
         }
     }
 }

@@ -49,13 +49,16 @@ enum Kernel {
     DoWhileWalk,
     /// NUL-terminated byte cursor over a `char` array.
     CharWalk,
-    /// Stores overwritten before any use — dead-store elimination bait;
-    /// the surviving store writes through a derived pointer while a
-    /// fresh allocation sits between iterations.
+    /// Stores overwritten before any use; the surviving store writes
+    /// through a derived pointer while a fresh allocation sits between
+    /// iterations. Written as bait for dead-store elimination, a pass
+    /// the optimizer no longer has; it stays because changing what the
+    /// generator emits would move perfbench's `fuzz` draw and the fuzz
+    /// goldens.
     DeadStore { pad: i64 },
-    /// Loop-carried `a[i * stride]` address arithmetic: strength
-    /// reduction rewrites the scaled index into a running pointer — a
-    /// manufactured interior pointer live across the churn allocation.
+    /// Loop-carried `a[i * stride]` address arithmetic, a scaled index
+    /// live across the churn allocation. Written as bait for strength
+    /// reduction, also gone; it stays for the same reason.
     StrideIndex { stride: i64 },
     /// A branch whose condition is constant only after constants merge
     /// across a join — SCCP bait; one arm of the inner branch is dead.

@@ -186,13 +186,12 @@ fn optimizer_ablations_agree() {
             .unwrap_or_else(|e| panic!("-O failed on:\n{src}\n{e}"));
         // Each disguising pass individually disabled must not change results.
         type Ablate = fn(&mut cvm::OptOptions);
-        let single: [(&str, Ablate); 6] = [
+        let single: [(&str, Ablate); 5] = [
             ("reassociate", |o| o.reassociate = false),
             ("schedule", |o| o.schedule = false),
             ("licm", |o| o.licm = false),
             ("gvn", |o| o.gvn = false),
             ("sccp", |o| o.sccp = false),
-            ("dse", |o| o.dse = false),
         ];
         for (name, ablate) in single {
             let mut opts = CompileOptions::optimized();
@@ -201,13 +200,6 @@ fn optimizer_ablations_agree() {
                 run_mode(&src, &opts).unwrap_or_else(|e| panic!("ablation failed:\n{src}\n{e}"));
             assert_eq!(got, baseline, "ablation (no {name}) diverges on:\n{src}");
         }
-        // And the strength+schedule pair: the pass most likely to
-        // interact with later scheduling sweeps.
-        let mut opts = CompileOptions::optimized();
-        opts.opt.strength = false;
-        opts.opt.schedule = false;
-        let got = run_mode(&src, &opts).unwrap_or_else(|e| panic!("ablation failed:\n{src}\n{e}"));
-        assert_eq!(got, baseline, "ablation (no strength+schedule) diverges");
     }
 }
 
