@@ -11,12 +11,20 @@
 //!   `add; (empty asm); ldsb` sequence of the paper's Analysis section;
 //! * **compare folding** — a single-use comparison feeding a branch
 //!   becomes a fused `cmp; bcc`.
+//!
+//! Generation is linear in the function's size. Each temp's use count,
+//! which the single-use tests read, is taken once per function, and the
+//! allocator's intervals, hints and locations are vectors indexed by temp:
+//! sized from `temp_count`, grown for a temp numbered past it, and read as
+//! "no entry" past their end, as a missing map key was. Intervals are
+//! allocated in `(start, temp)` order, a temp's hint is its last
+//! `Mov`/`KeepLive`/`CheckSame` definition, and the spill choice is the
+//! interval that ends last, so the same IR gives the same listing.
 
 use crate::asm::*;
 use crate::cost::Machine;
-use cvm::ir::{BinIr, CallTarget, FuncIr, Instr, Operand, Temp};
+use cvm::ir::{BinIr, Block, CallTarget, FuncIr, Instr, Operand, Temp};
 use cvm::liveness::Liveness;
-use std::collections::HashMap;
 
 /// Where a temp lives after allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,11 +47,14 @@ pub fn codegen_program(prog: &cvm::ProgramIr, machine: &Machine) -> Vec<AsmFunc>
 
 /// Generates assembly for one function.
 pub fn codegen_func(func: &FuncIr, machine: &Machine) -> AsmFunc {
+    let uses = use_counts(func);
     let alloc = allocate(func, machine);
-    let mut blocks = Vec::with_capacity(func.blocks.len());
-    for (bi, b) in func.blocks.iter().enumerate() {
-        blocks.push(emit_block(func, bi, b, &alloc));
-    }
+    let blocks = func
+        .blocks
+        .iter()
+        .enumerate()
+        .map(|(bi, b)| emit_block(bi, b, &uses, &alloc))
+        .collect();
     AsmFunc {
         name: func.name.clone(),
         blocks,
@@ -51,8 +62,38 @@ pub fn codegen_func(func: &FuncIr, machine: &Machine) -> AsmFunc {
     }
 }
 
+/// The entry for `t` in a table indexed by temp, growing the table for a
+/// temp numbered past it.
+fn entry<T: Clone + Default>(table: &mut Vec<T>, t: Temp) -> &mut T {
+    let i = t.0 as usize;
+    if i >= table.len() {
+        table.resize(i + 1, T::default());
+    }
+    &mut table[i]
+}
+
+/// The entry for `t` in a table indexed by temp; `None` past its end.
+fn lookup<T: Copy>(table: &[Option<T>], t: Temp) -> Option<T> {
+    table.get(t.0 as usize).copied().flatten()
+}
+
+/// How many times each temp is used across the function, indexed by temp.
+fn use_counts(func: &FuncIr) -> Vec<u32> {
+    let mut counts = vec![0; func.temp_count as usize];
+    let mut buf = Vec::new();
+    for ins in func.blocks.iter().flat_map(|b| &b.instrs) {
+        buf.clear();
+        ins.uses(&mut buf);
+        for &t in &buf {
+            *entry(&mut counts, t) += 1;
+        }
+    }
+    counts
+}
+
 struct Allocation {
-    locs: HashMap<Temp, Loc>,
+    /// Per temp, where it lives; `None` for a temp with no interval.
+    locs: Vec<Option<Loc>>,
     spill_count: u32,
     scratch: [Reg; 2],
 }
@@ -69,42 +110,42 @@ fn allocate(func: &FuncIr, machine: &Machine) -> Allocation {
         pos_of_block_start.push(pos);
         pos += b.instrs.len() as u32 + 1;
     }
-    let total = pos;
-    // Intervals from defs/uses plus block-boundary liveness.
+    // Intervals from defs/uses plus block-boundary liveness: per temp, its
+    // first and last position, if it has any.
     let lv = Liveness::compute(func);
-    let mut start: HashMap<Temp, u32> = HashMap::new();
-    let mut end: HashMap<Temp, u32> = HashMap::new();
-    let touch = |t: Temp, p: u32, start: &mut HashMap<Temp, u32>, end: &mut HashMap<Temp, u32>| {
-        start.entry(t).and_modify(|s| *s = (*s).min(p)).or_insert(p);
-        end.entry(t).and_modify(|e| *e = (*e).max(p)).or_insert(p);
+    let mut spans: Vec<Option<(u32, u32)>> = vec![None; func.temp_count as usize];
+    let mut touch = |t: Temp, p: u32| {
+        let span = entry(&mut spans, t);
+        *span = Some(span.map_or((p, p), |(s, e)| (s.min(p), e.max(p))));
     };
     for t in &func.param_temps {
-        touch(*t, 0, &mut start, &mut end);
+        touch(*t, 0);
     }
     let mut uses_buf = Vec::new();
     for (bi, b) in func.blocks.iter().enumerate() {
         let bstart = pos_of_block_start[bi];
         let bend = bstart + b.instrs.len() as u32;
         for t in lv.live_in[bi].iter() {
-            touch(t, bstart, &mut start, &mut end);
+            touch(t, bstart);
         }
         for t in lv.live_out[bi].iter() {
-            touch(t, bend, &mut start, &mut end);
+            touch(t, bend);
         }
         for (ii, ins) in b.instrs.iter().enumerate() {
             let p = bstart + ii as u32;
             if let Some(d) = ins.dst() {
-                touch(d, p, &mut start, &mut end);
+                touch(d, p);
             }
             uses_buf.clear();
             ins.uses(&mut uses_buf);
             for &u in &uses_buf {
-                touch(u, p, &mut start, &mut end);
+                touch(u, p);
             }
         }
     }
-    // Coalescing hints from Mov/KeepLive/CheckSame chains.
-    let mut hints: HashMap<Temp, Temp> = HashMap::new();
+    // Coalescing hints from Mov/KeepLive/CheckSame chains: the last such
+    // definition of a temp names its hint.
+    let mut hints: Vec<Option<Temp>> = vec![None; func.temp_count as usize];
     for b in &func.blocks {
         for ins in &b.instrs {
             match ins {
@@ -122,22 +163,24 @@ fn allocate(func: &FuncIr, machine: &Machine) -> Allocation {
                     value: Operand::Temp(s),
                     ..
                 } => {
-                    hints.insert(*dst, *s);
+                    *entry(&mut hints, *dst) = Some(*s);
                 }
                 _ => {}
             }
         }
     }
     // Sort intervals by start.
-    let mut intervals: Vec<(Temp, u32, u32)> =
-        start.iter().map(|(&t, &s)| (t, s, end[&t])).collect();
+    let mut intervals: Vec<(Temp, u32, u32)> = spans
+        .iter()
+        .enumerate()
+        .filter_map(|(t, span)| span.map(|(s, e)| (Temp(t as u32), s, e)))
+        .collect();
     intervals.sort_by_key(|&(t, s, _)| (s, t));
     let mut active: Vec<(u32, Reg, Temp)> = Vec::new(); // (end, reg, temp)
     let mut free: Vec<Reg> = allocatable.clone();
-    let mut locs: HashMap<Temp, Loc> = HashMap::new();
+    let mut locs: Vec<Option<Loc>> = vec![None; spans.len()];
     let mut spill_count = 0;
     let mut next_spill_off = func.frame_size;
-    let _ = total;
     for (t, s, e) in intervals {
         // Expire finished intervals. An interval ending exactly where the
         // next begins may share its register: the new temp's defining
@@ -152,11 +195,10 @@ fn allocate(func: &FuncIr, machine: &Machine) -> Allocation {
             }
         });
         // Prefer the hint register when available.
-        let hinted = hints
-            .get(&t)
-            .and_then(|h| locs.get(h))
+        let hinted = lookup(&hints, t)
+            .and_then(|h| lookup(&locs, h))
             .and_then(|l| match l {
-                Loc::Reg(r) => Some(*r),
+                Loc::Reg(r) => Some(r),
                 Loc::Spill(_) => None,
             })
             .filter(|r| free.contains(r));
@@ -169,7 +211,7 @@ fn allocate(func: &FuncIr, machine: &Machine) -> Allocation {
         };
         match reg {
             Some(r) => {
-                locs.insert(t, Loc::Reg(r));
+                locs[t.0 as usize] = Some(Loc::Reg(r));
                 active.push((e, r, t));
             }
             None => {
@@ -181,13 +223,13 @@ fn allocate(func: &FuncIr, machine: &Machine) -> Allocation {
                     .expect("active set is non-empty when out of registers");
                 if vend > e {
                     // Steal the victim's register.
-                    locs.insert(vt, Loc::Spill(next_spill_off));
+                    locs[vt.0 as usize] = Some(Loc::Spill(next_spill_off));
                     next_spill_off += 8;
                     spill_count += 1;
-                    locs.insert(t, Loc::Reg(vreg));
+                    locs[t.0 as usize] = Some(Loc::Reg(vreg));
                     active[victim_idx] = (e, vreg, t);
                 } else {
-                    locs.insert(t, Loc::Spill(next_spill_off));
+                    locs[t.0 as usize] = Some(Loc::Spill(next_spill_off));
                     next_spill_off += 8;
                     spill_count += 1;
                 }
@@ -216,14 +258,14 @@ impl Emitter<'_> {
                 self.out.push(AsmInstr::SetImm { rd: r, value: c });
                 r
             }
-            Operand::Temp(t) => match self.alloc.locs.get(&t) {
-                Some(Loc::Reg(r)) => *r,
+            Operand::Temp(t) => match lookup(&self.alloc.locs, t) {
+                Some(Loc::Reg(r)) => r,
                 Some(Loc::Spill(off)) => {
                     let r = self.alloc.scratch[scratch_idx];
                     self.out.push(AsmInstr::Ld {
                         rd: r,
                         base: FP,
-                        off: RegImm::Imm(*off as i64),
+                        off: RegImm::Imm(off as i64),
                         width: 8,
                         signed: false,
                     });
@@ -248,19 +290,19 @@ impl Emitter<'_> {
 
     /// Register to compute a result into.
     fn def_reg(&mut self, t: Temp) -> Reg {
-        match self.alloc.locs.get(&t) {
-            Some(Loc::Reg(r)) => *r,
+        match lookup(&self.alloc.locs, t) {
+            Some(Loc::Reg(r)) => r,
             _ => self.alloc.scratch[0],
         }
     }
 
     /// Stores a spilled destination back to its slot.
     fn finish_def(&mut self, t: Temp, r: Reg) {
-        if let Some(Loc::Spill(off)) = self.alloc.locs.get(&t) {
+        if let Some(Loc::Spill(off)) = lookup(&self.alloc.locs, t) {
             self.out.push(AsmInstr::St {
                 rs: r,
                 base: FP,
-                off: RegImm::Imm(*off as i64),
+                off: RegImm::Imm(off as i64),
                 width: 8,
             });
         }
@@ -302,24 +344,13 @@ fn bin_to_cond(op: BinIr) -> Option<Cond> {
     })
 }
 
-/// Decides which instruction indices are folded into a consumer (address
-/// adds into loads/stores, compares into branches) and therefore skipped.
-fn fold_decisions(func: &FuncIr, bi: usize) -> HashMap<usize, usize> {
-    // map: producer index -> consumer index
-    let b = &func.blocks[bi];
-    // Count uses of each temp across the whole function (single-use test).
-    let mut uses: HashMap<Temp, usize> = HashMap::new();
-    let mut buf = Vec::new();
-    for blk in &func.blocks {
-        for ins in &blk.instrs {
-            buf.clear();
-            ins.uses(&mut buf);
-            for &t in &buf {
-                *uses.entry(t).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut folds = HashMap::new();
+/// Per instruction of block `b`, the earlier instruction folded into it
+/// (an address add into a load or store, a compare into a branch), which
+/// then emits nothing. `uses` counts each temp's uses in the function: a
+/// producer folds only into the single use of its result.
+fn fold_decisions(b: &Block, uses: &[u32]) -> Vec<Option<usize>> {
+    let mut producer_of = vec![None; b.instrs.len()];
+    let mut ops = Vec::new();
     for (ci, ins) in b.instrs.iter().enumerate() {
         let addr = match ins {
             Instr::Load {
@@ -337,7 +368,7 @@ fn fold_decisions(func: &FuncIr, bi: usize) -> HashMap<usize, usize> {
             _ => None,
         };
         let Some(t) = addr else { continue };
-        if uses.get(&t).copied().unwrap_or(0) != 1 {
+        if uses.get(t.0 as usize) != Some(&1) {
             continue;
         }
         // Find the producer earlier in this block.
@@ -353,29 +384,31 @@ fn fold_decisions(func: &FuncIr, bi: usize) -> HashMap<usize, usize> {
             continue;
         }
         // The producer's operands must not be redefined in between.
-        let mut ops = Vec::new();
+        ops.clear();
         b.instrs[pi].uses(&mut ops);
         let clobbered = b.instrs[pi + 1..ci]
             .iter()
-            .any(|mid| mid.dst().map(|d| ops.contains(&d)).unwrap_or(false));
+            .any(|mid| mid.dst().is_some_and(|d| ops.contains(&d)));
         if clobbered {
             continue;
         }
-        folds.insert(pi, ci);
+        producer_of[ci] = Some(pi);
     }
-    folds
+    producer_of
 }
 
-fn emit_block(func: &FuncIr, bi: usize, b: &cvm::ir::Block, alloc: &Allocation) -> AsmBlock {
-    let folds = fold_decisions(func, bi);
-    let folded_producers: HashMap<usize, usize> = folds.clone();
-    let consumer_of: HashMap<usize, usize> = folds.iter().map(|(&p, &c)| (c, p)).collect();
+fn emit_block(bi: usize, b: &Block, uses: &[u32], alloc: &Allocation) -> AsmBlock {
+    let producer_of = fold_decisions(b, uses);
+    let mut folded = vec![false; b.instrs.len()];
+    for &p in producer_of.iter().flatten() {
+        folded[p] = true;
+    }
     let mut e = Emitter {
         alloc,
         out: Vec::new(),
     };
     for (ii, ins) in b.instrs.iter().enumerate() {
-        if folded_producers.contains_key(&ii) {
+        if folded[ii] {
             continue; // folded into its consumer
         }
         match ins {
@@ -424,7 +457,7 @@ fn emit_block(func: &FuncIr, bi: usize, b: &cvm::ir::Block, alloc: &Allocation) 
                 width,
                 signed,
             } => {
-                let (base, off) = match consumer_of.get(&ii).map(|p| &b.instrs[*p]) {
+                let (base, off) = match producer_of[ii].map(|p| &b.instrs[p]) {
                     Some(Instr::Bin { a, b: rhs, .. }) => {
                         let base = e.use_op(*a, 0);
                         let off = e.use_ri(*rhs, 1);
@@ -443,7 +476,7 @@ fn emit_block(func: &FuncIr, bi: usize, b: &cvm::ir::Block, alloc: &Allocation) 
                 e.finish_def(*dst, rd);
             }
             Instr::Store { addr, value, width } => {
-                let (base, off) = match consumer_of.get(&ii).map(|p| &b.instrs[*p]) {
+                let (base, off) = match producer_of[ii].map(|p| &b.instrs[p]) {
                     Some(Instr::Bin { a, b: rhs, .. }) => {
                         let base = e.use_op(*a, 0);
                         let off = e.use_ri(*rhs, 1);
@@ -568,7 +601,7 @@ fn emit_block(func: &FuncIr, bi: usize, b: &cvm::ir::Block, alloc: &Allocation) 
                 if_true,
                 if_false,
             } => {
-                match consumer_of.get(&ii).map(|p| &b.instrs[*p]) {
+                match producer_of[ii].map(|p| &b.instrs[p]) {
                     Some(Instr::Bin { op, a, b: rhs, .. }) => {
                         let c = bin_to_cond(*op).expect("fold checked");
                         let ra = e.use_op(*a, 0);

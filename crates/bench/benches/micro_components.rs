@@ -1,9 +1,11 @@
 //! Component microbenchmarks: the substrates' hot paths (parser, sema,
 //! annotator, collector, page-map lookups), an ablation of the
-//! annotator's optimizations, and the VM's per-step cost.
+//! annotator's optimizations, the VM's per-step cost, and code
+//! generation.
 
 mod timing;
 
+use asmpost::Machine;
 use cvm::{CompileOptions, VmOptions};
 use gcheap::{GcHeap, Memory, RootSet};
 use timing::bench;
@@ -63,8 +65,30 @@ fn step_costs() {
     }
 }
 
+/// Times code generation (register allocation and instruction selection,
+/// before the peephole) of two workloads' `-g, checked` builds for each
+/// machine.
+fn codegen_costs() {
+    println!("== codegen ==");
+    let machines = [
+        ("sparc2", Machine::sparc2()),
+        ("sparc10", Machine::sparc10()),
+        ("pentium90", Machine::pentium90()),
+    ];
+    for name in ["cordtest", "cfrac"] {
+        let src = workloads::by_name(name).expect("exists").source;
+        let prog = cvm::compile(src, &CompileOptions::debug_checked()).expect("compiles");
+        for (key, machine) in &machines {
+            bench(&format!("codegen_{name}_{key}"), 2, 20, || {
+                asmpost::codegen_program(&prog, machine)
+            });
+        }
+    }
+}
+
 fn main() {
     step_costs();
+    codegen_costs();
 
     let src = workloads::by_name("gs").expect("exists").source;
 

@@ -29,6 +29,16 @@
 //! profile is one counter per block of the program, indexed by the
 //! decoded jump targets and handed over when the run ends.
 //!
+//! Five adjacent pairs inside a block are then fused into one op each: a
+//! frame address and the load, or the store of a temp, through it; a move
+//! (also a `KeepLive`) and a jump (also a branch on an immediate); and an
+//! operation and a branch on its result. A fused op is still two steps:
+//! its first half, which cannot fault, writes its destination and is
+//! charged to the budget before the second half runs. It takes the pair's
+//! first slot and the second slot keeps its own op, so block starts, call
+//! slots and every slot-indexed table are those of the unfused code, and
+//! no jump lands between the halves.
+//!
 //! The loop keeps the program counter, the active frame's window base
 //! and the step count in locals. It re-reads the active function's ops
 //! and its slice of the register window only at calls and returns,
@@ -463,9 +473,58 @@ enum Op {
     FellOff {
         block: u32,
     },
+    // The fused pairs: each runs an op and the one after it in its block
+    // as one dispatch of two steps (see `fuse`).
+    /// `addr = sp + offset`, then `dst = *addr`.
+    FrameLoad {
+        addr: u32,
+        offset: u32,
+        dst: u32,
+        width: u8,
+        signed: bool,
+    },
+    /// `addr = sp + offset`, then `*addr = value`.
+    FrameStore {
+        addr: u32,
+        offset: u32,
+        value: u32,
+        width: u8,
+    },
+    /// `dst = src`, then a jump.
+    MovJump {
+        dst: u32,
+        src: u32,
+        to: Target,
+    },
+    /// `dst = a op b`, then a branch on `dst` to the targets at
+    /// `branches[at]`.
+    BinBranch {
+        op: BinIr,
+        dst: u32,
+        a: u32,
+        b: u32,
+        at: u32,
+    },
+    /// `dst = a op b` with `b` immediate, then a branch on `dst` to the
+    /// targets at `branches[at]`.
+    BinImmBranch {
+        op: BinIr,
+        dst: u32,
+        a: u32,
+        b: i64,
+        at: u32,
+    },
 }
 
 const _: () = assert!(std::mem::size_of::<Op>() <= 24);
+
+/// Charges one step to a budget with `left` steps remaining: a step that
+/// completes with none left is over it.
+#[inline(always)]
+fn spend(left: &mut u64) -> Result<(), VmError> {
+    *left = left.checked_sub(1).ok_or(VmError::StepLimit)?;
+    Ok(())
+}
 
 /// Appends `operands` to an operand table and returns where they start.
 fn push_srcs(srcs: &mut Vec<Src>, operands: impl IntoIterator<Item = Operand>) -> u32 {
@@ -611,6 +670,73 @@ fn decode(instr: &Instr, to: impl Fn(BlockId) -> Target, srcs: &mut Vec<Src>) ->
     }
 }
 
+/// The op that runs `first` and then `second`, the op after it in the same
+/// block, as one dispatch, if the pair is one of the five the paper's
+/// programs run most: a frame address and the load or store through it, a
+/// move and a jump, and an operation and a branch on its result. A fused
+/// branch's targets are appended to `branches`.
+fn fuse(first: Op, second: Op, branches: &mut Vec<(Target, Target)>) -> Option<Op> {
+    let mut branch_at = |if_true, if_false| {
+        branches.push((if_true, if_false));
+        branches.len() as u32 - 1
+    };
+    Some(match (first, second) {
+        (
+            Op::FrameAddr { dst: t, offset },
+            Op::Load {
+                dst,
+                addr,
+                width,
+                signed,
+            },
+        ) if addr == t => Op::FrameLoad {
+            addr,
+            offset,
+            dst,
+            width,
+            signed,
+        },
+        (Op::FrameAddr { dst: t, offset }, Op::Store { addr, value, width }) if addr == t => {
+            Op::FrameStore {
+                addr,
+                offset,
+                value,
+                width,
+            }
+        }
+        (Op::Mov { dst, src }, Op::Jump { to }) => Op::MovJump { dst, src, to },
+        (
+            Op::Bin { op, dst, a, b },
+            Op::Branch {
+                cond,
+                if_true,
+                if_false,
+            },
+        ) if cond == dst => Op::BinBranch {
+            op,
+            dst,
+            a,
+            b,
+            at: branch_at(if_true, if_false),
+        },
+        (
+            Op::BinImm { op, dst, a, b },
+            Op::Branch {
+                cond,
+                if_true,
+                if_false,
+            },
+        ) if cond == dst => Op::BinImmBranch {
+            op,
+            dst,
+            a,
+            b,
+            at: branch_at(if_true, if_false),
+        },
+        _ => return None,
+    })
+}
+
 /// One function's code table: its blocks' instructions decoded and laid
 /// end to end, so a position in the function is one program counter.
 struct Code<'a> {
@@ -621,6 +747,8 @@ struct Code<'a> {
     ops: Vec<Op>,
     /// The operands of the function's calls, block copies and checks.
     srcs: Vec<Src>,
+    /// The targets of the function's fused branches.
+    branches: Vec<(Target, Target)>,
     /// Per block: the slot of its first instruction.
     starts: Vec<u32>,
     /// The counter of the entry block in the run's block-count table; the
@@ -655,9 +783,17 @@ impl<'a> Code<'a> {
             block: first_block + b.0,
         };
         let mut ops = Vec::with_capacity(slots as usize);
-        let mut srcs = Vec::new();
+        let (mut srcs, mut branches) = (Vec::new(), Vec::new());
         for (i, b) in func.blocks.iter().enumerate() {
+            let first = ops.len();
             ops.extend(b.instrs.iter().map(|instr| decode(instr, to, &mut srcs)));
+            // A fused op takes its pair's first slot; the second keeps its
+            // own op, so every slot-indexed table stays as it was.
+            for at in first + 1..ops.len() {
+                if let Some(op) = fuse(ops[at - 1], ops[at], &mut branches) {
+                    ops[at - 1] = op;
+                }
+            }
             if falls_off(b) {
                 ops.push(Op::FellOff { block: i as u32 });
             }
@@ -666,10 +802,17 @@ impl<'a> Code<'a> {
             func,
             ops,
             srcs,
+            branches,
             starts,
             first_block,
             roots: OnceCell::new(),
         }
+    }
+
+    /// The tables the interpreter loop reads while the function runs: its
+    /// ops, its operand table and its fused branches' targets.
+    fn tables(&self) -> (&[Op], &[Src], &[(Target, Target)]) {
+        (&self.ops, &self.srcs, &self.branches)
     }
 
     /// The temps live across the call at slot `pc`.
@@ -1060,7 +1203,7 @@ impl<'a> Vm<'a> {
         let mut func = prog.main;
         let mut base = self.enter(func, &[], None)?;
         let mut pc = 0;
-        let (mut ops, mut srcs) = (&code[func].ops[..], &code[func].srcs[..]);
+        let (mut ops, mut srcs, mut branches) = code[func].tables();
         let mut regs = &mut self.regs[base..];
         // Steps the budget still admits: a step that completes with none
         // left is over it.
@@ -1161,7 +1304,7 @@ impl<'a> Vm<'a> {
                         break;
                     };
                     (func, pc, base) = caller;
-                    (ops, srcs) = (&code[func].ops, &code[func].srcs);
+                    (ops, srcs, branches) = code[func].tables();
                     regs = &mut self.regs[base..];
                 }
                 Op::Call { callee, dst, at, n } => {
@@ -1170,7 +1313,7 @@ impl<'a> Vm<'a> {
                     func = callee as usize;
                     base = self.enter(func, args, dst)?;
                     pc = 0;
-                    (ops, srcs) = (&code[func].ops, &code[func].srcs);
+                    (ops, srcs, branches) = code[func].tables();
                     regs = &mut self.regs[base..];
                 }
                 Op::CallIndirect { dst, at, n } => {
@@ -1189,7 +1332,7 @@ impl<'a> Vm<'a> {
                     func = callee;
                     base = self.enter(func, args, dst)?;
                     pc = 0;
-                    (ops, srcs) = (&code[func].ops, &code[func].srcs);
+                    (ops, srcs, branches) = code[func].tables();
                     regs = &mut self.regs[base..];
                 }
                 Op::CallBuiltin {
@@ -1222,17 +1365,65 @@ impl<'a> Vm<'a> {
                         prog.funcs[func].name
                     )));
                 }
+                // A fused op is two steps: its first half, which cannot
+                // fault, is charged before its second half runs, and the
+                // loop charges the second.
+                Op::FrameLoad {
+                    addr,
+                    offset,
+                    dst,
+                    width,
+                    signed,
+                } => {
+                    let a = self.sp + u64::from(offset);
+                    regs[addr as usize] = a as i64;
+                    spend(&mut left)?;
+                    let raw = self
+                        .space
+                        .load(a, width)
+                        .map_err(|e| e.in_func(prog, func))?;
+                    regs[dst as usize] = extend(raw, width, signed);
+                    pc += 1;
+                }
+                Op::FrameStore {
+                    addr,
+                    offset,
+                    value,
+                    width,
+                } => {
+                    let a = self.sp + u64::from(offset);
+                    regs[addr as usize] = a as i64;
+                    spend(&mut left)?;
+                    self.space
+                        .store(a, regs[value as usize] as u64, width)
+                        .map_err(|e| e.in_func(prog, func))?;
+                    pc += 1;
+                }
+                Op::MovJump { dst, src, to } => {
+                    regs[dst as usize] = regs[src as usize];
+                    spend(&mut left)?;
+                    pc = to.enter(&mut self.counts);
+                }
+                Op::BinBranch { op, dst, a, b, at } => {
+                    let v = op.eval(regs[a as usize], regs[b as usize]);
+                    regs[dst as usize] = v;
+                    spend(&mut left)?;
+                    let (if_true, if_false) = branches[at as usize];
+                    pc = if v != 0 { if_true } else { if_false }.enter(&mut self.counts);
+                }
+                Op::BinImmBranch { op, dst, a, b, at } => {
+                    let v = op.eval(regs[a as usize], b);
+                    regs[dst as usize] = v;
+                    spend(&mut left)?;
+                    let (if_true, if_false) = branches[at as usize];
+                    pc = if v != 0 { if_true } else { if_false }.enter(&mut self.counts);
+                }
             }
-            let Some(rest) = left.checked_sub(1) else {
-                return Err(VmError::StepLimit);
-            };
-            left = rest;
+            spend(&mut left)?;
         }
         // The step that ended the run counts against the budget too.
-        let Some(rest) = left.checked_sub(1) else {
-            return Err(VmError::StepLimit);
-        };
-        Ok(self.opts.max_steps - rest)
+        spend(&mut left)?;
+        Ok(self.opts.max_steps - left)
     }
 
     fn run(mut self) -> Result<ExecOutcome, VmError> {
@@ -2526,5 +2717,354 @@ mod vm_behavior_tests {
         let out = run_ir(funcs(), &[], 5).expect("five steps fit a budget of five");
         assert_eq!((out.steps, out.exit_code), (5, 3));
         assert_eq!(run_ir(funcs(), &[], 4).unwrap_err(), VmError::StepLimit);
+    }
+
+    // The fused pairs. Each test runs one program twice: once whole, to
+    // read the first half's destination after the pair, and once with a
+    // fault placed right after the pair's first half, to pin that the
+    // first half is a step of its own, charged before the second runs.
+
+    /// A frame offset past the top of the stack region, so an access
+    /// through it faults.
+    const OFF_STACK: u32 = 2 << 20;
+
+    /// `main` with a 16-byte frame.
+    fn framed_main(temp_count: u32, blocks: Vec<Vec<Instr>>) -> FuncIr {
+        FuncIr {
+            frame_size: 16,
+            ..ir_func("main", temp_count, &[], blocks)
+        }
+    }
+
+    /// The address of `offset` in `main`'s 16-byte frame.
+    fn frame_addr(offset: u32) -> u64 {
+        gcheap::STACK_BASE + VmOptions::default().stack_bytes as u64 - 16 + u64::from(offset)
+    }
+
+    fn faults_at(r: Result<ExecOutcome, VmError>, addr: u64) -> bool {
+        matches!(r, Err(VmError::Fault(MemFault { addr: a, .. })) if a == addr)
+    }
+
+    #[test]
+    fn a_fused_frame_load_charges_its_address_first_and_keeps_it() {
+        // t0 = &frame[8]; *t0 = 42; t1 = &frame[off]; t2 = *t1 (fused,
+        // steps 3 and 4); print t1, t2.
+        let main = |off| {
+            let mut body = vec![
+                Instr::FrameAddr {
+                    dst: Temp(0),
+                    offset: 8,
+                },
+                Instr::Store {
+                    addr: t(0),
+                    value: imm(42),
+                    width: 8,
+                },
+                Instr::FrameAddr {
+                    dst: Temp(1),
+                    offset: off,
+                },
+                Instr::Load {
+                    dst: Temp(2),
+                    addr: t(1),
+                    width: 8,
+                    signed: false,
+                },
+            ];
+            body.extend(print(t(1)));
+            body.extend(print(t(2)));
+            body.push(Instr::Ret {
+                value: Some(imm(0)),
+            });
+            framed_main(3, vec![body])
+        };
+        let out = run_ir(vec![main(8)], &[], u64::MAX).expect("runs");
+        assert_eq!(out.output, format!("{} 42 ", frame_addr(8)).as_bytes());
+        assert_eq!(out.steps, 9);
+        // The load on step 4 faults: a budget of 3 runs it, and one of 2
+        // ends on the fused op's first half.
+        let far = frame_addr(OFF_STACK);
+        assert!(faults_at(run_ir(vec![main(OFF_STACK)], &[], 3), far));
+        assert_eq!(
+            run_ir(vec![main(OFF_STACK)], &[], 2).unwrap_err(),
+            VmError::StepLimit
+        );
+    }
+
+    #[test]
+    fn a_fused_frame_store_charges_its_address_first_and_can_store_it() {
+        // t0 = 42; t1 = &frame[off]; *t1 = t0 (fused, steps 2 and 3);
+        // t2 = &frame[8]; *t2 = t2 (fused: stores the address itself);
+        // print t1, *t1, t2, *t2.
+        let main = |off| {
+            let mut body = vec![
+                Instr::Const {
+                    dst: Temp(0),
+                    value: 42,
+                },
+                Instr::FrameAddr {
+                    dst: Temp(1),
+                    offset: off,
+                },
+                Instr::Store {
+                    addr: t(1),
+                    value: t(0),
+                    width: 8,
+                },
+                Instr::FrameAddr {
+                    dst: Temp(2),
+                    offset: 8,
+                },
+                Instr::Store {
+                    addr: t(2),
+                    value: t(2),
+                    width: 8,
+                },
+            ];
+            for (dst, addr) in [(3, 1), (4, 2)] {
+                body.push(Instr::Load {
+                    dst: Temp(dst),
+                    addr: t(addr),
+                    width: 8,
+                    signed: false,
+                });
+            }
+            for temp in [1, 3, 2, 4] {
+                body.extend(print(t(temp)));
+            }
+            body.push(Instr::Ret {
+                value: Some(imm(0)),
+            });
+            framed_main(5, vec![body])
+        };
+        let out = run_ir(vec![main(0)], &[], u64::MAX).expect("runs");
+        let (a0, a8) = (frame_addr(0), frame_addr(8));
+        assert_eq!(out.output, format!("{a0} 42 {a8} {a8} ").as_bytes());
+        assert_eq!(out.steps, 16);
+        // The store on step 3 faults.
+        let far = frame_addr(OFF_STACK);
+        assert!(faults_at(run_ir(vec![main(OFF_STACK)], &[], 2), far));
+        assert_eq!(
+            run_ir(vec![main(OFF_STACK)], &[], 1).unwrap_err(),
+            VmError::StepLimit
+        );
+    }
+
+    /// The first op of a fused jump's or branch's target block: a load
+    /// from address 0, which faults, or nothing.
+    fn target_fault(fault: bool) -> Vec<Instr> {
+        if fault {
+            vec![Instr::Load {
+                dst: Temp(0),
+                addr: imm(0),
+                width: 8,
+                signed: false,
+            }]
+        } else {
+            vec![]
+        }
+    }
+
+    #[test]
+    fn a_fused_move_and_jump_is_two_steps_and_keeps_the_move() {
+        // bb0: t0 = 7; t1 = t0; jump bb1 (fused, steps 2 and 3).
+        // bb1: t2 = keep_live(t1, t0); branch 1 ? bb2 : bb3 (decoded to a
+        // move and a jump, fused, steps 4 and 5).
+        // bb2: print t1, t2.  bb3: abort.
+        let main = |fault| {
+            let mut exit = target_fault(fault);
+            exit.extend(print(t(1)));
+            exit.extend(print(t(2)));
+            exit.push(Instr::Ret {
+                value: Some(imm(0)),
+            });
+            ir_func(
+                "main",
+                3,
+                &[],
+                vec![
+                    vec![
+                        Instr::Const {
+                            dst: Temp(0),
+                            value: 7,
+                        },
+                        Instr::Mov {
+                            dst: Temp(1),
+                            src: t(0),
+                        },
+                        Instr::Jump { target: BlockId(1) },
+                    ],
+                    vec![
+                        Instr::KeepLive {
+                            dst: Temp(2),
+                            value: t(1),
+                            base: Some(t(0)),
+                        },
+                        Instr::Branch {
+                            cond: imm(1),
+                            if_true: BlockId(2),
+                            if_false: BlockId(3),
+                        },
+                    ],
+                    exit,
+                    vec![builtin(Builtin::Abort, vec![]), Instr::Ret { value: None }],
+                ],
+            )
+        };
+        let out = run_ir(vec![main(false)], &[], u64::MAX).expect("runs");
+        assert_eq!(out.output, b"7 7 ");
+        assert_eq!(out.steps, 10);
+        assert_eq!(out.profile.block_counts[0], [1, 1, 1, 0]);
+        // The fault on step 6 needs a budget of 5; every smaller budget,
+        // including those ending on either pair's first half, runs out.
+        assert!(faults_at(run_ir(vec![main(true)], &[], 5), 0));
+        for budget in 0..5 {
+            assert_eq!(
+                run_ir(vec![main(true)], &[], budget).unwrap_err(),
+                VmError::StepLimit,
+                "budget {budget}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_fused_compare_and_branch_is_two_steps_and_keeps_the_result() {
+        // bb0: t0 = 5; t1 = 3; t2 = 99; t2 = t0 < rhs; branch t2 (fused,
+        // steps 4 and 5).  bb1: abort.  bb2: print t2.
+        // The compare's right operand is a temp (`Bin`) or an immediate
+        // (`BinImm`); either way 5 < 3 is false.
+        for rhs in [t(1), imm(3)] {
+            let main = |fault| {
+                let mut exit = target_fault(fault);
+                exit.extend(print(t(2)));
+                exit.push(Instr::Ret {
+                    value: Some(imm(0)),
+                });
+                ir_func(
+                    "main",
+                    3,
+                    &[],
+                    vec![
+                        vec![
+                            Instr::Const {
+                                dst: Temp(0),
+                                value: 5,
+                            },
+                            Instr::Const {
+                                dst: Temp(1),
+                                value: 3,
+                            },
+                            Instr::Const {
+                                dst: Temp(2),
+                                value: 99,
+                            },
+                            Instr::Bin {
+                                dst: Temp(2),
+                                op: BinIr::CmpLt,
+                                a: t(0),
+                                b: rhs,
+                            },
+                            Instr::Branch {
+                                cond: t(2),
+                                if_true: BlockId(1),
+                                if_false: BlockId(2),
+                            },
+                        ],
+                        vec![builtin(Builtin::Abort, vec![]), Instr::Ret { value: None }],
+                        exit,
+                    ],
+                )
+            };
+            let out = run_ir(vec![main(false)], &[], u64::MAX).expect("runs");
+            assert_eq!(out.output, b"0 ", "{rhs:?}");
+            assert_eq!(out.steps, 8);
+            assert_eq!(out.profile.block_counts[0], [1, 0, 1]);
+            assert!(faults_at(run_ir(vec![main(true)], &[], 5), 0));
+            for budget in 0..5 {
+                assert_eq!(
+                    run_ir(vec![main(true)], &[], budget).unwrap_err(),
+                    VmError::StepLimit,
+                    "{rhs:?}, budget {budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_five_hot_pairs_decode_fused() {
+        // The programs above exercise the fused ops only if decoding fuses
+        // them: count the fused slots of a function holding each pair.
+        let func = framed_main(
+            4,
+            vec![
+                vec![
+                    Instr::FrameAddr {
+                        dst: Temp(0),
+                        offset: 0,
+                    },
+                    Instr::Load {
+                        dst: Temp(1),
+                        addr: t(0),
+                        width: 8,
+                        signed: true,
+                    },
+                    Instr::FrameAddr {
+                        dst: Temp(0),
+                        offset: 8,
+                    },
+                    Instr::Store {
+                        addr: t(0),
+                        value: t(1),
+                        width: 8,
+                    },
+                    Instr::Bin {
+                        dst: Temp(2),
+                        op: BinIr::CmpEq,
+                        a: t(0),
+                        b: t(1),
+                    },
+                    Instr::Branch {
+                        cond: t(2),
+                        if_true: BlockId(1),
+                        if_false: BlockId(2),
+                    },
+                ],
+                vec![
+                    Instr::Bin {
+                        dst: Temp(3),
+                        op: BinIr::CmpNe,
+                        a: t(1),
+                        b: imm(0),
+                    },
+                    Instr::Branch {
+                        cond: t(3),
+                        if_true: BlockId(2),
+                        if_false: BlockId(2),
+                    },
+                ],
+                vec![
+                    Instr::Mov {
+                        dst: Temp(3),
+                        src: t(1),
+                    },
+                    Instr::Jump { target: BlockId(0) },
+                ],
+            ],
+        );
+        let code = Code::new(&func, 0);
+        let fused: Vec<usize> = (0..code.ops.len())
+            .filter(|&at| {
+                matches!(
+                    code.ops[at],
+                    Op::FrameLoad { .. }
+                        | Op::FrameStore { .. }
+                        | Op::MovJump { .. }
+                        | Op::BinBranch { .. }
+                        | Op::BinImmBranch { .. }
+                )
+            })
+            .collect();
+        assert_eq!(fused, [0, 2, 4, 6, 8]);
+        assert_eq!(code.branches.len(), 2);
     }
 }

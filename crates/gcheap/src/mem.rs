@@ -412,21 +412,28 @@ impl Memory {
     }
 
     /// Reads a NUL-terminated C string starting at `addr` (capped at 1 MiB).
+    /// The committed run is scanned as a slice; a reserved byte past it
+    /// reads as zero and so ends the string.
     ///
     /// # Errors
     ///
-    /// Returns a [`MemFault`] if the string runs off mapped memory.
+    /// Returns a [`MemFault`] at the first byte outside every region, or
+    /// just past the string's first 1 MiB + 1 bytes once it is that long.
     pub fn read_cstr(&self, addr: u64) -> MemResult<Vec<u8>> {
+        const CAP: usize = 1 << 20;
         let mut out = Vec::new();
         let mut a = addr;
-        loop {
-            let b = self.read(a, 1)? as u8;
-            if b == 0 {
+        while let Some((region, off)) = self.find_committed(a, 1) {
+            // The rest of the run, up to the first byte past the cap.
+            let run = &self.seg(region).bytes[off..];
+            let run = &run[..run.len().min(CAP + 1 - out.len())];
+            if let Some(n) = run.iter().position(|&b| b == 0) {
+                out.extend_from_slice(&run[..n]);
                 return Ok(out);
             }
-            out.push(b);
-            a += 1;
-            if out.len() > (1 << 20) {
+            out.extend_from_slice(run);
+            a += run.len() as u64;
+            if out.len() > CAP {
                 return Err(MemFault {
                     addr: a,
                     width: 1,
@@ -434,6 +441,9 @@ impl Memory {
                 });
             }
         }
+        // `a` is not committed: a reserved byte reads as zero, and any other
+        // faults.
+        self.read(a, 1).map(|_| out)
     }
 
     /// Bytes committed per region, in [`Region`] order.
@@ -511,6 +521,86 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_cstr_matches_a_byte_at_a_time_read() {
+        // The reference: one `read(a, 1)` per byte.
+        let bytewise = |m: &Memory, addr: u64| -> MemResult<Vec<u8>> {
+            let mut out = Vec::new();
+            let mut a = addr;
+            loop {
+                let b = m.read(a, 1)? as u8;
+                if b == 0 {
+                    return Ok(out);
+                }
+                out.push(b);
+                a += 1;
+                if out.len() > (1 << 20) {
+                    return Err(MemFault {
+                        addr: a,
+                        width: 1,
+                        write: false,
+                    });
+                }
+            }
+        };
+        const MIB: u64 = 1 << 20;
+        let top = STACK_BASE + 8192;
+        let mut m = Memory::new(4096, 8192, 4 << 20);
+        // Globals, committed whole: a string inside the run, and one that
+        // runs off the region's end.
+        m.fill(GLOBAL_BASE + 4000, b'g', 96).unwrap();
+        for (i, &b) in b"inside\0".iter().enumerate() {
+            m.write(GLOBAL_BASE + 16 + i as u64, 1, b.into()).unwrap();
+        }
+        // The stack's run ends at the top of the region.
+        m.fill(top - 64, b's', 64).unwrap();
+        // The heap's run is MIB + 8 nonzero bytes: strings over, at and
+        // under the cap that run into the uncommitted rest.
+        m.fill(HEAP_BASE, b'h', MIB as usize + 8).unwrap();
+        // A run of 4096 bytes ending in a NUL, in 8192 reserved.
+        let mut n = Memory::new(8192, 4096, 4096);
+        n.fill(GLOBAL_BASE, b'a', 4095).unwrap();
+        let cases = [
+            (&m, GLOBAL_BASE + 16),
+            (&m, GLOBAL_BASE + 4050),
+            (&m, top - 10),
+            (&m, STACK_BASE + 16),
+            (&m, HEAP_BASE),
+            (&m, HEAP_BASE + 7),
+            (&m, HEAP_BASE + 8),
+            (&m, HEAP_BASE + MIB),
+            (&m, HEAP_BASE + 2 * MIB),
+            (&m, HEAP_BASE + 4 * MIB),
+            (&m, 0),
+            (&n, GLOBAL_BASE + 4000),
+            (&n, GLOBAL_BASE + 4096),
+        ];
+        for (mem, addr) in cases {
+            assert_eq!(mem.read_cstr(addr), bytewise(mem, addr), "{addr:#x}");
+        }
+        // The cases reach each way a string ends.
+        let fault_at = |addr| {
+            Err(MemFault {
+                addr,
+                width: 1,
+                write: false,
+            })
+        };
+        assert_eq!(m.read_cstr(GLOBAL_BASE + 16), Ok(b"inside".to_vec()));
+        assert_eq!(
+            m.read_cstr(GLOBAL_BASE + 4050),
+            fault_at(GLOBAL_BASE + 4096)
+        );
+        assert_eq!(m.read_cstr(top - 10), fault_at(top));
+        assert_eq!(m.read_cstr(HEAP_BASE + 7), fault_at(HEAP_BASE + 8 + MIB));
+        assert_eq!(
+            m.read_cstr(HEAP_BASE + 8).map(|s| s.len()),
+            Ok(MIB as usize)
+        );
+        assert_eq!(m.read_cstr(HEAP_BASE + MIB), Ok(vec![b'h'; 8]));
+        assert_eq!(n.read_cstr(GLOBAL_BASE + 4000), Ok(vec![b'a'; 95]));
+    }
 
     #[test]
     fn read_write_roundtrip_widths() {

@@ -11,8 +11,11 @@
 pub const PAGE_SIZE: u64 = 4096;
 /// log2 of [`PAGE_SIZE`].
 pub const PAGE_SHIFT: u32 = 12;
-/// Pages per second-level leaf array.
-pub const LEAF_PAGES: usize = 1024;
+/// Pages per second-level leaf array. A leaf is materialised whole on
+/// first use, so it is kept small: 64 descriptors, 5 KiB, are what a run's
+/// first allocation pays for, and a 32 MiB heap's top level has 128
+/// entries.
+pub const LEAF_PAGES: usize = 64;
 
 /// Descriptor for one heap page.
 #[derive(Debug, Clone, PartialEq, Eq)]
