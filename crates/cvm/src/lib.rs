@@ -57,6 +57,7 @@ pub use vm::{run, ExecOutcome, Profile, VmError, VmOptions};
 pub use gctrace::TraceHandle;
 
 use gcsafe::Config as AnnotConfig;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -128,6 +129,28 @@ pub fn compile(source: &str, options: &CompileOptions) -> Result<ProgramIr, Stri
     compile_traced(source, options, &TraceHandle::disabled())
 }
 
+/// [`compile`] for a program the caller has already parsed from
+/// `source`, so one parse can serve several builds. It looks the program
+/// up in the compile cache, clones the AST into the stages on a miss
+/// only, and re-binds alloc sites to `source`: the result equals
+/// `compile(source, options)`.
+///
+/// # Errors
+///
+/// Returns a rendered sema/lowering error message.
+pub fn compile_parsed(
+    parsed: &cfront::Program,
+    source: &str,
+    options: &CompileOptions,
+) -> Result<ProgramIr, String> {
+    compile_ast(
+        Cow::Borrowed(parsed),
+        source,
+        options,
+        &TraceHandle::disabled(),
+    )
+}
+
 /// [`compile`] with a trace: the annotator's audit events, the
 /// optimizer's per-pass rewrite events, and — for annotated builds — the
 /// static verifier's per-function verdicts all flow to `trace`.
@@ -151,6 +174,18 @@ pub fn compile_traced(
     trace: &TraceHandle,
 ) -> Result<ProgramIr, String> {
     let parsed = cfront::parse(source).map_err(|e| e.render(source))?;
+    compile_ast(Cow::Owned(parsed), source, options, trace)
+}
+
+/// Compiles a parsed program through the cache, for [`compile_traced`]
+/// and [`compile_parsed`]: on a miss an owned AST moves into the stages
+/// and a borrowed one is cloned.
+fn compile_ast(
+    parsed: Cow<'_, cfront::Program>,
+    source: &str,
+    options: &CompileOptions,
+    trace: &TraceHandle,
+) -> Result<ProgramIr, String> {
     let key = (cfront::program_hash(&parsed), options.clone());
     let spans = node_spans(&parsed);
     let cached = if trace.is_enabled() {
@@ -161,7 +196,7 @@ pub fn compile_traced(
     let mut ir = match cached {
         Some(ir) => (*ir).clone(),
         None => {
-            let ir = compile_live(parsed, source, options, trace)?;
+            let ir = compile_live(parsed.into_owned(), source, options, trace)?;
             compile_cache().insert(key, Arc::new(ir.clone()));
             ir
         }
@@ -261,9 +296,22 @@ pub fn compile_and_run(
 mod tests {
     use super::*;
 
+    /// The step budget of every run here: a few times the longest run's
+    /// 500,009 steps (`gc_reclaims_garbage_during_run`), so a change that
+    /// breaks a loop exit fails a test at once instead of spinning through
+    /// the default budget of two billion steps.
+    const MAX_STEPS: u64 = 2_000_000;
+
+    /// The default options under [`MAX_STEPS`].
+    fn opts() -> VmOptions {
+        VmOptions {
+            max_steps: MAX_STEPS,
+            ..VmOptions::default()
+        }
+    }
+
     fn run_src(src: &str) -> ExecOutcome {
-        compile_and_run(src, &CompileOptions::optimized(), &VmOptions::default())
-            .expect("program runs")
+        compile_and_run(src, &CompileOptions::optimized(), &opts()).expect("program runs")
     }
 
     fn run_all_modes(src: &str, input: &[u8]) -> Vec<(String, ExecOutcome)> {
@@ -278,7 +326,7 @@ mod tests {
             .map(|(name, c)| {
                 let v = VmOptions {
                     input: input.to_vec(),
-                    ..VmOptions::default()
+                    ..opts()
                 };
                 let out = compile_and_run(src, &c, &v).unwrap_or_else(|e| panic!("{name}: {e}"));
                 (name.to_string(), out)
@@ -358,7 +406,7 @@ mod tests {
         "#;
         let v = VmOptions {
             input: b"axxbx".to_vec(),
-            ..VmOptions::default()
+            ..opts()
         };
         let out = compile_and_run(src, &CompileOptions::optimized(), &v).unwrap();
         assert_eq!(out.exit_code, 3);
@@ -447,7 +495,7 @@ mod tests {
         "#;
         let v = VmOptions {
             heap_bytes: 4 << 20, // 4 MiB forces many collections
-            ..VmOptions::default()
+            ..opts()
         };
         let out = compile_and_run(src, &CompileOptions::optimized(), &v).unwrap();
         assert_eq!(out.exit_code, 7, "reachable object survives");
@@ -467,9 +515,9 @@ mod tests {
                 return (int) one_based[1];
             }
         "#;
-        let ok = compile_and_run(src, &CompileOptions::optimized(), &VmOptions::default());
+        let ok = compile_and_run(src, &CompileOptions::optimized(), &opts());
         assert!(ok.is_ok(), "unchecked build tolerates the idiom");
-        let checked = compile_and_run(src, &CompileOptions::debug_checked(), &VmOptions::default());
+        let checked = compile_and_run(src, &CompileOptions::debug_checked(), &opts());
         match checked {
             Err(VmError::CheckFailed { .. }) => {}
             other => panic!("checked mode must fail, got {other:?}"),
@@ -488,7 +536,7 @@ mod tests {
                 return (int) strlen(s);
             }
         "#;
-        let out = compile_and_run(src, &CompileOptions::debug_checked(), &VmOptions::default())
+        let out = compile_and_run(src, &CompileOptions::debug_checked(), &opts())
             .expect("legal arithmetic passes the checker");
         assert_eq!(out.exit_code, 15);
     }
@@ -581,18 +629,10 @@ mod tests {
                 return 0;
             }
         "#;
-        let fast = compile_and_run(
-            src,
-            &CompileOptions::optimized_safe(),
-            &VmOptions::default(),
-        )
-        .expect("asm-style KEEP_LIVE runs");
-        let naive = compile_and_run(
-            src,
-            &CompileOptions::optimized_safe_naive(),
-            &VmOptions::default(),
-        )
-        .expect("call-style KEEP_LIVE runs");
+        let fast = compile_and_run(src, &CompileOptions::optimized_safe(), &opts())
+            .expect("asm-style KEEP_LIVE runs");
+        let naive = compile_and_run(src, &CompileOptions::optimized_safe_naive(), &opts())
+            .expect("call-style KEEP_LIVE runs");
         assert_eq!(fast.output, naive.output, "same semantics");
         let count_calls = |o: &ExecOutcome| {
             o.profile
@@ -662,7 +702,7 @@ mod tests {
         let v = VmOptions {
             heap_bytes: 1 << 18, // small heap forces collections
             trace,
-            ..VmOptions::default()
+            ..opts()
         };
         let out = run_compiled(&prog, &v).expect("program runs");
         let events = sink.snapshot();
@@ -724,7 +764,7 @@ mod tests {
         let prof = gcprof::ProfHandle::enabled();
         let v = VmOptions {
             prof: prof.clone(),
-            ..VmOptions::default()
+            ..opts()
         };
         run_compiled(&prog, &v).expect("program runs");
         let data = prof.snapshot().expect("enabled handle snapshots");

@@ -1854,17 +1854,30 @@ mod vm_behavior_tests {
     use super::*;
     use crate::{compile_and_run, CompileOptions};
 
+    /// The step budget of every run here: a few times the longest run's
+    /// 13,825 steps (the bounded-pause list reversal), so a change that
+    /// breaks a loop exit fails a test at once instead of spinning through
+    /// the default budget of two billion steps.
+    const MAX_STEPS: u64 = 50_000;
+
+    /// The default options under [`MAX_STEPS`].
+    fn opts() -> VmOptions {
+        VmOptions {
+            max_steps: MAX_STEPS,
+            ..VmOptions::default()
+        }
+    }
+
     fn run(src: &str, input: &[u8]) -> ExecOutcome {
         let v = VmOptions {
             input: input.to_vec(),
-            ..VmOptions::default()
+            ..opts()
         };
         compile_and_run(src, &CompileOptions::optimized(), &v).expect("runs")
     }
 
     fn run_err(src: &str) -> VmError {
-        compile_and_run(src, &CompileOptions::optimized(), &VmOptions::default())
-            .expect_err("must fail")
+        compile_and_run(src, &CompileOptions::optimized(), &opts()).expect_err("must fail")
     }
 
     #[test]
@@ -2073,7 +2086,7 @@ mod vm_behavior_tests {
         "#;
         let v = VmOptions {
             check_base_stores: true,
-            ..VmOptions::default()
+            ..opts()
         };
         let r = compile_and_run(src, &CompileOptions::optimized(), &v);
         assert!(matches!(r, Err(VmError::InteriorStored { .. })), "{r:?}");
@@ -2095,7 +2108,7 @@ mod vm_behavior_tests {
         "#;
         let v = VmOptions {
             check_base_stores: true,
-            ..VmOptions::default()
+            ..opts()
         };
         compile_and_run(src, &CompileOptions::optimized(), &v).expect("conforming program");
     }
@@ -2133,7 +2146,7 @@ mod vm_behavior_tests {
                 gc_threshold: 1,
                 ..HeapConfig::bounded_pause()
             },
-            ..VmOptions::default()
+            ..opts()
         };
         let out = compile_and_run(src, &CompileOptions::debug(), &v).expect("runs");
         assert_eq!(out.output, b"19900");
@@ -2179,7 +2192,7 @@ mod vm_behavior_tests {
             alloc_sites: vec![],
         };
         assert_eq!(
-            super::run(&prog, &VmOptions::default()).unwrap_err(),
+            super::run(&prog, &opts()).unwrap_err(),
             VmError::Malformed("fell off block bb0 in 'main'".into())
         );
     }
@@ -2198,7 +2211,7 @@ mod vm_behavior_tests {
                 },
             )
         };
-        let n = with_budget(u64::MAX).expect("runs").steps;
+        let n = with_budget(MAX_STEPS).expect("runs").steps;
         let out = with_budget(n).expect("a run of n steps fits a budget of n");
         assert_eq!((out.steps, out.exit_code), (n, 15));
         assert_eq!(with_budget(n - 1).unwrap_err(), VmError::StepLimit);
@@ -2231,7 +2244,7 @@ mod vm_behavior_tests {
         "#;
         for copts in [CompileOptions::optimized(), CompileOptions::debug()] {
             assert_eq!(
-                compile_and_run(src, &copts, &VmOptions::default()).unwrap_err(),
+                compile_and_run(src, &copts, &opts()).unwrap_err(),
                 VmError::Malformed(
                     "indirect call through bad function pointer 0x8000000000000000".into()
                 )
@@ -2264,7 +2277,7 @@ mod vm_behavior_tests {
             }}
         "#
         );
-        compile_and_run(&src, &CompileOptions::debug(), &VmOptions::default())
+        compile_and_run(&src, &CompileOptions::debug(), &opts())
     }
 
     #[test]
@@ -2330,7 +2343,7 @@ mod vm_behavior_tests {
                 }}
             "#
             );
-            let r = compile_and_run(&src, &CompileOptions::debug(), &VmOptions::default());
+            let r = compile_and_run(&src, &CompileOptions::debug(), &opts());
             assert!(
                 matches!(r, Err(VmError::UseAfterFree { .. })),
                 "{access}: {r:?}"
@@ -2428,7 +2441,7 @@ mod vm_behavior_tests {
         body.push(Instr::Ret {
             value: Some(imm(0)),
         });
-        let out = run_ir(vec![ir_func("main", 5, &[], vec![body])], &[], u64::MAX).expect("runs");
+        let out = run_ir(vec![ir_func("main", 5, &[], vec![body])], &[], MAX_STEPS).expect("runs");
         assert_eq!(out.output, b"5 7 95 5 42 ");
     }
 
@@ -2506,7 +2519,7 @@ mod vm_behavior_tests {
         let out = run_ir(
             vec![ir_func("main", 6, &[], vec![body])],
             &globals,
-            u64::MAX,
+            MAX_STEPS,
         )
         .expect("runs");
         assert_eq!(out.output, b"34 -3 200 200 8721 ");
@@ -2596,7 +2609,7 @@ mod vm_behavior_tests {
         let out = run_ir(
             vec![ir_func("main", 6, &[], blocks), sub, nine],
             &[],
-            u64::MAX,
+            MAX_STEPS,
         )
         .expect("runs");
         assert_eq!(
@@ -2618,7 +2631,7 @@ mod vm_behavior_tests {
             },
         ];
         assert_eq!(
-            run_ir(vec![ir_func("main", 2, &[], vec![failing])], &[], u64::MAX).unwrap_err(),
+            run_ir(vec![ir_func("main", 2, &[], vec![failing])], &[], MAX_STEPS).unwrap_err(),
             VmError::CheckFailed {
                 func: "main".into(),
                 value: (h + 40) as u64,
@@ -2654,7 +2667,7 @@ mod vm_behavior_tests {
                 ]],
             )
         };
-        for budget in [u64::MAX, 2] {
+        for budget in [MAX_STEPS, 2] {
             assert!(
                 matches!(
                     run_ir(vec![main()], &[], budget),
@@ -2709,7 +2722,7 @@ mod vm_behavior_tests {
                 ),
             ]
         };
-        let out = run_ir(funcs(), &[], u64::MAX).expect("runs");
+        let out = run_ir(funcs(), &[], MAX_STEPS).expect("runs");
         assert_eq!(
             (out.steps, out.exit_code, &out.output[..]),
             (5, 3, &b"x"[..])
@@ -2778,7 +2791,7 @@ mod vm_behavior_tests {
             });
             framed_main(3, vec![body])
         };
-        let out = run_ir(vec![main(8)], &[], u64::MAX).expect("runs");
+        let out = run_ir(vec![main(8)], &[], MAX_STEPS).expect("runs");
         assert_eq!(out.output, format!("{} 42 ", frame_addr(8)).as_bytes());
         assert_eq!(out.steps, 9);
         // The load on step 4 faults: a budget of 3 runs it, and one of 2
@@ -2837,7 +2850,7 @@ mod vm_behavior_tests {
             });
             framed_main(5, vec![body])
         };
-        let out = run_ir(vec![main(0)], &[], u64::MAX).expect("runs");
+        let out = run_ir(vec![main(0)], &[], MAX_STEPS).expect("runs");
         let (a0, a8) = (frame_addr(0), frame_addr(8));
         assert_eq!(out.output, format!("{a0} 42 {a8} {a8} ").as_bytes());
         assert_eq!(out.steps, 16);
@@ -2911,7 +2924,7 @@ mod vm_behavior_tests {
                 ],
             )
         };
-        let out = run_ir(vec![main(false)], &[], u64::MAX).expect("runs");
+        let out = run_ir(vec![main(false)], &[], MAX_STEPS).expect("runs");
         assert_eq!(out.output, b"7 7 ");
         assert_eq!(out.steps, 10);
         assert_eq!(out.profile.block_counts[0], [1, 1, 1, 0]);
@@ -2975,7 +2988,7 @@ mod vm_behavior_tests {
                     ],
                 )
             };
-            let out = run_ir(vec![main(false)], &[], u64::MAX).expect("runs");
+            let out = run_ir(vec![main(false)], &[], MAX_STEPS).expect("runs");
             assert_eq!(out.output, b"0 ", "{rhs:?}");
             assert_eq!(out.steps, 8);
             assert_eq!(out.profile.block_counts[0], [1, 0, 1]);

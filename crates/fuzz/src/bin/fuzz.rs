@@ -2,9 +2,10 @@
 //!
 //! Usage: `fuzz [--seed N] [--count N] [--jobs N]`
 //!
-//! Generates `--count` deterministic random programs from `--seed`,
-//! compiles each under all five modes, and checks the oracle (see the
-//! gcfuzz crate docs). Divergent cases are minimized and printed as
+//! Generates `--count` deterministic random programs from `--seed` and
+//! checks each against the oracle in all five modes (see the gcfuzz
+//! crate docs): one parse per program, and one build per distinct set
+//! of compile options. Divergent cases are minimized and printed as
 //! ready-to-commit corpus entries. Exit code: 0 when every case agrees,
 //! 1 when any diverges, 2 on bad arguments.
 

@@ -8,8 +8,8 @@
 //! * [`gen`] — a seeded, deterministic generator of C programs in the
 //!   cfront subset, biased toward the paper's pointer-disguising
 //!   patterns (displaced bases, last-use cursor arithmetic);
-//! * [`oracle`] — compiles each program under all five [`Mode`]s and
-//!   checks build success, verifier cleanliness, per-mode determinism,
+//! * [`oracle`] — parses each program once, builds it once per distinct
+//!   compile options of the five [`Mode`]s, and checks build success, verifier cleanliness, per-mode determinism,
 //!   cross-mode exit/output agreement, and paranoid-collector survival
 //!   for the safe modes;
 //! * [`minimize`](mod@minimize) — a delta-debugging shrinker that works

@@ -1,7 +1,11 @@
 //! The differential mode-agreement oracle.
 //!
-//! One generated program, five builds (`Mode::all()`), one verdict. For
-//! every mode the oracle checks:
+//! One generated program, one parse, one verdict over the five modes
+//! (`Mode::all()`). Each distinct build is made once: a mode whose
+//! compile options and safety repeat an earlier mode's would run the same
+//! IR under the same VM options, so it takes that mode's verdict (today
+//! `-O, safe+post` takes `-O, safe`'s, as the oracle never runs the
+//! peephole). For every build the oracle checks:
 //!
 //! * the build succeeds, and — for annotated builds — the static
 //!   safety verifier reports zero violations;
@@ -23,7 +27,7 @@
 //!   write barrier's adversarial workout — a single missed barrier
 //!   surfaces as a lost object.
 //!
-//! Finally all five `(exit, output)` pairs must agree with the `-O`
+//! Finally every build's `(exit, output)` pair must agree with the `-O`
 //! baseline.
 
 use gc_safety::Mode;
@@ -264,11 +268,36 @@ fn prof_consistency(
 
 /// Runs the full differential check. `None` means all five modes agree;
 /// `Some` carries the first divergence in deterministic mode order.
+///
+/// The source is parsed once, and every build starts from that AST
+/// ([`cvm::compile_parsed`]). A mode whose compile options and safety
+/// repeat an earlier mode's takes that mode's verdict without a build of
+/// its own: its checks would run the same IR under the same VM options,
+/// on a VM whose determinism the earlier mode's checks already showed.
+/// Today that is `-O, safe+post`, whose build is `-O, safe`'s (the oracle
+/// never runs the peephole). A parse error is a [`Divergence::Build`] of
+/// the first mode, rendered as [`cvm::compile`] renders it.
 pub fn check(source: &str) -> Option<Divergence> {
+    let modes = Mode::all();
+    let parsed = match cfront::parse(source) {
+        Ok(p) => p,
+        Err(e) => {
+            return Some(Divergence::Build {
+                mode: modes[0],
+                error: e.render(source),
+            })
+        }
+    };
     let mut baseline: Option<(i64, Vec<u8>)> = None;
-    for mode in Mode::all() {
+    for (i, &mode) in modes.iter().enumerate() {
         let opts = mode.compile_options();
-        let prog = match cvm::compile(source, &opts) {
+        if modes[..i]
+            .iter()
+            .any(|m| m.compile_options() == opts && m.is_safe() == mode.is_safe())
+        {
+            continue;
+        }
+        let prog = match cvm::compile_parsed(&parsed, source, &opts) {
             Ok(p) => p,
             Err(error) => return Some(Divergence::Build { mode, error }),
         };
@@ -358,6 +387,19 @@ mod tests {
     }
 
     #[test]
+    fn a_parse_error_is_the_first_modes_build_error() {
+        let src = "int main(void) { return 1 +; }";
+        let error = cvm::compile(src, &Mode::O.compile_options()).expect_err("does not parse");
+        assert_eq!(
+            check(src),
+            Some(Divergence::Build {
+                mode: Mode::O,
+                error
+            })
+        );
+    }
+
+    #[test]
     fn a_runtime_error_is_a_finding() {
         let d = check("int main(void) { abort(); return 0; }").expect("diverges");
         assert_eq!(d.kind(), ("run", Mode::O));
@@ -381,5 +423,30 @@ mod tests {
             }
         "#;
         assert_eq!(check(src), None);
+    }
+
+    #[test]
+    fn a_hidden_pointer_makes_the_first_safe_mode_diverge() {
+        // Source-unsafe: the only pointer to `p`'s object is hidden in `h`
+        // across an allocation. Under the paranoid collector that
+        // allocation frees the object and hands its slot to `q`, so the
+        // read through the recovered pointer sees `q`'s value. `-O` makes
+        // no paranoid run, so the first safe mode is the one to diverge.
+        let src = r#"
+            int main(void) {
+                long *p = (long *) malloc(4 * sizeof(long));
+                long *q;
+                long h;
+                p[0] = 7;
+                h = (long) p ^ 21845;
+                p = 0;
+                q = (long *) malloc(4 * sizeof(long));
+                q[0] = 9;
+                p = (long *) (h ^ 21845);
+                return (int) p[0];
+            }
+        "#;
+        let d = check(src).expect("diverges");
+        assert_eq!(d.kind(), ("paranoid-differs", Mode::OSafe), "{d}");
     }
 }

@@ -7,6 +7,8 @@ mod common;
 
 use common::Rng;
 use cvm::{compile_and_run, CompileOptions, VmOptions};
+use gc_safety::Mode;
+use std::path::Path;
 
 /// A tiny expression AST we generate and then print as C.
 #[derive(Debug, Clone)]
@@ -173,6 +175,42 @@ fn every_mode_computes_the_same_value() {
             let got =
                 run_mode(&src, &opts).unwrap_or_else(|e| panic!("{name} failed on:\n{src}\n{e}"));
             assert_eq!(got, baseline, "{name} diverges on:\n{src}");
+        }
+    }
+}
+
+#[test]
+fn compiling_a_parsed_program_equals_compiling_its_source() {
+    // `compile_parsed` is what the fuzz oracle builds every mode with, so
+    // its result, alloc-site labels included, must equal `compile`'s in
+    // every mode, on a cold cache (each path runs the stages itself) and
+    // on a warm one (each path serves the other's entry).
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut sources: Vec<String> = std::fs::read_dir(corpus)
+        .expect("tests/corpus exists")
+        .map(|e| e.expect("readable dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "c"))
+        .map(|p| std::fs::read_to_string(p).expect("readable corpus file"))
+        .collect();
+    sources.extend((0..16).map(|case| {
+        let mut rng = Rng::for_case("every_mode_same", case);
+        program_from(&gen_stmts(&mut rng, 10))
+    }));
+    sources.extend((0..16).map(|case| gcfuzz::generate(5, case)));
+    for src in &sources {
+        let parsed = cfront::parse(src).unwrap_or_else(|e| panic!("{e}:\n{src}"));
+        for mode in Mode::all() {
+            let opts = mode.compile_options();
+            let label = mode.label();
+            cvm::compile_cache_clear();
+            let want = cvm::compile(src, &opts);
+            assert!(want.is_ok(), "{label}: {want:?}");
+            let warm = cvm::compile_parsed(&parsed, src, &opts);
+            assert_eq!(warm, want, "{label} warm, on:\n{src}");
+            cvm::compile_cache_clear();
+            let cold = cvm::compile_parsed(&parsed, src, &opts);
+            assert_eq!(cold, want, "{label} cold, on:\n{src}");
+            assert_eq!(cvm::compile(src, &opts), want, "{label} warm, on:\n{src}");
         }
     }
 }
