@@ -31,33 +31,6 @@ impl CostReport {
     pub fn expansion_pct(&self, baseline: &CostReport) -> i64 {
         pct(self.size_bytes, baseline.size_bytes)
     }
-
-    /// Serializes the report as a flat JSON object.
-    pub fn to_json(&self) -> String {
-        let mut w = gctrace::json::Writer::new();
-        w.uint_field("cycles", self.cycles);
-        w.uint_field("size_bytes", self.size_bytes);
-        w.finish()
-    }
-
-    /// Parses a report previously written by [`CostReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the text is not a JSON object or a field is
-    /// missing or mistyped.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let obj = gctrace::json::parse_object(text)?;
-        let get = |key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-        };
-        Ok(CostReport {
-            cycles: get("cycles")?,
-            size_bytes: get("size_bytes")?,
-        })
-    }
 }
 
 fn pct(ours: u64, base: u64) -> i64 {
@@ -114,21 +87,6 @@ mod tests {
         assert_eq!(ours.slowdown_pct(&base), 9);
         assert_eq!(ours.expansion_pct(&base), 19);
         assert_eq!(base.slowdown_pct(&base), 0);
-    }
-
-    #[test]
-    fn cost_report_json_round_trips() {
-        let r = CostReport {
-            cycles: 123_456_789,
-            size_bytes: 4096,
-        };
-        let text = r.to_json();
-        let back = CostReport::from_json(&text).expect("valid json");
-        assert_eq!(back, r);
-        let obj = gctrace::json::parse_object(&text).unwrap();
-        assert_eq!(obj.len(), 2, "{text}");
-        assert!(CostReport::from_json("{\"cycles\":1}").is_err());
-        assert!(CostReport::from_json("not json").is_err());
     }
 
     #[test]

@@ -52,36 +52,6 @@ impl PeepholeStats {
         self.movs_forwarded += other.movs_forwarded;
         self.add_movs_fused += other.add_movs_fused;
     }
-
-    /// Serializes the stats as a flat JSON object.
-    pub fn to_json(&self) -> String {
-        let mut w = gctrace::json::Writer::new();
-        w.uint_field("loads_folded", self.loads_folded as u64);
-        w.uint_field("movs_forwarded", self.movs_forwarded as u64);
-        w.uint_field("add_movs_fused", self.add_movs_fused as u64);
-        w.finish()
-    }
-
-    /// Parses stats previously written by [`PeepholeStats::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the text is not a JSON object or a field is
-    /// missing or mistyped.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let obj = gctrace::json::parse_object(text)?;
-        let get = |key: &str| -> Result<usize, String> {
-            obj.get(key)
-                .and_then(|v| v.as_u64())
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-        };
-        Ok(PeepholeStats {
-            loads_folded: get("loads_folded")?,
-            movs_forwarded: get("movs_forwarded")?,
-            add_movs_fused: get("add_movs_fused")?,
-        })
-    }
 }
 
 /// Runs the postprocessor over a whole program.
@@ -1030,23 +1000,6 @@ mod tests {
         postprocess(&mut f);
         assert!(f.size_bytes() < before_size);
         assert!(keep_live_bases_preserved(&before, &f));
-    }
-
-    #[test]
-    fn peephole_stats_json_round_trips() {
-        let stats = PeepholeStats {
-            loads_folded: 3,
-            movs_forwarded: 14,
-            add_movs_fused: 1,
-        };
-        let text = stats.to_json();
-        let back = PeepholeStats::from_json(&text).expect("valid json");
-        assert_eq!(back, stats);
-        // Shape: exactly the three counter fields, all numeric.
-        let obj = gctrace::json::parse_object(&text).unwrap();
-        assert_eq!(obj.len(), 3, "{text}");
-        assert!(obj.values().all(|v| v.as_u64().is_some()), "{text}");
-        assert!(PeepholeStats::from_json("{\"loads_folded\":1}").is_err());
     }
 
     #[test]

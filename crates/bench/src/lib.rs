@@ -994,8 +994,6 @@ pub fn bench_gc_json(data: &Dataset, micro: &[MicroCell]) -> String {
         w.uint_field("collections", h.collections);
         w.uint_field("objects_freed", h.objects_freed);
         w.uint_field("pages_reclaimed", h.pages_reclaimed);
-        w.uint_field("pages_swept_lazily", h.pages_swept_lazily);
-        w.uint_field("sweep_debt_pages", h.sweep_debt_pages);
         w.uint_field("total_mark_ns", h.total_mark_ns);
         w.uint_field("total_sweep_ns", h.total_sweep_ns);
         w.uint_field("total_root_scan_ns", h.total_root_scan_ns);
@@ -1080,7 +1078,6 @@ pub fn validate_bench_gc_json(text: &str) -> Result<usize, String> {
             "workload",
             "mode",
             "collections",
-            "pages_swept_lazily",
             "total_mark_ns",
             "total_sweep_ns",
             "max_pause_ns",

@@ -21,13 +21,12 @@ fn roots(live: &[Vec<u64>]) -> RootSet {
     r
 }
 
-/// Collects, retires the sweep debt, and snapshots — the stable points a
-/// leak hunt compares (mid-cycle floating garbage would only add noise
-/// to the begin/end delta).
+/// Collects and snapshots — the stable points a leak hunt compares
+/// (mid-cycle floating garbage would only add noise to the begin/end
+/// delta).
 fn snapshot_at(heap: &mut GcHeap, mem: &mut Memory, live: &[Vec<u64>]) -> gcsnap::ParsedSnap {
     let r = roots(live);
     heap.collect(mem, &r);
-    heap.sweep_all();
     let snap = heap.snapshot(mem, &r, &[]);
     let a = gcsnap::analyze(&snap);
     gcsnap::validate(&gcsnap::to_json("t", &snap, &a)).expect("export validates")

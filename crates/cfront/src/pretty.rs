@@ -60,17 +60,6 @@ pub fn expr_to_c(e: &Expr, types: &TypeTable) -> String {
     p.out
 }
 
-/// Renders a statement (used in tests).
-pub fn stmt_to_c(s: &Stmt, types: &TypeTable) -> String {
-    let mut p = Printer {
-        types,
-        out: String::new(),
-        indent: 0,
-    };
-    p.stmt(s);
-    p.out
-}
-
 struct Printer<'a> {
     types: &'a TypeTable,
     out: String,

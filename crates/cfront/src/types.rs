@@ -67,11 +67,6 @@ impl Type {
         )
     }
 
-    /// Whether the type is an array.
-    pub fn is_array(&self) -> bool {
-        matches!(self, Type::Array(..))
-    }
-
     /// Whether the integer type is unsigned.
     pub fn is_unsigned(&self) -> bool {
         matches!(self, Type::UInt | Type::ULong)

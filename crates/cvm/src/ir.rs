@@ -126,23 +126,6 @@ impl BinIr {
         )
     }
 
-    /// Whether this is a comparison producing 0/1.
-    pub fn is_compare(self) -> bool {
-        matches!(
-            self,
-            BinIr::CmpEq
-                | BinIr::CmpNe
-                | BinIr::CmpLt
-                | BinIr::CmpLe
-                | BinIr::CmpGt
-                | BinIr::CmpGe
-                | BinIr::CmpLtU
-                | BinIr::CmpLeU
-                | BinIr::CmpGtU
-                | BinIr::CmpGeU
-        )
-    }
-
     /// Evaluates the operation on two i64 values (C-like semantics,
     /// wrapping; division by zero yields 0 — callers trap separately).
     #[inline(always)]
@@ -614,18 +597,6 @@ impl ProgramIr {
     /// Finds a function index by name.
     pub fn func_index(&self, name: &str) -> Option<usize> {
         self.funcs.iter().position(|f| f.name == name)
-    }
-
-    /// Resolves every allocation site's `line`/`col` from its recorded
-    /// `span_start` against the original source text. Prefer
-    /// [`Self::rebind_alloc_sites`], which also re-binds the spans
-    /// themselves to the requesting program's AST.
-    pub fn resolve_alloc_sites(&mut self, source: &str) {
-        for site in &mut self.alloc_sites {
-            let (line, col) = cfront::span::line_col(source, site.span_start);
-            site.line = line;
-            site.col = col;
-        }
     }
 
     /// Re-binds every allocation site to the *requesting* program: each

@@ -274,7 +274,7 @@ pub fn optimize_func_ledger(f: &mut FuncIr, opts: OptOptions) -> PassLedger {
 
 /// [`optimize_func`] with per-pass rewrite events.
 pub fn optimize_func_traced(f: &mut FuncIr, opts: OptOptions, trace: &TraceHandle) {
-    let instrs_before = instr_count(f);
+    let instrs_before = f.instr_count();
     let ledger = optimize_func_ledger(f, opts);
     for (pass, fires) in &ledger.fires {
         if *fires > 0 {
@@ -290,16 +290,12 @@ pub fn optimize_func_traced(f: &mut FuncIr, opts: OptOptions, trace: &TraceHandl
         Event::new("opt", "function")
             .field("func", f.name.as_str())
             .field("instrs_before", instrs_before)
-            .field("instrs_after", instr_count(f))
+            .field("instrs_after", f.instr_count())
             .field("sweeps", ledger.sweeps)
             .field("reassociations", ledger.fires_for("reassociate"))
             .field("licm_hoists", ledger.fires_for("licm"))
             .field("scheduler_moves", ledger.fires_for("schedule_early"))
     });
-}
-
-pub(crate) fn instr_count(f: &FuncIr) -> usize {
-    f.blocks.iter().map(|b| b.instrs.len()).sum()
 }
 
 /// Per temp (indexed by number): how many operand slots read it.

@@ -49,11 +49,11 @@
 //! builtin calls are counted in a fixed array.
 //!
 //! Loads, stores, block copies and the string and memory builtins all go
-//! through one checked access (`Space`): with `trap_uaf` on, an address
-//! in the heap range must lie in an allocated object, and a range is
-//! checked at both ends. An address is classified once: one compare
-//! against the heap range, the collector's side table for a heap
-//! address, then the committed run the bytes live in.
+//! through one checked access (`Space`): an address in the heap range
+//! must lie in an allocated object, and a range is checked at both
+//! ends. An address is classified once: one compare against the heap
+//! range, the collector's side table for a heap address, then the
+//! committed run the bytes live in.
 //!
 //! A run pays only for what it touches. Its memory commits bytes as they
 //! are written (see [`gcheap::Memory`]), an allocation hands the collector
@@ -84,11 +84,6 @@ pub struct VmOptions {
     pub input: Vec<u8>,
     /// Instruction budget (guards against runaway programs).
     pub max_steps: u64,
-    /// Trap loads, stores, block copies and the memory and string
-    /// builtins that touch a heap address outside any allocated object,
-    /// checking a range at both ends (observes premature collection
-    /// deterministically).
-    pub trap_uaf: bool,
     /// The Extensions-section dynamic check: verify that every pointer
     /// stored into the heap or statics is an object *base* (required by
     /// [`gcheap::PointerPolicy::InteriorFromRootsOnly`]).
@@ -113,7 +108,7 @@ pub struct VmOptions {
     pub prof: gcprof::ProfHandle,
     /// Snapshot sink: when enabled, the VM records a `begin` heap-graph
     /// snapshot at its first allocation and an `end` snapshot when the
-    /// run completes (before the final sweep, so floating garbage is
+    /// run completes (without collecting first, so floating garbage is
     /// still visible). Disabled by default; the disabled handle never
     /// walks the heap.
     pub snap: gcsnap::SnapHandle,
@@ -131,7 +126,6 @@ impl Default for VmOptions {
             heap_config: HeapConfig::default(),
             input: Vec::new(),
             max_steps: 2_000_000_000,
-            trap_uaf: true,
             check_base_stores: false,
             heap_bytes: 32 << 20,
             stack_bytes: 1 << 20,
@@ -885,18 +879,18 @@ impl Trap {
 struct Space {
     mem: Memory,
     heap: GcHeap,
-    /// [`VmOptions::trap_uaf`].
-    trap_uaf: bool,
     /// [`VmOptions::check_base_stores`].
     check_base_stores: bool,
 }
 
 impl Space {
-    /// The `trap_uaf` check of an access at `addr`: one compare against
-    /// the heap range, and for a heap address the collector's side table.
+    /// The use-after-free check of an access at `addr`: one compare
+    /// against the heap range, and for a heap address the collector's
+    /// side table. An access to a heap address outside any allocated
+    /// object traps, so a premature collection shows deterministically.
     #[inline(always)]
     fn check(&self, addr: u64) -> Result<(), Trap> {
-        if self.trap_uaf && self.mem.in_heap(addr) && !self.heap.is_allocated(addr) {
+        if self.mem.in_heap(addr) && !self.heap.is_allocated(addr) {
             return Err(Trap::Freed(addr));
         }
         Ok(())
@@ -1100,7 +1094,6 @@ impl<'a> Vm<'a> {
             space: Space {
                 mem,
                 heap,
-                trap_uaf: opts.trap_uaf,
                 check_base_stores: opts.check_base_stores,
             },
             frames: Vec::new(),
@@ -1441,7 +1434,7 @@ impl<'a> Vm<'a> {
         }
         // Heap-graph snapshots: `begin` was recorded at the first
         // allocation (or now, for a program that never allocated), `end`
-        // before the final sweep so floating garbage is still visible.
+        // without collecting first so floating garbage is still visible.
         if self.opts.snap.is_enabled() {
             let roots = self.roots(None);
             let Space { mem, heap, .. } = &self.space;
@@ -1458,10 +1451,7 @@ impl<'a> Vm<'a> {
         if self.opts.snapshot_oracle {
             self.check_snapshot_oracle()?;
         }
-        // End-of-run stats barrier: retire outstanding lazy-sweep debt so
-        // the final HeapStats and census report no pending queue work.
-        let heap = &mut self.space.heap;
-        heap.sweep_all();
+        let heap = &self.space.heap;
         // The end-of-run census: live objects/bytes per size class,
         // fragmentation, blacklist pressure. The walk only happens when
         // profiling is enabled.
@@ -1487,7 +1477,6 @@ impl<'a> Vm<'a> {
                 .field("builtin_calls", builtin_calls)
                 .field("builtin_byte_work", outcome.profile.builtin_byte_work)
                 .field("collections", outcome.heap.collections)
-                .field("pages_swept_lazily", outcome.heap.pages_swept_lazily)
                 .field("total_pause_ns", outcome.heap.total_pause_ns)
         });
         Ok(outcome)
@@ -1537,13 +1526,12 @@ impl<'a> Vm<'a> {
         key
     }
 
-    /// The snapshot's shadow-liveness cross-check: run a full collection
-    /// and retire all sweep debt, so the heap holds exactly what the
-    /// marker proves live, then snapshot it with the same roots. Every
-    /// surviving object must be reachable in the snapshot graph — the
-    /// snapshot resolves pointer words with the marker's own rules, so
-    /// any floating node here means the two walks disagree about
-    /// liveness. (The other direction is structural: reachable nodes are
+    /// The snapshot's shadow-liveness cross-check: run a full collection,
+    /// so the heap holds exactly what the marker proves live, then
+    /// snapshot it with the same roots. Every surviving object must be
+    /// reachable in the snapshot graph — the snapshot resolves pointer
+    /// words with the marker's own rules, so any floating node here
+    /// means the two walks disagree about liveness. (The other direction is structural: reachable nodes are
     /// snapshot nodes, and every snapshot node survived the collection.)
     fn check_snapshot_oracle(&mut self) -> Result<(), VmError> {
         let roots = self.roots(None);
@@ -1556,7 +1544,6 @@ impl<'a> Vm<'a> {
         // what the marker proves live from the end-of-run roots.
         heap.collect(mem, &roots);
         heap.collect(mem, &roots);
-        heap.sweep_all();
         let snap = heap.snapshot(mem, &roots, ROOT_LABELS);
         let a = gcsnap::analyze(&snap);
         if a.floating_objects != 0 {
@@ -2118,8 +2105,8 @@ mod vm_behavior_tests {
         // Pointer-churning list reversal: every `->next` store is a heap
         // pointer store, and with `gc_threshold: 1` under the bounded-pause
         // collector, marking is in flight at essentially every store. The
-        // write barrier is what keeps the list intact; `trap_uaf` (on by
-        // default) turns any lost node into a hard error.
+        // write barrier is what keeps the list intact; the VM's
+        // use-after-free trap turns any lost node into a hard error.
         let src = r#"
             struct node { struct node *next; long v; };
             int main(void) {

@@ -243,15 +243,6 @@ fn prof_consistency(
             census.live_objects, census.live_bytes, r.heap.objects_live, r.heap.bytes_live
         ));
     }
-    // The VM retires lazy-sweep debt before its final stats snapshot, so
-    // an end-of-run observation point must never report queued pages —
-    // and adoptions can never exceed the pages every sweep has queued.
-    if r.heap.sweep_debt_pages != 0 {
-        return fail(format!(
-            "end-of-run stats carry {} pages of unswept debt past the sweep_all barrier",
-            r.heap.sweep_debt_pages
-        ));
-    }
     let class_objects: u64 = census.classes.iter().map(|c| c.live_objects).sum();
     let class_bytes: u64 = census.classes.iter().map(|c| c.live_bytes).sum();
     if class_objects + census.large_objects != census.live_objects

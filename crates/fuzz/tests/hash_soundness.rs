@@ -12,14 +12,24 @@
 use cvm::{compile, run_compiled, CompileOptions, VmOptions};
 use std::collections::HashMap;
 
+/// The step budget of every run here: a few times the 7,288 steps of the
+/// longest run over the whole corpus, so a change that breaks a loop
+/// exit fails the test at once instead of spinning through the default
+/// budget of two billion steps.
+const MAX_STEPS: u64 = 30_000;
+
 fn behavior(source: &str) -> Vec<(Vec<u8>, i64)> {
+    let vm = VmOptions {
+        max_steps: MAX_STEPS,
+        ..VmOptions::default()
+    };
     // Two option sets bracket the pipeline: the full optimizer and the
     // checked debug build exercise different lowering and annotation.
     [CompileOptions::optimized(), CompileOptions::debug_checked()]
         .iter()
         .map(|opts| {
             let prog = compile(source, opts).expect("generated programs compile");
-            let out = run_compiled(&prog, &VmOptions::default()).expect("generated programs run");
+            let out = run_compiled(&prog, &vm).expect("generated programs run");
             (out.output, out.exit_code)
         })
         .collect()

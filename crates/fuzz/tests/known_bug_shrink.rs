@@ -6,12 +6,19 @@
 use cvm::{compile_and_run, CompileOptions, VmError, VmOptions};
 use gcheap::HeapConfig;
 
+/// The step budget of every run here, the minimizer's candidates
+/// included: a few times the longest run's 48,147 steps, so a change
+/// that breaks a loop exit fails the test at once instead of spinning
+/// through the default budget of two billion steps.
+const MAX_STEPS: u64 = 200_000;
+
 fn paranoid() -> VmOptions {
     VmOptions {
         heap_config: HeapConfig {
             gc_threshold: 1,
             ..HeapConfig::default()
         },
+        max_steps: MAX_STEPS,
         ..VmOptions::default()
     }
 }

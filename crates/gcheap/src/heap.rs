@@ -25,7 +25,7 @@ use std::time::Instant;
 pub const SIZE_CLASSES: &[u32] = &[16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024, 2048];
 
 /// The byte the sweep writes over every freed object's committed bytes,
-/// so that freed memory read without the VM's `trap_uaf` check shows
+/// so that freed memory read without the VM's use-after-free check shows
 /// garbage rather than the object it held. Bytes never written stay
 /// uncommitted and read zero (see [`Memory::fill_committed`]).
 const POISON: u8 = 0xDD;
@@ -44,6 +44,10 @@ const SLOT_RECIPROCALS: [u64; SIZE_CLASSES.len()] = {
     }
     r
 };
+
+/// Under the nursery split, every `FULL_PERIOD`-th collection is a full
+/// one; the rest are nursery-only.
+const FULL_PERIOD: u64 = 4;
 
 /// Nanoseconds elapsed since `t0`, saturating at `u64::MAX`.
 fn elapsed_ns(t0: &Instant) -> u64 {
@@ -69,8 +73,6 @@ pub enum PointerPolicy {
 pub struct HeapConfig {
     /// Interior-pointer recognition policy.
     pub policy: PointerPolicy,
-    /// Allocate one extra byte per object (paper default: on).
-    pub extra_byte: bool,
     /// Bytes allocated between automatic collections.
     pub gc_threshold: u64,
     /// \[Boehm93\]-style page blacklisting: candidate words observed during
@@ -93,9 +95,6 @@ pub struct HeapConfig {
     /// young pointers. Requires [`GcHeap::write_barrier`] like
     /// `incremental`.
     pub nursery: bool,
-    /// With `nursery` on, every `full_every`-th collection is a full one;
-    /// the rest are nursery-only.
-    pub full_every: u64,
     /// Pages visited per bounded sweep stop when an incremental cycle's
     /// sweep is retired in chunks (incremental mode; the page-walk of a
     /// finished cycle is spread over allocation safe points instead of
@@ -107,13 +106,11 @@ impl Default for HeapConfig {
     fn default() -> Self {
         HeapConfig {
             policy: PointerPolicy::InteriorEverywhere,
-            extra_byte: true,
             gc_threshold: 256 * 1024,
             blacklisting: false,
             incremental: false,
             mark_budget_bytes: 64 * 1024,
             nursery: false,
-            full_every: 4,
             sweep_chunk_pages: 64,
         }
     }
@@ -174,13 +171,6 @@ pub struct HeapStats {
     /// Small pages that sweeps found fully empty and returned to the
     /// free page pool for reuse by any size class.
     pub pages_reclaimed: u64,
-    /// Dirty pages adopted by the allocator on demand — the lazy half of
-    /// the sweep, where free-slot discovery is deferred from the
-    /// collection pause to allocation time.
-    pub pages_swept_lazily: u64,
-    /// Pages currently queued for lazy adoption (outstanding sweep
-    /// debt); zero after [`GcHeap::sweep_all`].
-    pub sweep_debt_pages: u64,
     /// Objects reclaimed by sweeps.
     pub objects_freed: u64,
     /// Objects currently live (allocated minus freed).
@@ -230,91 +220,6 @@ pub struct HeapStats {
     pub barrier_marks: u64,
     /// High-water mark of [`HeapStats::bytes_live`].
     pub peak_bytes_live: u64,
-}
-
-impl HeapStats {
-    /// Serializes the stats as a flat JSON object (field names match the
-    /// struct; all values are unsigned integers).
-    pub fn to_json(&self) -> String {
-        let mut w = gctrace::json::Writer::new();
-        w.uint_field("collections", self.collections);
-        w.uint_field("allocations", self.allocations);
-        w.uint_field("bytes_requested", self.bytes_requested);
-        w.uint_field("failed_allocations", self.failed_allocations);
-        w.uint_field("pages_reclaimed", self.pages_reclaimed);
-        w.uint_field("pages_swept_lazily", self.pages_swept_lazily);
-        w.uint_field("sweep_debt_pages", self.sweep_debt_pages);
-        w.uint_field("objects_freed", self.objects_freed);
-        w.uint_field("objects_live", self.objects_live);
-        w.uint_field("bytes_live", self.bytes_live);
-        w.uint_field("same_obj_checks", self.same_obj_checks);
-        w.uint_field("same_obj_failures", self.same_obj_failures);
-        w.uint_field("blacklisted_pages", self.blacklisted_pages);
-        w.uint_field("total_pause_ns", self.total_pause_ns);
-        w.uint_field("max_pause_ns", self.max_pause_ns);
-        w.uint_field("total_mark_ns", self.total_mark_ns);
-        w.uint_field("total_sweep_ns", self.total_sweep_ns);
-        w.uint_field("total_root_scan_ns", self.total_root_scan_ns);
-        w.uint_field("total_heap_scan_ns", self.total_heap_scan_ns);
-        w.uint_field("collections_threshold", self.collections_threshold);
-        w.uint_field("collections_emergency", self.collections_emergency);
-        w.uint_field("collections_explicit", self.collections_explicit);
-        w.uint_field(
-            "collections_increment_finish",
-            self.collections_increment_finish,
-        );
-        w.uint_field("collections_nursery", self.collections_nursery);
-        w.uint_field("mark_increments", self.mark_increments);
-        w.uint_field("sweep_increments", self.sweep_increments);
-        w.uint_field("barrier_marks", self.barrier_marks);
-        w.uint_field("peak_bytes_live", self.peak_bytes_live);
-        w.finish()
-    }
-
-    /// Parses stats previously produced by [`HeapStats::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the text is not a JSON object or a field is
-    /// missing or non-integral.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let obj = gctrace::json::parse_object(text)?;
-        let get = |k: &str| -> Result<u64, String> {
-            obj.get(k)
-                .and_then(gctrace::json::JsonValue::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field {k:?}"))
-        };
-        Ok(HeapStats {
-            collections: get("collections")?,
-            allocations: get("allocations")?,
-            bytes_requested: get("bytes_requested")?,
-            failed_allocations: get("failed_allocations")?,
-            pages_reclaimed: get("pages_reclaimed")?,
-            pages_swept_lazily: get("pages_swept_lazily")?,
-            sweep_debt_pages: get("sweep_debt_pages")?,
-            objects_freed: get("objects_freed")?,
-            objects_live: get("objects_live")?,
-            bytes_live: get("bytes_live")?,
-            same_obj_checks: get("same_obj_checks")?,
-            same_obj_failures: get("same_obj_failures")?,
-            blacklisted_pages: get("blacklisted_pages")?,
-            total_pause_ns: get("total_pause_ns")?,
-            max_pause_ns: get("max_pause_ns")?,
-            total_mark_ns: get("total_mark_ns")?,
-            total_sweep_ns: get("total_sweep_ns")?,
-            total_root_scan_ns: get("total_root_scan_ns")?,
-            total_heap_scan_ns: get("total_heap_scan_ns")?,
-            collections_threshold: get("collections_threshold")?,
-            collections_emergency: get("collections_emergency")?,
-            collections_explicit: get("collections_explicit")?,
-            collections_increment_finish: get("collections_increment_finish")?,
-            collections_nursery: get("collections_nursery")?,
-            mark_increments: get("mark_increments")?,
-            sweep_increments: get("sweep_increments")?,
-            barrier_marks: get("barrier_marks")?,
-            peak_bytes_live: get("peak_bytes_live")?,
-        })
-    }
 }
 
 /// The set of GC-roots for one collection: address ranges (stack, statics)
@@ -481,12 +386,10 @@ pub struct GcHeap {
     /// Per-class page currently serving allocations (lowest free bit
     /// first).
     cursor: Vec<Option<usize>>,
-    /// Per-class pages with free slots, ready for adoption (filled by
-    /// [`GcHeap::sweep_all`] draining the dirty queues), ascending.
+    /// Per-class pages the sweep left with free slots, ascending; the
+    /// allocator adopts the lowest when the class has no cursor page or
+    /// it is full.
     partial: Vec<VecDeque<usize>>,
-    /// Per-class pages with free slots queued at the last collection,
-    /// awaiting lazy adoption, ascending.
-    dirty: Vec<VecDeque<usize>>,
     next_page: usize,
     free_pages: Vec<usize>,
     /// Blacklisted pages as a bitmap over page indices.
@@ -535,7 +438,6 @@ impl GcHeap {
             side: vec![PageKind::Free; page_count],
             cursor: vec![None; SIZE_CLASSES.len()],
             partial: vec![VecDeque::new(); SIZE_CLASSES.len()],
-            dirty: vec![VecDeque::new(); SIZE_CLASSES.len()],
             next_page: 0,
             free_pages: Vec::new(),
             bl: vec![0; page_count.div_ceil(64)],
@@ -699,7 +601,7 @@ impl GcHeap {
         None
     }
 
-    /// Allocates `size` bytes (plus the configured extra byte), zeroed.
+    /// Allocates `size` bytes plus the paper's extra byte, zeroed.
     /// Returns the object base address.
     ///
     /// # Errors
@@ -708,8 +610,7 @@ impl GcHeap {
     /// can satisfy the request; the caller should collect and retry via
     /// [`GcHeap::alloc_with_roots`] or fail.
     pub fn alloc(&mut self, mem: &mut Memory, size: u64) -> Result<u64, OutOfMemory> {
-        let effective = size + u64::from(self.config.extra_byte);
-        let effective = effective.max(1);
+        let effective = size + 1;
         let attempt = if let Some(ci) = Self::class_index(effective) {
             self.alloc_small(ci)
                 .map(|addr| (addr, u64::from(SIZE_CLASSES[ci])))
@@ -873,11 +774,10 @@ impl GcHeap {
     }
 
     /// Whether the next triggered collection should be nursery-only:
-    /// with the generational split on, every [`HeapConfig::full_every`]-th
+    /// with the generational split on, every [`FULL_PERIOD`]-th
     /// collection is a full one and the rest visit only young pages.
     fn nursery_due(&self) -> bool {
-        self.config.nursery
-            && !(self.stats.collections + 1).is_multiple_of(self.config.full_every.max(1))
+        self.config.nursery && !(self.stats.collections + 1).is_multiple_of(FULL_PERIOD)
     }
 
     /// Whether an attached trace, profile, or snapshot consumer will use
@@ -917,16 +817,10 @@ impl GcHeap {
             // Page full; it resurfaces at the next sweep if it thins out.
             self.cursor[ci] = None;
         }
-        // Ready pages first (sweep debt already retired), then the dirty
-        // queue — the lazy half of the sweep, where a page's free slots
-        // are only discovered when its class actually allocates again.
-        let next = self.partial[ci].pop_front().or_else(|| {
-            let page = self.dirty[ci].pop_front()?;
-            self.stats.sweep_debt_pages -= 1;
-            self.stats.pages_swept_lazily += 1;
-            Some(page)
-        });
-        if let Some(page) = next {
+        // Then the lowest page the sweep left with free slots; its free
+        // slots are found in its bitmap only now, when the class
+        // allocates again.
+        if let Some(page) = self.partial[ci].pop_front() {
             self.cursor[ci] = Some(page);
             let addr = self
                 .alloc_in_page(page)
@@ -1269,8 +1163,8 @@ impl GcHeap {
     /// sitting on one — a young page was carved since the last
     /// collection, so no sweep has queued it and a cursor is its only
     /// reference. Old pages are then untouched, so their mark bitmaps
-    /// stay clear for the next full mark and the lazy queues they sit on
-    /// stay valid.
+    /// stay clear for the next full mark and the queues they sit on stay
+    /// valid.
     fn begin_sweep(&mut self, c: &mut Cycle) {
         if c.young_only {
             for ci in 0..SIZE_CLASSES.len() {
@@ -1284,9 +1178,7 @@ impl GcHeap {
             for ci in 0..SIZE_CLASSES.len() {
                 self.cursor[ci] = None;
                 self.partial[ci].clear();
-                self.dirty[ci].clear();
             }
-            self.stats.sweep_debt_pages = 0;
             c.pages = (0..self.next_page)
                 .filter(|&i| !matches!(self.side[i], PageKind::Free))
                 .collect();
@@ -1318,7 +1210,7 @@ impl GcHeap {
         if c.young_only {
             // Surviving young pages joined their queues out of order with
             // the old pages already there; restore ascending order.
-            for q in &mut self.dirty {
+            for q in &mut self.partial {
                 q.make_contiguous().sort_unstable();
             }
         }
@@ -1338,11 +1230,10 @@ impl GcHeap {
     /// slots, because free slots only ever serve their own class);
     /// blacklisted pages become `Free` but are never handed out again —
     /// the cost of blacklisting is lost capacity. Pages left with free
-    /// slots are queued per class for *lazy* adoption: the allocator
-    /// discovers their free slots on demand instead of the pause
-    /// rebuilding free lists, and the backlog is `sweep_debt_pages`.
-    /// Statistics, poisoning, and the census are therefore exact the
-    /// moment a sweep finishes. A dead large object's pages are all
+    /// slots join their class's queue: the allocator finds their free
+    /// slots in the bitmap when it adopts the page, so the pause builds
+    /// no free lists. Statistics, poisoning, and the census are exact
+    /// the moment a sweep finishes. A dead large object's pages are all
     /// released (contiguity cannot be guaranteed once recycled, so those
     /// pages feed small-object allocation only) and count as touched,
     /// because poisoning costs proportional to the run.
@@ -1388,8 +1279,7 @@ impl GcHeap {
                 } else {
                     out.pages_live += 1;
                     if has_free {
-                        self.dirty[ci as usize].push_back(idx);
-                        self.stats.sweep_debt_pages += 1;
+                        self.partial[ci as usize].push_back(idx);
                     }
                 }
                 (ci as usize, 1)
@@ -1472,7 +1362,6 @@ impl GcHeap {
             words_marked: c.words_marked,
             pages_live: sw.pages_live,
             pages_swept: sw.pages_swept,
-            sweep_debt_pages: stats.sweep_debt_pages,
             pause_ns: c.stops_ns,
             mark_ns,
             sweep_ns: c.stops_ns.saturating_sub(mark_ns),
@@ -1501,7 +1390,6 @@ impl GcHeap {
                 .field("bytes_swept", sw.bytes_swept)
                 .field("pages_swept", sw.pages_swept)
                 .field("pages_live", sw.pages_live)
-                .field("sweep_debt_pages", stats.sweep_debt_pages)
                 .field(
                     "blacklist_hits",
                     stats.blacklisted_pages - c.blacklisted_before,
@@ -1835,22 +1723,6 @@ impl GcHeap {
         while self.sweeping.is_some() {
             self.sweep_step(mem);
         }
-    }
-
-    /// Eagerly retires all outstanding lazy-sweep debt: every page
-    /// queued at the last collection moves to its class's ready list, so
-    /// no future allocation pays an adoption. Statistics and the census
-    /// are exact without this — the sweep folds bitmaps and poisons
-    /// eagerly — so this is a barrier for observation points that must
-    /// report `sweep_debt_pages == 0` (end-of-run [`HeapStats`], the
-    /// fuzz oracle's census check).
-    pub fn sweep_all(&mut self) {
-        for ci in 0..SIZE_CLASSES.len() {
-            while let Some(page) = self.dirty[ci].pop_front() {
-                self.partial[ci].push_back(page);
-            }
-        }
-        self.stats.sweep_debt_pages = 0;
     }
 }
 
@@ -2416,53 +2288,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_stats_json_round_trips() {
-        let (mut mem, mut heap) = setup();
-        heap.alloc(&mut mem, 24).unwrap();
-        heap.alloc(&mut mem, 512).unwrap();
-        heap.collect(&mut mem, &RootSet::new());
-        let stats = heap.stats();
-        let text = stats.to_json();
-        let back = HeapStats::from_json(&text).expect("round trips");
-        assert_eq!(back, stats);
-        // Shape: every struct field appears by name in the JSON.
-        for key in [
-            "collections",
-            "allocations",
-            "bytes_requested",
-            "failed_allocations",
-            "pages_reclaimed",
-            "pages_swept_lazily",
-            "sweep_debt_pages",
-            "objects_freed",
-            "objects_live",
-            "bytes_live",
-            "same_obj_checks",
-            "same_obj_failures",
-            "blacklisted_pages",
-            "total_pause_ns",
-            "max_pause_ns",
-            "total_mark_ns",
-            "total_sweep_ns",
-            "total_root_scan_ns",
-            "total_heap_scan_ns",
-            "collections_threshold",
-            "collections_emergency",
-            "collections_explicit",
-            "collections_increment_finish",
-            "collections_nursery",
-            "mark_increments",
-            "barrier_marks",
-            "peak_bytes_live",
-        ] {
-            assert!(
-                text.contains(&format!("\"{key}\":")),
-                "missing {key} in {text}"
-            );
-        }
-    }
-
-    #[test]
     fn pause_splits_into_mark_and_sweep() {
         let (mut mem, mut heap) = setup();
         for _ in 0..200 {
@@ -2685,7 +2510,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_sweep_defers_adoption_to_allocation() {
+    fn swept_pages_are_reused_in_address_order() {
         let (mut mem, mut heap) = setup();
         // Two pages of the 32-byte class (128 slots each), alternating
         // keep/drop so both pages survive with free slots.
@@ -2701,17 +2526,11 @@ mod tests {
             roots.add_word(a);
         }
         heap.collect(&mut mem, &roots);
-        let s = heap.stats();
-        assert_eq!(s.objects_freed, 128);
-        assert_eq!(s.sweep_debt_pages, 2, "both half-empty pages queued");
-        assert_eq!(s.pages_swept_lazily, 0, "nothing adopted yet");
-        // The next allocation adopts the lowest dirty page and serves its
+        assert_eq!(heap.stats().objects_freed, 128);
+        // The next allocation adopts the lowest queued page and serves its
         // lowest free slot: the second-ever object's old address.
         let a = heap.alloc(&mut mem, 24).unwrap();
         assert_eq!(a, crate::mem::HEAP_BASE + 32);
-        let s = heap.stats();
-        assert_eq!(s.pages_swept_lazily, 1);
-        assert_eq!(s.sweep_debt_pages, 1, "second page still queued");
         // 63 more allocations fill page one's holes in address order
         // before the second page is touched.
         let mut prev = a;
@@ -2723,37 +2542,10 @@ mod tests {
         }
         let c = heap.alloc(&mut mem, 24).unwrap();
         assert!(c >= crate::mem::HEAP_BASE + PAGE_SIZE, "page two adopted");
-        assert_eq!(heap.stats().pages_swept_lazily, 2);
-        assert_eq!(heap.stats().sweep_debt_pages, 0);
     }
 
     #[test]
-    fn sweep_all_retires_debt_eagerly() {
-        let (mut mem, mut heap) = setup();
-        let mut keep = Vec::new();
-        for i in 0..256 {
-            let a = heap.alloc(&mut mem, 24).unwrap();
-            if i % 2 == 0 {
-                keep.push(a);
-            }
-        }
-        let mut roots = RootSet::new();
-        for &a in &keep {
-            roots.add_word(a);
-        }
-        heap.collect(&mut mem, &roots);
-        assert_eq!(heap.stats().sweep_debt_pages, 2);
-        heap.sweep_all();
-        assert_eq!(heap.stats().sweep_debt_pages, 0);
-        // Ready pages serve without counting as lazy adoptions, in the
-        // same address order.
-        let a = heap.alloc(&mut mem, 24).unwrap();
-        assert_eq!(a, crate::mem::HEAP_BASE + 32);
-        assert_eq!(heap.stats().pages_swept_lazily, 0);
-    }
-
-    #[test]
-    fn stats_stay_exact_with_debt_outstanding() {
+    fn stats_stay_exact_with_partly_free_pages_queued() {
         let (mut mem, mut heap) = setup();
         let mut keep = Vec::new();
         for i in 0..300 {
@@ -2767,10 +2559,14 @@ mod tests {
             roots.add_word(a);
         }
         heap.collect(&mut mem, &roots);
-        // Debt outstanding, yet census and stats agree exactly.
+        // Pages with free slots wait on their queues, yet census and
+        // stats agree exactly.
         let s = heap.stats();
-        assert!(s.sweep_debt_pages > 0, "collection left dirty pages");
         let census = heap.census();
+        assert!(
+            census.classes.iter().any(|c| c.live_objects < c.slots),
+            "collection left partly free pages"
+        );
         assert_eq!(census.live_objects, s.objects_live);
         assert_eq!(census.live_bytes, s.bytes_live);
         assert_eq!(s.objects_live, keep.len() as u64);
@@ -3083,8 +2879,7 @@ impl GcHeap {
     ///
     /// The walk enumerates allocation bits exactly the way
     /// [`GcHeap::census`] counts them, so the two views agree at every
-    /// observation point, including with lazy-sweep debt outstanding and
-    /// mid-cycle.
+    /// observation point, mid-cycle included.
     fn snapshot_skeleton(&self) -> (Vec<gcsnap::Node>, Vec<String>) {
         let mut nodes: Vec<gcsnap::Node> = Vec::new();
         let mut sites: Vec<String> = Vec::new();

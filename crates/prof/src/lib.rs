@@ -109,8 +109,6 @@ pub struct CollectionRecord {
     pub pages_live: u64,
     /// Carved pages the sweep visited.
     pub pages_swept: u64,
-    /// Pages queued for lazy adoption when the sweep finished.
-    pub sweep_debt_pages: u64,
     /// Total stop-the-world pause, nanoseconds.
     pub pause_ns: u64,
     /// Mark-phase share of the pause, nanoseconds.

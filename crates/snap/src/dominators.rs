@@ -40,8 +40,8 @@ pub struct Analysis {
     /// Bytes (rounded extents) reachable from the roots.
     pub reachable_bytes: u64,
     /// Allocated-but-unreachable objects: floating garbage the sweep has
-    /// not yet retired (lazy-sweep debt, unfinished cycles, or simply no
-    /// collection since the objects died).
+    /// not yet retired (unfinished cycles, or simply no collection since
+    /// the objects died).
     pub floating_objects: u64,
     /// Bytes of floating garbage.
     pub floating_bytes: u64,

@@ -3,7 +3,7 @@
 //! The output loads directly into Perfetto (`ui.perfetto.dev`) or
 //! `chrome://tracing`: one process per workload, one thread per mode,
 //! one `X` (complete) slice per collection with root-scan / heap-scan /
-//! sweep sub-slices, and counter tracks for live bytes and sweep debt.
+//! sweep sub-slices, and a counter track for live bytes.
 //!
 //! **The clock is virtual.** Wall-clock nanoseconds differ run to run
 //! and across `--jobs` levels, which would break the repo's determinism
@@ -12,9 +12,9 @@
 //! collection, root-scan time is roots scanned, heap-scan time is words
 //! marked, sweep time is pages swept (scaled so a page reads as ~32
 //! ticks). The relative shape of a trace — which collections dominate,
-//! how sweep debt drains — is faithful; the absolute numbers are ticks,
-//! not nanoseconds. Event `args` carry only deterministic fields for the
-//! same reason.
+//! how live bytes grow and fall — is faithful; the absolute numbers are
+//! ticks, not nanoseconds. Event `args` carry only deterministic fields
+//! for the same reason.
 
 use gcprof::CollectionRecord;
 use gctrace::json::{JsonValue, Writer};
@@ -168,7 +168,6 @@ pub fn chrome_trace(cells: &[TimelineCell]) -> String {
             args.uint_field("pages_live", r.pages_live);
             args.uint_field("freed_bytes", r.freed_bytes);
             args.uint_field("bytes_live", r.bytes_live);
-            args.uint_field("sweep_debt_pages", r.sweep_debt_pages);
             args.uint_field("increments", r.increments);
             args.uint_field("young_pages_swept", r.young_pages_swept);
             let name = format!("GC #{n} ({})", r.cause.as_str());
@@ -203,22 +202,17 @@ pub fn chrome_trace(cells: &[TimelineCell]) -> String {
             vt += total;
             // Counter tracks are keyed (pid, name) in the trace model, so
             // the mode goes into the counter name to keep cells separate.
-            for (counter, value) in [
-                ("bytes_live", r.bytes_live),
-                ("sweep_debt_pages", r.sweep_debt_pages),
-            ] {
-                let mut a = Writer::new();
-                a.uint_field(counter, value);
-                events.push(event(
-                    &format!("{counter} ({})", c.mode),
-                    "C",
-                    pid,
-                    tid,
-                    vt,
-                    None,
-                    Some(a.finish()),
-                ));
-            }
+            let mut a = Writer::new();
+            a.uint_field("bytes_live", r.bytes_live);
+            events.push(event(
+                &format!("bytes_live ({})", c.mode),
+                "C",
+                pid,
+                tid,
+                vt,
+                None,
+                Some(a.finish()),
+            ));
         }
     }
     let mut out = String::from("{\"traceEvents\":[\n");
@@ -323,7 +317,6 @@ mod tests {
             words_marked: 50 + n,
             pages_live: 3,
             pages_swept: 4,
-            sweep_debt_pages: n,
             // Wall-clock fields: deliberately different per "run" below to
             // prove they never reach the trace.
             pause_ns: 12345 + n * 7,
@@ -360,8 +353,8 @@ mod tests {
     fn trace_is_well_formed_and_carries_attribution() {
         let text = chrome_trace(&cells());
         let n = validate_chrome_trace(&text).expect("valid trace");
-        // 2 process names + 3 thread names + per record: 4 slices + 2 counters.
-        assert_eq!(n, 2 + 3 + 6 * (3 + 2 + 1));
+        // 2 process names + 3 thread names + per record: 4 slices + 1 counter.
+        assert_eq!(n, 2 + 3 + 6 * (4 + 1));
         assert!(text.contains("\"cause\":\"threshold\""));
         assert!(text.contains("\"cause\":\"explicit\""));
         assert!(text.contains("main;loop;malloc@3:1"));

@@ -21,9 +21,9 @@ fn roots(sets: &[&[u64]]) -> RootSet {
     r
 }
 
-/// Collect, retire the sweep debt, snapshot, and round-trip through the
-/// `snap/1` schema — exactly what `tables --snap-dir` exports and
-/// `bench snap diff` reads back.
+/// Collect, snapshot, and round-trip through the `snap/1` schema —
+/// exactly what `tables --snap-dir` exports and `bench snap diff` reads
+/// back.
 fn snapshot(
     heap: &mut GcHeap,
     mem: &mut Memory,
@@ -32,7 +32,6 @@ fn snapshot(
 ) -> gcsnap::ParsedSnap {
     let r = roots(sets);
     heap.collect(mem, &r);
-    heap.sweep_all();
     let snap = heap.snapshot(mem, &r, &[]);
     let a = gcsnap::analyze(&snap);
     gcsnap::validate(&gcsnap::to_json(label, &snap, &a)).expect("export validates")

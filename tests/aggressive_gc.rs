@@ -12,6 +12,12 @@ use cvm::{compile_and_run, CompileOptions, VmOptions};
 use gcheap::HeapConfig;
 use workloads::Scale;
 
+/// The step budget of every run here: a few times the longest run's
+/// 1,057,306 steps, so a change that breaks a loop exit fails a test at
+/// once instead of spinning through the default budget of two billion
+/// steps.
+const MAX_STEPS: u64 = 5_000_000;
+
 fn paranoid_vm(input: Vec<u8>) -> VmOptions {
     VmOptions {
         heap_config: HeapConfig {
@@ -19,6 +25,7 @@ fn paranoid_vm(input: Vec<u8>) -> VmOptions {
             ..HeapConfig::default()
         },
         input,
+        max_steps: MAX_STEPS,
         ..VmOptions::default()
     }
 }
@@ -29,6 +36,7 @@ fn safe_builds_survive_collection_at_every_allocation() {
         let input = (w.input)(Scale::Tiny);
         let base_vm = VmOptions {
             input: input.clone(),
+            max_steps: MAX_STEPS,
             ..VmOptions::default()
         };
         let expected = compile_and_run(w.source, &CompileOptions::optimized(), &base_vm)

@@ -2,9 +2,17 @@
 
 use cvm::{compile_and_run, CompileOptions, VmError, VmOptions};
 
+/// The step budget of every run here: a few times the longest run's 229
+/// steps, so a change that breaks a loop exit fails a test at once
+/// instead of spinning through the default budget of two billion steps.
+const MAX_STEPS: u64 = 1_000;
+
 fn run_checked(src: &str) -> Result<i64, VmError> {
-    compile_and_run(src, &CompileOptions::debug_checked(), &VmOptions::default())
-        .map(|o| o.exit_code)
+    let vm = VmOptions {
+        max_steps: MAX_STEPS,
+        ..VmOptions::default()
+    };
+    compile_and_run(src, &CompileOptions::debug_checked(), &vm).map(|o| o.exit_code)
 }
 
 #[test]

@@ -97,6 +97,11 @@ fn regression_neg_of_negative_literal() {
     assert_roundtrip_fixpoint(&e);
 }
 
+/// The step budget of every run here: a few times the longest run's 15
+/// steps, so a change that breaks a loop exit fails the test at once
+/// instead of spinning through the default budget of two billion steps.
+const MAX_STEPS: u64 = 100;
+
 /// The printed program is semantically identical to the original:
 /// both compile and compute the same value.
 #[test]
@@ -113,7 +118,10 @@ fn pretty_printed_program_computes_the_same() {
             cvm::compile_and_run(
                 s,
                 &cvm::CompileOptions::optimized(),
-                &cvm::VmOptions::default(),
+                &cvm::VmOptions {
+                    max_steps: MAX_STEPS,
+                    ..cvm::VmOptions::default()
+                },
             )
             .expect("runs")
             .output

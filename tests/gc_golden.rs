@@ -50,7 +50,7 @@ const WORKLOAD_MAX_STEPS: u64 = 20_000_000;
 fn stats_line(s: &HeapStats) -> String {
     format!(
         "stats collections={} allocations={} bytes_requested={} failed_allocations={} \
-         pages_reclaimed={} pages_swept_lazily={} sweep_debt_pages={} objects_freed={} \
+         pages_reclaimed={} objects_freed={} \
          objects_live={} bytes_live={} same_obj_checks={} same_obj_failures={} \
          blacklisted_pages={} threshold={} emergency={} explicit={} increment_finish={} \
          nursery={} mark_increments={} sweep_increments={} barrier_marks={} peak_bytes_live={}",
@@ -59,8 +59,6 @@ fn stats_line(s: &HeapStats) -> String {
         s.bytes_requested,
         s.failed_allocations,
         s.pages_reclaimed,
-        s.pages_swept_lazily,
-        s.sweep_debt_pages,
         s.objects_freed,
         s.objects_live,
         s.bytes_live,
@@ -111,7 +109,7 @@ fn census_line(c: &HeapCensus) -> String {
 fn record_line(r: &CollectionRecord) -> String {
     format!(
         "gc cause={} site={} bytes_since_gc={} bytes_live={} freed_bytes={} roots_scanned={} \
-         words_marked={} pages_live={} pages_swept={} sweep_debt_pages={} increments={} \
+         words_marked={} pages_live={} pages_swept={} increments={} \
          increment_words={} young_pages_swept={}",
         r.cause.as_str(),
         r.site.as_deref().unwrap_or("-"),
@@ -122,7 +120,6 @@ fn record_line(r: &CollectionRecord) -> String {
         r.words_marked,
         r.pages_live,
         r.pages_swept,
-        r.sweep_debt_pages,
         r.increments,
         r.increment_words_encoded(),
         r.young_pages_swept,
@@ -252,7 +249,6 @@ fn heap_schedule(config: HeapConfig) -> (HeapStats, HeapCensus, ProfHandle) {
         roots.add_word(a);
     }
     heap.collect(&mut mem, &roots);
-    heap.sweep_all();
     (heap.stats(), heap.census(), prof)
 }
 

@@ -23,13 +23,27 @@ const SRC: &str = r#"
     }
 "#;
 
+/// The step budget of every run here: a few times the longest run's
+/// 88,139 steps, so a change that breaks a loop exit fails a test at
+/// once instead of spinning through the default budget of two billion
+/// steps.
+const MAX_STEPS: u64 = 400_000;
+
+/// The default options under [`MAX_STEPS`].
+fn plain_vm() -> VmOptions {
+    VmOptions {
+        max_steps: MAX_STEPS,
+        ..VmOptions::default()
+    }
+}
+
 fn aggressive_vm() -> VmOptions {
     VmOptions {
         heap_config: HeapConfig {
             gc_threshold: 1,
             ..HeapConfig::default()
         },
-        ..VmOptions::default()
+        ..plain_vm()
     }
 }
 
@@ -227,7 +241,7 @@ fn every_ablation_build_survives_the_paranoid_collector() {
             mark_budget_bytes: 64,
             ..HeapConfig::bounded_pause()
         },
-        ..VmOptions::default()
+        ..plain_vm()
     };
     let programs = [
         ("hazard", SRC),
@@ -235,7 +249,7 @@ fn every_ablation_build_survives_the_paranoid_collector() {
         ("displaced_base.c", CORPUS_SRC),
     ];
     for (program, src) in programs {
-        let want = compile_and_run(src, &CompileOptions::debug(), &VmOptions::default())
+        let want = compile_and_run(src, &CompileOptions::debug(), &plain_vm())
             .unwrap_or_else(|e| panic!("{program} -g: {e:?}"));
         for (build, copts) in ablation_builds() {
             for (collector, vm) in [("paranoid", aggressive_vm()), ("bounded", bounded.clone())] {

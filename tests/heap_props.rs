@@ -476,20 +476,19 @@ fn prof_instrumentation_matches_heap_statistics() {
 /// The bitmap heap against a `Vec<bool>` reference model. The shadow
 /// keeps one bool per slot of every small page the heap has carved,
 /// mirroring what the page's alloc bitmap must say; large objects are
-/// tracked by extent. Randomized alloc/unroot/collect/sweep_all
-/// sequences then check, at every step:
+/// tracked by extent. Randomized alloc/unroot/collect sequences then
+/// check, at every step:
 ///
 /// * a fresh allocation lands in a slot the shadow says is free, and no
 ///   *lower* slot of the serving page is free — the cursor and the
-///   lazily swept pages both hand out the lowest set garbage bit, so
-///   reuse is address-ordered within a page;
+///   queued swept pages both hand out the lowest free slot, so reuse is
+///   address-ordered within a page;
 /// * after every collection the heap's bitmaps agree with the shadow
 ///   bit-for-bit, probed through `base()` (Some exactly on live slots);
 /// * census and `HeapStats` agree with the model exactly — per class
-///   and in total — even while `sweep_debt_pages` is outstanding, since
-///   collections fold bitmaps and counts eagerly and only free-slot
-///   *discovery* is deferred;
-/// * `sweep_all` retires all debt without changing any live state;
+///   and in total — while swept pages with free slots wait on their
+///   queues, since collections fold bitmaps and counts eagerly and only
+///   free-slot *discovery* waits for allocation;
 /// * the whole address sequence replays byte-identically.
 #[test]
 fn bitmap_heap_matches_boolean_reference_model() {
@@ -572,12 +571,9 @@ fn bitmap_heap_matches_boolean_reference_model() {
                         rooted.swap_remove(idx);
                     }
                 }
-                // Rewired as "retire the sweep debt" for this machine:
-                // links don't exercise the bitmaps, barriers do.
-                Op::Link(..) | Op::Unlink(..) => {
-                    heap.sweep_all();
-                    assert_eq!(heap.stats().sweep_debt_pages, 0, "step {step}");
-                }
+                // Links don't exercise the bitmaps; the op stays in the
+                // draw so each case's schedule is unchanged.
+                Op::Link(..) | Op::Unlink(..) => {}
                 Op::Collect => {
                     let keep: HashSet<u64> = rooted.iter().copied().collect();
                     let mut roots = RootSet::new();
@@ -621,7 +617,7 @@ fn bitmap_heap_matches_boolean_reference_model() {
                         }
                     }
                     // Census and stats agree with the model exactly, with
-                    // or without outstanding sweep debt.
+                    // or without pages queued for reuse.
                     let stats = heap.stats();
                     let census = heap.census();
                     assert_eq!(stats.allocations, model.allocations, "step {step}");
@@ -653,10 +649,6 @@ fn bitmap_heap_matches_boolean_reference_model() {
                         census.large_objects,
                         model.large.len() as u64,
                         "step {step}"
-                    );
-                    assert!(
-                        stats.sweep_debt_pages <= census.small_pages,
-                        "step {step}: more debt than carved pages"
                     );
                 }
             }
@@ -728,8 +720,8 @@ fn same_obj_is_an_equivalence_within_an_object() {
 /// The snapshot walk and the census walk must agree exactly: both
 /// enumerate the same allocation bits, so per-class object/byte totals
 /// (and the large-object and grand totals) match at *every* observation
-/// point — not just at quiescence, but with lazy-sweep debt outstanding
-/// and in the middle of an incremental mark cycle.
+/// point — not just at quiescence, but in the middle of an incremental
+/// mark cycle.
 fn assert_snapshot_matches_census(heap: &GcHeap, when: &str) {
     let census = heap.census();
     let snap = heap.snapshot_nodes();
@@ -768,11 +760,9 @@ fn assert_snapshot_matches_census(heap: &GcHeap, when: &str) {
 fn snapshot_totals_agree_with_census_at_every_observation_point() {
     // Interesting observation points only arise under the incremental
     // config: a tiny threshold and mark budget make collections start
-    // (and *not* finish) inside ordinary allocation, and the lazy sweep
-    // leaves debt pages behind. Count both states to prove the schedule
-    // actually exercised them.
+    // (and *not* finish) inside ordinary allocation. Count that state to
+    // prove the schedule actually exercised it.
     let mut saw_marking = 0u32;
-    let mut saw_debt = 0u32;
     for case in 0..24 {
         let mut rng = Rng::for_case("snapshot_census", case);
         let mut mem = Memory::new(1 << 14, 1 << 14, 1 << 22);
@@ -802,15 +792,12 @@ fn snapshot_totals_agree_with_census_at_every_observation_point() {
                 .expect("schedule fits the heap");
             live.push(addr);
             // A sliding window of survivors: unrooted objects become
-            // garbage that the next collection turns into sweep debt.
+            // garbage that the next collection frees.
             if live.len() > 24 {
                 live.remove(rng.index(live.len()));
             }
             if heap.marking_active() {
                 saw_marking += 1;
-            }
-            if heap.stats().sweep_debt_pages > 0 {
-                saw_debt += 1;
             }
             assert_snapshot_matches_census(&heap, &format!("case {case} step {step}"));
         }
@@ -821,9 +808,6 @@ fn snapshot_totals_agree_with_census_at_every_observation_point() {
         }
         heap.collect(&mut mem, &roots);
         assert_snapshot_matches_census(&heap, &format!("case {case} post-collect"));
-        heap.sweep_all();
-        assert_snapshot_matches_census(&heap, &format!("case {case} post-sweep"));
     }
     assert!(saw_marking > 0, "schedule never observed a mid-mark cycle");
-    assert!(saw_debt > 0, "schedule never observed lazy-sweep debt");
 }
