@@ -7,12 +7,13 @@ mod timing;
 
 use asmpost::Machine;
 use cvm::{CompileOptions, VmOptions};
-use gcheap::{GcHeap, Memory, RootSet};
+use gcheap::{GcHeap, HeapConfig, Memory, RootSet};
 use timing::bench;
 
 /// VM step-cost kernels, each a loop made mostly of one kind of step:
 /// arithmetic on temps, loads and stores into a heap object, loads and
-/// stores into a stack array, and calls and returns.
+/// stores into a stack array, calls and returns, and string builtins on
+/// a heap string and a global one.
 const STEP_KERNELS: &[(&str, &str)] = &[
     (
         "alu",
@@ -41,7 +42,24 @@ const STEP_KERNELS: &[(&str, &str)] = &[
            for (i = 0; i < 50000; i++) { s = f(s, i); }
            return (int) (s & 127); }",
     ),
+    (
+        "string",
+        "int main(void) { long i; long s = 0; char *h = (char *) malloc(32);
+           strcpy(h, \"a heap string, 27 bytes long\");
+           for (i = 0; i < 20000; i++) {
+             s = s + strlen(h) + strcmp(h, \"a heap string, 27 bytes lonG\") + strlen(\"global\"); }
+           return (int) (s & 127); }",
+    ),
 ];
+
+/// The paranoid kernel: an allocating loop that keeps every eighth
+/// object on a list, run with a collection at every allocation.
+const PARANOID_KERNEL: &str = "int main(void) { long i; long *p; long *keep = 0;
+    for (i = 0; i < 2000; i++) {
+      p = (long *) malloc(32);
+      p[0] = (long) keep;
+      if (i % 8 == 0) keep = p; }
+    return 0; }";
 
 /// Times every step-cost kernel at `-O` and `-g`, printing each run's
 /// step count and the median nanoseconds per step.
@@ -63,6 +81,29 @@ fn step_costs() {
             );
         }
     }
+}
+
+/// Times [`PARANOID_KERNEL`] at `-O` with a collection at every
+/// allocation, as the fuzz oracle's paranoid reruns collect, printing
+/// the median nanoseconds per collection.
+fn paranoid_cost() {
+    println!("== paranoid collection cost ==");
+    let prog = cvm::compile(PARANOID_KERNEL, &CompileOptions::optimized()).expect("compiles");
+    let opts = VmOptions {
+        heap_config: HeapConfig {
+            gc_threshold: 1,
+            ..HeapConfig::default()
+        },
+        ..VmOptions::default()
+    };
+    let run = || cvm::run_compiled(&prog, &opts).expect("runs");
+    let collections = run().heap.collections;
+    let ns = bench("vm_paranoid_O", 2, 20, || run().exit_code);
+    println!(
+        "{:<28} {collections} collections, {:.0} ns/collection",
+        "",
+        ns as f64 / collections as f64
+    );
 }
 
 /// Times code generation (register allocation and instruction selection,
@@ -88,6 +129,7 @@ fn codegen_costs() {
 
 fn main() {
     step_costs();
+    paranoid_cost();
     codegen_costs();
 
     let src = workloads::by_name("gs").expect("exists").source;

@@ -71,6 +71,7 @@ use crate::ir::*;
 use crate::liveness::visit_call_roots;
 use cfront::sema::Builtin;
 use gcheap::{GcHeap, HeapConfig, HeapStats, MemFault, Memory, RootSet, Roots, GLOBAL_BASE};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -955,9 +956,49 @@ impl Space {
         Ok(self.mem.fill(addr, byte, len as usize)?)
     }
 
+    /// A frame slot's load. A committed stack byte is never a heap
+    /// address, so it needs no use-after-free check: the stack's run is
+    /// read in place, and only bytes not yet committed take
+    /// [`Space::load`].
+    #[inline(always)]
+    fn load_frame(&self, addr: u64, width: u8) -> Result<u64, Trap> {
+        match self.mem.read_stack(addr, width.into()) {
+            Some(raw) => Ok(raw),
+            None => self.load_uncommitted(addr, width),
+        }
+    }
+
+    /// [`Space::load`] out of line, so the fused arms inline only the
+    /// fast path: the loop's speed moves with what is inlined into it.
+    #[cold]
+    #[inline(never)]
+    fn load_uncommitted(&self, addr: u64, width: u8) -> Result<u64, Trap> {
+        self.load(addr, width)
+    }
+
+    /// A frame slot's store. A committed stack byte is neither a heap
+    /// address nor collector-visible, so the use-after-free check,
+    /// [`Space::check_base_store`] and both write barriers have nothing to
+    /// do there: the stack's run is written in place, and only bytes not
+    /// yet committed take [`Space::store`].
+    #[inline(always)]
+    fn store_frame(&mut self, addr: u64, value: u64, width: u8) -> Result<(), Trap> {
+        if self.mem.write_stack(addr, width.into(), value) {
+            return Ok(());
+        }
+        self.store_uncommitted(addr, value, width)
+    }
+
+    /// [`Space::store`] out of line, as [`Space::load_uncommitted`].
+    #[cold]
+    #[inline(never)]
+    fn store_uncommitted(&mut self, addr: u64, value: u64, width: u8) -> Result<(), Trap> {
+        self.store(addr, value, width)
+    }
+
     /// The NUL-terminated string at `addr`, checked at its first byte and
-    /// at its NUL.
-    fn read_cstr(&self, addr: u64) -> Result<Vec<u8>, Trap> {
+    /// at its NUL, and borrowed in place when its committed run holds it.
+    fn read_cstr(&self, addr: u64) -> Result<Cow<'_, [u8]>, Trap> {
         self.check(addr)?;
         let s = self.mem.read_cstr(addr)?;
         self.check(addr.wrapping_add(s.len() as u64))?;
@@ -1067,11 +1108,18 @@ impl<'a> Vm<'a> {
         code: &'a [Code<'a>],
         opts: &'a VmOptions,
     ) -> Result<Self, VmError> {
-        let mut mem = Memory::new(
-            (prog.globals_image.len() + 4096).max(1 << 16),
-            opts.stack_bytes,
-            opts.heap_bytes,
-        );
+        let globals_bytes = (prog.globals_image.len() + 4096).max(1 << 16);
+        // The regions may not overlap: a frame slot's fast path relies on
+        // a stack address being neither a heap nor a globals address.
+        if GLOBAL_BASE + globals_bytes as u64 > gcheap::STACK_BASE
+            || gcheap::STACK_BASE + opts.stack_bytes as u64 > gcheap::HEAP_BASE
+        {
+            return Err(VmError::Malformed(format!(
+                "{globals_bytes} bytes of globals and a {}-byte stack overlap the next region",
+                opts.stack_bytes
+            )));
+        }
+        let mut mem = Memory::new(globals_bytes, opts.stack_bytes, opts.heap_bytes);
         // Unwritten memory reads as zero, so only the image's nonzero
         // bytes are stored.
         for (i, &b) in prog.globals_image.iter().enumerate() {
@@ -1373,7 +1421,7 @@ impl<'a> Vm<'a> {
                     spend(&mut left)?;
                     let raw = self
                         .space
-                        .load(a, width)
+                        .load_frame(a, width)
                         .map_err(|e| e.in_func(prog, func))?;
                     regs[dst as usize] = extend(raw, width, signed);
                     pc += 1;
@@ -1388,7 +1436,7 @@ impl<'a> Vm<'a> {
                     regs[addr as usize] = a as i64;
                     spend(&mut left)?;
                     self.space
-                        .store(a, regs[value as usize] as u64, width)
+                        .store_frame(a, regs[value as usize] as u64, width)
                         .map_err(|e| e.in_func(prog, func))?;
                     pc += 1;
                 }
@@ -1630,13 +1678,6 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// The NUL-terminated string at `addr`, through the checked access.
-    fn cstr(&mut self, addr: i64) -> Result<Vec<u8>, VmError> {
-        self.space
-            .read_cstr(addr as u64)
-            .map_err(|e| self.charge(e))
-    }
-
     #[inline(never)]
     fn builtin(&mut self, b: Builtin, args: &[i64], site: Option<u32>) -> Result<i64, VmError> {
         self.builtin_calls[b as usize] += 1;
@@ -1665,28 +1706,51 @@ impl<'a> Vm<'a> {
                 Ok(new as i64)
             }
             Builtin::Free => Ok(0), // the collector reclaims
+            // The string builtins read their operands in place, through
+            // the checked access; only `strcpy` copies its source, since it
+            // writes the bytes one at a time.
             Builtin::Strlen => {
-                let s = self.cstr(args[0])?;
-                self.profile.builtin_byte_work += s.len() as u64 + 1;
-                Ok(s.len() as i64)
+                let n = self
+                    .space
+                    .read_cstr(args[0] as u64)
+                    .map_err(|e| self.charge(e))?
+                    .len() as u64;
+                self.profile.builtin_byte_work += n + 1;
+                Ok(n as i64)
             }
             Builtin::Strcmp => {
-                let a = self.cstr(args[0])?;
-                let b2 = self.cstr(args[1])?;
+                let a = self
+                    .space
+                    .read_cstr(args[0] as u64)
+                    .map_err(|e| self.charge(e))?;
+                let b2 = self
+                    .space
+                    .read_cstr(args[1] as u64)
+                    .map_err(|e| self.charge(e))?;
                 self.profile.builtin_byte_work += (a.len().min(b2.len()) + 1) as u64;
                 Ok(cmp_bytes(&a, &b2))
             }
             Builtin::Strncmp => {
                 let n = args[2].max(0) as usize;
-                let a = self.cstr(args[0])?;
-                let b2 = self.cstr(args[1])?;
+                let a = self
+                    .space
+                    .read_cstr(args[0] as u64)
+                    .map_err(|e| self.charge(e))?;
+                let b2 = self
+                    .space
+                    .read_cstr(args[1] as u64)
+                    .map_err(|e| self.charge(e))?;
                 let a = &a[..a.len().min(n)];
                 let b2 = &b2[..b2.len().min(n)];
                 self.profile.builtin_byte_work += (a.len().min(b2.len()) + 1) as u64;
                 Ok(cmp_bytes(a, b2))
             }
             Builtin::Strcpy => {
-                let src = self.cstr(args[1])?;
+                let src = self
+                    .space
+                    .read_cstr(args[1] as u64)
+                    .map_err(|e| self.charge(e))?
+                    .into_owned();
                 let dst = args[0] as u64;
                 let len = src.len() as u64 + 1;
                 self.space
@@ -1747,7 +1811,10 @@ impl<'a> Vm<'a> {
                 Ok(args[0])
             }
             Builtin::Putstr => {
-                let s = self.cstr(args[0])?;
+                let s = self
+                    .space
+                    .read_cstr(args[0] as u64)
+                    .map_err(|e| self.charge(e))?;
                 self.profile.builtin_byte_work += s.len() as u64;
                 self.output.extend_from_slice(&s);
                 Ok(0)
@@ -1825,6 +1892,35 @@ mod tests {
         assert_eq!(extend(0xFF, 1, false), 255);
         assert_eq!(extend(0xFFFF_FFFF, 4, true), -1);
         assert_eq!(extend(0xFFFF_FFFF, 4, false), 0xFFFF_FFFF);
+    }
+
+    #[test]
+    fn a_frame_slot_reads_zero_until_a_store_commits_it() {
+        let mem = Memory::new(1 << 16, 1 << 16, 1 << 20);
+        let heap = GcHeap::new(&mem, HeapConfig::default());
+        let mut space = Space {
+            mem,
+            heap,
+            check_base_stores: true,
+        };
+        let slot = space.mem.stack_top() - 64;
+        assert_eq!(space.mem.read_stack(slot, 8), None, "not committed");
+        assert_eq!(space.load_frame(slot, 8).ok(), Some(0));
+        assert!(space.store_frame(slot, 0xDEAD_BEEF, 8).is_ok());
+        assert_eq!(
+            space.mem.read_stack(slot, 8),
+            Some(0xDEAD_BEEF),
+            "committed"
+        );
+        assert_eq!(space.load_frame(slot, 4).ok(), Some(0xDEAD_BEEF));
+        // A committed slot takes the fast path, which stores an interior
+        // heap pointer as the checked path does: the stack is not
+        // collector-visible.
+        let obj = space.heap.alloc(&mut space.mem, 32).unwrap();
+        assert!(space.store_frame(slot, obj + 8, 8).is_ok());
+        assert_eq!(space.load_frame(slot, 8).ok(), Some(obj + 8));
+        assert!(space.store(slot - 8, obj + 8, 8).is_ok());
+        assert!(space.store(GLOBAL_BASE, obj + 8, 8).is_err());
     }
 
     #[test]
@@ -2336,6 +2432,173 @@ mod vm_behavior_tests {
                 "{access}: {r:?}"
             );
         }
+    }
+
+    #[test]
+    fn string_builtins_agree_on_globals_stack_and_heap_strings() {
+        // Literals live in the globals, `s` on the stack and `h` in the
+        // heap; each builtin meets each region, and the byte work is
+        // strlen len + 1, strcmp/strncmp shorter compared length + 1,
+        // strcpy len + 1 and putstr len.
+        let src = r#"
+            int main(void) {
+                char s[16];
+                char *h = (char *) malloc(16);
+                strcpy(s, "stack");
+                strcpy(h, "heap");
+                putint(strlen(s)); putchar(' ');
+                putint(strlen(h)); putchar(' ');
+                putint(strlen("globals")); putchar(' ');
+                putint(strcmp(s, h)); putchar(' ');
+                putint(strcmp(h, "heap")); putchar(' ');
+                putint(strcmp("glob", s)); putchar(' ');
+                putint(strncmp(s, "stop", 2)); putchar(' ');
+                putint(strncmp(h, s, 9)); putchar(' ');
+                putstr(s);
+                putstr(h);
+                putstr("!");
+                return 0;
+            }
+        "#;
+        let work = 6 + 5 + 6 + 5 + 8 + 5 + 5 + 5 + 3 + 5 + (5 + 4 + 1);
+        for copts in [CompileOptions::optimized(), CompileOptions::debug()] {
+            let out = compile_and_run(src, &copts, &opts()).expect("runs");
+            assert_eq!(out.output, b"5 4 7 1 0 -1 0 -1 stackheap!");
+            assert_eq!(out.profile.builtin_byte_work, work);
+        }
+    }
+
+    #[test]
+    fn string_operands_are_trapped_at_their_first_byte_and_their_nul() {
+        // `a` is live and filled up to the freed `b`, so its NUL is `b`'s
+        // first byte; `(char *)(qb - 100000 + 8)` starts inside `b`.
+        let run = |access: &str| {
+            let src = format!(
+                r#"
+                int main(void) {{
+                    char *a = (char *) malloc(32);
+                    char *b = (char *) malloc(32);
+                    char live[8];
+                    long qa = (long) a;
+                    long qb = (long) b + 100000;
+                    long r = 0;
+                    b = 0;
+                    gc_collect();
+                    if (qb - 100000 <= qa || qb - 100000 - qa > 100) return 99;
+                    live[0] = 'z';
+                    live[1] = 0;
+                    memset(a, 'z', qb - 100000 - qa);
+                    {access}
+                    putint(r);
+                    return 0;
+                }}
+            "#
+            );
+            compile_and_run(&src, &CompileOptions::debug(), &opts())
+        };
+        let freed = run("r = qb - 100000;").expect("runs");
+        let b: u64 = String::from_utf8(freed.output).unwrap().parse().unwrap();
+        let first = "(char *)(qb - 100000 + 8)";
+        for f in ["strcmp", "strncmp"] {
+            let n = if f == "strncmp" { ", 2" } else { "" };
+            for (x, y, addr) in [
+                (first, "live", b + 8),
+                ("live", first, b + 8),
+                ("a", "live", b),
+                ("live", "a", b),
+            ] {
+                let access = format!("r = {f}({x}, {y}{n});");
+                assert_eq!(
+                    run(&access).unwrap_err(),
+                    VmError::UseAfterFree {
+                        func: "main".into(),
+                        addr
+                    },
+                    "{access}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_string_past_the_cap_faults_just_past_it() {
+        let src = |tail: &str| {
+            format!(
+                r#"
+                int main(void) {{
+                    char *p = (char *) malloc(1048600);
+                    memset(p, 'x', 1048590);
+                    {tail}
+                }}
+            "#
+            )
+        };
+        let p = run(&src("putint((long) p); return 0;"), b"");
+        let p: u64 = String::from_utf8(p.output).unwrap().parse().unwrap();
+        let fault = VmError::Fault(MemFault {
+            addr: p + (1 << 20) + 1,
+            width: 1,
+            write: false,
+        });
+        for f in ["strlen(p)", "strcmp(p, \"x\")", "strcmp(\"x\", p)"] {
+            assert_eq!(run_err(&src(&format!("return (int) {f};"))), fault, "{f}");
+        }
+    }
+
+    #[test]
+    fn regions_that_would_overlap_are_malformed() {
+        let big = "char big[4194304]; int main(void) { big[1] = 1; return big[1]; }";
+        let small = "char big[4096]; int main(void) { big[1] = 1; return big[1]; }";
+        let deep = VmOptions {
+            stack_bytes: (gcheap::HEAP_BASE - gcheap::STACK_BASE) as usize + 8,
+            ..opts()
+        };
+        for (src, vm) in [(big, opts()), (small, deep)] {
+            let r = compile_and_run(src, &CompileOptions::optimized(), &vm);
+            assert!(
+                matches!(&r, Err(VmError::Malformed(m)) if m.contains("overlap the next region")),
+                "{r:?}"
+            );
+        }
+        let r = compile_and_run(small, &CompileOptions::optimized(), &opts());
+        assert_eq!(r.expect("runs").exit_code, 1);
+    }
+
+    #[test]
+    fn frame_slots_read_zero_until_stored_and_keep_what_is_stored() {
+        // `probe`'s frames lie below every byte written so far, so its
+        // unwritten `fresh` reads an uncommitted zero; `scribble` then
+        // commits the same depths, and the second `probe` reads slots
+        // that are committed and were zeroed on entry.
+        let src = r#"
+            long probe(long depth) {
+                long fresh;
+                long pad[700];
+                if (depth > 0) return probe(depth - 1);
+                return fresh;
+            }
+            long scribble(long depth) {
+                long slot = 12345;
+                long pad[700];
+                pad[699] = slot + depth;
+                if (depth > 0) return scribble(depth - 1) + pad[699];
+                return slot;
+            }
+            int main(void) {
+                long x = 1;
+                long a = probe(3);
+                long b = scribble(3);
+                long c = probe(3);
+                x = x + 41;
+                putint(a); putchar(' ');
+                putint(b); putchar(' ');
+                putint(c); putchar(' ');
+                putint(x);
+                return 0;
+            }
+        "#;
+        let out = compile_and_run(src, &CompileOptions::debug(), &opts()).expect("runs");
+        assert_eq!(out.output, b"0 49386 0 42");
     }
 
     fn ir_func(name: &str, temp_count: u32, params: &[u32], blocks: Vec<Vec<Instr>>) -> FuncIr {
@@ -3066,5 +3329,43 @@ mod vm_behavior_tests {
             .collect();
         assert_eq!(fused, [0, 2, 4, 6, 8]);
         assert_eq!(code.branches.len(), 2);
+    }
+
+    #[test]
+    fn a_string_ending_with_its_committed_run_ends_at_an_uncommitted_zero() {
+        // A globals image of 4,096 nonzero bytes is exactly the run its
+        // first byte commits: the byte after it is reserved, uncommitted
+        // and zero, so it ends every string that reaches it.
+        let g = GLOBAL_BASE as i64;
+        let call = |dst, b, args| Instr::Call {
+            dst: Some(Temp(dst)),
+            target: CallTarget::Builtin(b),
+            args,
+            site: None,
+        };
+        let mut body = vec![
+            call(0, Builtin::Strlen, vec![imm(g + 4000)]),
+            call(1, Builtin::Strcmp, vec![imm(g + 4000), imm(g + 4001)]),
+            call(
+                2,
+                Builtin::Strncmp,
+                vec![imm(g + 4001), imm(g + 4000), imm(200)],
+            ),
+        ];
+        for i in 0..3 {
+            body.extend(print(t(i)));
+        }
+        body.push(builtin(Builtin::Putstr, vec![imm(g + 4090)]));
+        body.push(Instr::Ret {
+            value: Some(imm(0)),
+        });
+        let out = run_ir(
+            vec![ir_func("main", 3, &[], vec![body])],
+            &[b'x'; 4096],
+            MAX_STEPS,
+        )
+        .expect("runs");
+        assert_eq!(out.output, b"96 1 -1 xxxxxx");
+        assert_eq!(out.profile.builtin_byte_work, 97 + 96 + 96 + 6);
     }
 }

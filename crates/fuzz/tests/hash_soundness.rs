@@ -1,13 +1,14 @@
 //! Hash-soundness property test over the fuzz generator's corpus: the
 //! structural hash every pipeline cache keys on must be (a) invariant
 //! under formatting — comment/whitespace edits and a pretty-print →
-//! re-parse round trip — and (b) sound as a cache key: if two distinct
-//! generated programs ever land on the same hash, sharing a compiled
-//! artifact between them is only correct if they behave identically, so
-//! the test builds and runs both and fails on any behavioral
-//! divergence. (With a 64-bit structural FNV over a few hundred
-//! programs, collisions are not expected at all; the run-both check is
-//! the safety net that keeps this test honest if that ever changes.)
+//! re-parse round trip — and (b) sound as a cache key: texts that share
+//! a hash must behave identically, since the cache serves one's artifact
+//! for the other. Every tenth program is built and run as its source,
+//! its reformatted text and its pretty-printed text, which share a hash
+//! but differ in text (180 VM runs). If two distinct generated programs
+//! ever land on the same hash, both are run too. (With a 64-bit
+//! structural FNV over a few hundred programs, such collisions are not
+//! expected at all.)
 
 use cvm::{compile, run_compiled, CompileOptions, VmOptions};
 use std::collections::HashMap;
@@ -67,6 +68,18 @@ fn generator_corpus_hashes_are_format_invariant_and_collision_sound() {
                 cfront::program_hash(&round),
                 "pretty round trip moved the hash (seed {seed} case {case})"
             );
+
+            // The three texts share a hash, so they must share behaviour.
+            if case % 10 == 0 {
+                let expected = behavior(&src);
+                for (what, text) in [("reformatted", &reformatted), ("pretty", &pretty)] {
+                    assert_eq!(
+                        behavior(text),
+                        expected,
+                        "{what} text behaves differently (seed {seed} case {case})"
+                    );
+                }
+            }
 
             match by_hash.insert(h, src.clone()) {
                 None => {}

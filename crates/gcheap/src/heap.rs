@@ -1075,22 +1075,26 @@ impl GcHeap {
     }
 
     /// Scans the root set into `c`'s grey worklist; returns the number
-    /// of root words scanned.
+    /// of root words scanned. Like [`GcHeap::drain`], it tests each word
+    /// against the heap range in place and calls
+    /// [`GcHeap::mark_candidate`], which does nothing outside it, only
+    /// for a word inside; the count still includes every word.
     fn scan_roots(&mut self, mem: &Memory, roots: &RootSet, c: &mut Cycle) -> u64 {
         let t0 = Instant::now();
         let (mut scanned, mut marked) = (0u64, 0u64);
         let young_only = c.young_only;
         let grey = &mut c.grey;
-        for &(start, end) in &roots.ranges {
-            mem.scan_words(start, end, |word| {
-                scanned += 1;
-                marked += u64::from(self.mark_candidate(word, true, young_only, grey));
-            });
-        }
-        for &word in &roots.words {
+        let (base, span) = (self.heap_base, self.heap_limit - self.heap_base);
+        let mut scan = |word: u64| {
             scanned += 1;
-            marked += u64::from(self.mark_candidate(word, true, young_only, grey));
+            if word.wrapping_sub(base) < span {
+                marked += u64::from(self.mark_candidate(word, true, young_only, grey));
+            }
+        };
+        for &(start, end) in &roots.ranges {
+            mem.scan_words(start, end, &mut scan);
         }
+        roots.words.iter().for_each(|&word| scan(word));
         let ns = elapsed_ns(&t0);
         c.roots_scanned += scanned;
         c.objects_marked += marked;
@@ -1110,6 +1114,7 @@ impl GcHeap {
         let (mut scanned, mut words, mut marked) = (0u64, 0u64, 0u64);
         let young_only = c.young_only;
         let grey = &mut c.grey;
+        let (base, span) = (self.heap_base, self.heap_limit - self.heap_base);
         while scanned < budget {
             let Some((start, size)) = grey.pop() else {
                 break;
@@ -1120,7 +1125,9 @@ impl GcHeap {
             }
             mem.scan_words(start, start + take, |word| {
                 words += 1;
-                marked += u64::from(self.mark_candidate(word, false, young_only, grey));
+                if word.wrapping_sub(base) < span {
+                    marked += u64::from(self.mark_candidate(word, false, young_only, grey));
+                }
             });
             scanned += take;
         }
@@ -2103,6 +2110,105 @@ mod tests {
         // A 2048-byte-class allocation needs a fresh page; before the
         // sweep returned empty pages this OOMed.
         assert!(heap.alloc(&mut mem, 1500).is_ok());
+    }
+
+    /// Collects `mem` with `roots` under a memory trace and returns the
+    /// collection's `roots_scanned` and `words_marked`.
+    fn collect_counted(heap: &mut GcHeap, mem: &mut Memory, roots: &RootSet) -> (u64, u64) {
+        let (trace, sink) = TraceHandle::memory();
+        heap.set_trace(trace);
+        heap.collect(mem, roots);
+        let evs = sink.snapshot();
+        let get = |k: &str| match evs.last().and_then(|e| e.get(k)) {
+            Some(gctrace::Value::UInt(u)) => *u,
+            other => panic!("field {k}: {other:?}"),
+        };
+        (get("roots_scanned"), get("words_marked"))
+    }
+
+    #[test]
+    fn words_at_the_heap_bounds_mark_as_their_objects_say() {
+        // Four pages of 2048-byte slots: the first slot starts at the
+        // heap's base and the last ends at its limit.
+        let fill = || {
+            let mut mem = Memory::new(1 << 12, 1 << 12, 1 << 14);
+            let mut heap = GcHeap::with_defaults(&mem);
+            let mut objs: Vec<u64> =
+                std::iter::from_fn(|| heap.alloc(&mut mem, 1500).ok()).collect();
+            objs.sort_unstable();
+            (mem, heap, objs)
+        };
+        let (_, heap, objs) = fill();
+        let (base, limit) = (heap.heap_base, heap.heap_limit);
+        let (first, last) = (objs[0], objs[objs.len() - 1]);
+        assert_eq!((first, last + 2048, objs.len()), (base, limit, 8));
+        let live = |heap: &GcHeap, objs: &[u64]| -> Vec<u64> {
+            objs.iter()
+                .copied()
+                .filter(|&o| heap.is_allocated(o))
+                .collect()
+        };
+        for (word, hit) in [
+            (base - 1, None),
+            (base, Some(first)),
+            (limit - 1, Some(last)),
+            (limit, None),
+        ] {
+            // As a root: a slot's worth of words is scanned per survivor.
+            let (mut mem, mut heap, objs) = fill();
+            let mut roots = RootSet::new();
+            roots.add_word(word);
+            let counts = collect_counted(&mut heap, &mut mem, &roots);
+            assert_eq!(live(&heap, &objs), Vec::from_iter(hit), "root {word:#x}");
+            assert_eq!(counts, (1, 256 * hit.iter().len() as u64), "root {word:#x}");
+            // As a word of a rooted object's body, which scans every word
+            // of the holder's slot.
+            let (mut mem, mut heap, objs) = fill();
+            let holder = objs[1];
+            mem.write(holder + 8, 8, word).unwrap();
+            let mut roots = RootSet::new();
+            roots.add_word(holder);
+            let counts = collect_counted(&mut heap, &mut mem, &roots);
+            let mut want = vec![holder];
+            want.extend(hit);
+            want.sort_unstable();
+            assert_eq!(live(&heap, &objs), want, "heap word {word:#x}");
+            assert_eq!(counts, (1, 256 * want.len() as u64), "heap word {word:#x}");
+        }
+    }
+
+    #[test]
+    fn a_bound_word_on_a_free_page_blacklists_it() {
+        // Nothing is allocated: every page is free, so an in-range word
+        // blacklists its page, as a root and as a heap word alike.
+        let config = HeapConfig {
+            blacklisting: true,
+            ..HeapConfig::default()
+        };
+        let mem = Memory::new(1 << 12, 1 << 12, 1 << 14);
+        let heap = GcHeap::new(&mem, config.clone());
+        let (base, limit) = (heap.heap_base, heap.heap_limit);
+        for (word, pages) in [(base - 1, 0), (base, 1), (limit - 1, 1), (limit, 0)] {
+            let mut mem = Memory::new(1 << 12, 1 << 12, 1 << 14);
+            let mut heap = GcHeap::new(&mem, config.clone());
+            let mut roots = RootSet::new();
+            roots.add_word(word);
+            heap.collect(&mut mem, &roots);
+            assert_eq!(heap.stats().blacklisted_pages, pages, "root {word:#x}");
+        }
+        // A heap word: its holder sits on page 0, so the base word marks
+        // the holder instead.
+        for (word, pages) in [(base - 1, 0), (base, 0), (limit - 1, 1), (limit, 0)] {
+            let mut mem = Memory::new(1 << 12, 1 << 12, 1 << 14);
+            let mut heap = GcHeap::new(&mem, config.clone());
+            let holder = heap.alloc(&mut mem, 32).unwrap();
+            mem.write(holder, 8, word).unwrap();
+            let mut roots = RootSet::new();
+            roots.add_word(holder);
+            heap.collect(&mut mem, &roots);
+            assert!(heap.is_allocated(holder));
+            assert_eq!(heap.stats().blacklisted_pages, pages, "heap word {word:#x}");
+        }
     }
 
     #[test]

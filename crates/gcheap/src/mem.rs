@@ -24,6 +24,7 @@
 //! The paper's GC-roots are "the machine stack, registers, and statically
 //! allocated memory" — the first two regions plus the VM register file.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Base address of the globals region.
@@ -74,6 +75,9 @@ pub enum Region {
 
 /// The smallest growth of a region's committed run, in bytes.
 const COMMIT_STEP: usize = 4096;
+
+/// The longest C string [`Memory::read_cstr`] reads, in bytes.
+const CSTR_CAP: usize = 1 << 20;
 
 /// One region: its reserved address range and the run of it committed so
 /// far — a prefix of the range, or a suffix ending at the top for a region
@@ -176,13 +180,28 @@ impl Segment {
 }
 
 /// Decodes the first `width` (1, 2, 4, or 8) bytes of `b`, little-endian.
-#[inline]
+/// Always inlined: the VM's loop inlines every load and store, and out
+/// of line this and [`encode`] cost each one a call.
+#[inline(always)]
 fn decode(b: &[u8], width: u32) -> u64 {
     match width {
         1 => b[0] as u64,
         2 => u16::from_le_bytes(b[..2].try_into().expect("width 2")) as u64,
         4 => u32::from_le_bytes(b[..4].try_into().expect("width 4")) as u64,
         8 => u64::from_le_bytes(b[..8].try_into().expect("width 8")),
+        _ => panic!("unsupported access width {width}"),
+    }
+}
+
+/// Encodes `value` into the first `width` (1, 2, 4, or 8) bytes of `b`,
+/// little-endian. Always inlined, as [`decode`] is.
+#[inline(always)]
+fn encode(b: &mut [u8], width: u32, value: u64) {
+    match width {
+        1 => b[0] = value as u8,
+        2 => b[..2].copy_from_slice(&(value as u16).to_le_bytes()),
+        4 => b[..4].copy_from_slice(&(value as u32).to_le_bytes()),
+        8 => b[..8].copy_from_slice(&value.to_le_bytes()),
         _ => panic!("unsupported access width {width}"),
     }
 }
@@ -199,7 +218,18 @@ pub struct Memory {
 impl Memory {
     /// Reserves an address space with the given region sizes in bytes.
     /// Nothing is committed until it is written.
+    ///
+    /// # Panics
+    ///
+    /// If the globals would reach [`STACK_BASE`] or the stack
+    /// [`HEAP_BASE`]: the regions never overlap, so a stack address is
+    /// never a heap address.
     pub fn new(global_size: usize, stack_size: usize, heap_size: usize) -> Self {
+        assert!(
+            GLOBAL_BASE + global_size as u64 <= STACK_BASE
+                && STACK_BASE + stack_size as u64 <= HEAP_BASE,
+            "regions overlap"
+        );
         Memory {
             segs: [
                 Segment::new(GLOBAL_BASE, global_size, false),
@@ -321,15 +351,32 @@ impl Memory {
             Some(hit) => hit,
             None => self.commit_for_write(addr, width)?,
         };
-        let buf = &mut self.seg_mut(region).bytes;
-        match width {
-            1 => buf[off] = value as u8,
-            2 => buf[off..off + 2].copy_from_slice(&(value as u16).to_le_bytes()),
-            4 => buf[off..off + 4].copy_from_slice(&(value as u32).to_le_bytes()),
-            8 => buf[off..off + 8].copy_from_slice(&value.to_le_bytes()),
-            _ => panic!("unsupported access width {width}"),
-        }
+        encode(&mut self.seg_mut(region).bytes[off..], width, value);
         Ok(())
+    }
+
+    /// The `width` (1, 2, 4, or 8) bytes at `addr`, if they are committed
+    /// stack bytes: a frame slot's fast path, one bounds test on the
+    /// stack's run. `None` sends the caller to [`Memory::read`].
+    #[inline(always)]
+    pub fn read_stack(&self, addr: u64, width: u32) -> Option<u64> {
+        let seg = self.seg(Region::Stack);
+        let off = seg.committed(addr, width as usize)?;
+        Some(decode(&seg.bytes[off..], width))
+    }
+
+    /// Writes `width` (1, 2, 4, or 8) bytes at `addr` if they are
+    /// committed stack bytes, and returns whether it did: a frame slot's
+    /// fast path. `false` writes nothing and sends the caller to
+    /// [`Memory::write`].
+    #[inline(always)]
+    pub fn write_stack(&mut self, addr: u64, width: u32, value: u64) -> bool {
+        let seg = self.seg_mut(Region::Stack);
+        let Some(off) = seg.committed(addr, width as usize) else {
+            return false;
+        };
+        encode(&mut seg.bytes[off..], width, value);
+        true
     }
 
     /// [`Memory::write`] past the committed runs: the region and run
@@ -412,28 +459,45 @@ impl Memory {
     }
 
     /// Reads a NUL-terminated C string starting at `addr` (capped at 1 MiB).
-    /// The committed run is scanned as a slice; a reserved byte past it
-    /// reads as zero and so ends the string.
+    /// A string whose NUL lies in the committed run that holds its first
+    /// byte is borrowed from that run; any other string is copied, and a
+    /// reserved byte past the run reads as zero and so ends it.
     ///
     /// # Errors
     ///
     /// Returns a [`MemFault`] at the first byte outside every region, or
     /// just past the string's first 1 MiB + 1 bytes once it is that long.
-    pub fn read_cstr(&self, addr: u64) -> MemResult<Vec<u8>> {
-        const CAP: usize = 1 << 20;
+    pub fn read_cstr(&self, addr: u64) -> MemResult<Cow<'_, [u8]>> {
+        if let Some((region, off)) = self.find_committed(addr, 1) {
+            let run = &self.seg(region).bytes[off..];
+            if let Some(n) = run[..run.len().min(CSTR_CAP + 1)]
+                .iter()
+                .position(|&b| b == 0)
+            {
+                return Ok(Cow::Borrowed(&run[..n]));
+            }
+        }
+        self.copy_cstr(addr).map(Cow::Owned)
+    }
+
+    /// [`Memory::read_cstr`] of a string that leaves its committed run or
+    /// starts outside every run: the runs are scanned as slices into a
+    /// copy.
+    #[cold]
+    fn copy_cstr(&self, addr: u64) -> MemResult<Vec<u8>> {
         let mut out = Vec::new();
         let mut a = addr;
         while let Some((region, off)) = self.find_committed(a, 1) {
             // The rest of the run, up to the first byte past the cap.
             let run = &self.seg(region).bytes[off..];
-            let run = &run[..run.len().min(CAP + 1 - out.len())];
+            let run = &run[..run.len().min(CSTR_CAP + 1 - out.len())];
             if let Some(n) = run.iter().position(|&b| b == 0) {
                 out.extend_from_slice(&run[..n]);
                 return Ok(out);
             }
             out.extend_from_slice(run);
             a += run.len() as u64;
-            if out.len() > CAP {
+            if out.len() > CSTR_CAP {
                 return Err(MemFault {
                     addr: a,
                     width: 1,
@@ -561,6 +625,11 @@ mod tests {
         // A run of 4096 bytes ending in a NUL, in 8192 reserved.
         let mut n = Memory::new(8192, 4096, 4096);
         n.fill(GLOBAL_BASE, b'a', 4095).unwrap();
+        // A run of 4096 nonzero bytes in 8192 reserved: a string that
+        // ends with the run ends at an uncommitted zero.
+        let mut e = Memory::new(8192, 4096, 4096);
+        e.fill(GLOBAL_BASE, b'e', 4096).unwrap();
+        assert_eq!(committed(&e)[0], 4096);
         let cases = [
             (&m, GLOBAL_BASE + 16),
             (&m, GLOBAL_BASE + 4050),
@@ -575,9 +644,23 @@ mod tests {
             (&m, 0),
             (&n, GLOBAL_BASE + 4000),
             (&n, GLOBAL_BASE + 4096),
+            (&e, GLOBAL_BASE + 4000),
         ];
         for (mem, addr) in cases {
-            assert_eq!(mem.read_cstr(addr), bytewise(mem, addr), "{addr:#x}");
+            let s = mem.read_cstr(addr);
+            assert_eq!(
+                s.clone().map(Cow::into_owned),
+                bytewise(mem, addr),
+                "{addr:#x}"
+            );
+            // Borrowed exactly when the NUL is in the first byte's run.
+            let nul_in_run =
+                s.is_ok_and(|s| mem.find_committed(addr + s.len() as u64, 1).is_some());
+            assert_eq!(
+                matches!(mem.read_cstr(addr), Ok(Cow::Borrowed(_))),
+                nul_in_run,
+                "{addr:#x}"
+            );
         }
         // The cases reach each way a string ends.
         let fault_at = |addr| {
@@ -587,7 +670,8 @@ mod tests {
                 write: false,
             })
         };
-        assert_eq!(m.read_cstr(GLOBAL_BASE + 16), Ok(b"inside".to_vec()));
+        let owned = |r: MemResult<Cow<'_, [u8]>>| r.map(Cow::into_owned);
+        assert_eq!(owned(m.read_cstr(GLOBAL_BASE + 16)), Ok(b"inside".to_vec()));
         assert_eq!(
             m.read_cstr(GLOBAL_BASE + 4050),
             fault_at(GLOBAL_BASE + 4096)
@@ -598,8 +682,46 @@ mod tests {
             m.read_cstr(HEAP_BASE + 8).map(|s| s.len()),
             Ok(MIB as usize)
         );
-        assert_eq!(m.read_cstr(HEAP_BASE + MIB), Ok(vec![b'h'; 8]));
-        assert_eq!(n.read_cstr(GLOBAL_BASE + 4000), Ok(vec![b'a'; 95]));
+        assert_eq!(owned(m.read_cstr(HEAP_BASE + MIB)), Ok(vec![b'h'; 8]));
+        assert_eq!(owned(n.read_cstr(GLOBAL_BASE + 4000)), Ok(vec![b'a'; 95]));
+        assert_eq!(owned(e.read_cstr(GLOBAL_BASE + 4000)), Ok(vec![b'e'; 96]));
+    }
+
+    #[test]
+    fn the_stack_fast_path_touches_only_committed_stack_bytes() {
+        let mut m = Memory::new(4096, 8192, 4096);
+        let top = m.stack_top();
+        // Nothing committed: no read, and a write writes nothing.
+        assert_eq!(m.read_stack(top - 8, 8), None);
+        assert!(!m.write_stack(top - 8, 8, 1));
+        assert_eq!(committed(&m), [0, 0, 0]);
+        // Committed stack bytes, at every width.
+        m.write(top - 8, 8, 0).unwrap();
+        let run = committed(&m)[1] as u64;
+        for (width, value) in [(1, 0xAB), (2, 0xBEEF), (4, 0xDEAD_BEEF), (8, u64::MAX - 1)] {
+            assert!(m.write_stack(top - 16, width, value));
+            assert_eq!(m.read_stack(top - 16, width), Some(value));
+            assert_eq!(m.read(top - 16, width), Ok(value));
+        }
+        // The run's edges: a word across its start is not committed.
+        assert_eq!(m.read_stack(top - run, 8), Some(0));
+        assert_eq!(m.read_stack(top - run - 4, 8), None);
+        assert!(!m.write_stack(top - run - 4, 8, 1));
+        assert_eq!(m.read(top - run - 4, 8), Ok(0));
+        // Committed bytes of another region are not stack bytes.
+        m.write(HEAP_BASE, 8, 7).unwrap();
+        m.write(GLOBAL_BASE, 8, 7).unwrap();
+        for a in [HEAP_BASE, GLOBAL_BASE] {
+            assert_eq!(m.read_stack(a, 8), None);
+            assert!(!m.write_stack(a, 8, 9));
+            assert_eq!(m.read(a, 8), Ok(7));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "regions overlap")]
+    fn a_stack_reaching_the_heap_is_refused() {
+        Memory::new(4096, (HEAP_BASE - STACK_BASE) as usize + 1, 4096);
     }
 
     #[test]
@@ -710,7 +832,7 @@ mod tests {
         for (i, b) in b"hello\0".iter().enumerate() {
             m.write(STACK_BASE + i as u64, 1, *b as u64).unwrap();
         }
-        assert_eq!(m.read_cstr(STACK_BASE).unwrap(), b"hello");
+        assert_eq!(*m.read_cstr(STACK_BASE).unwrap(), *b"hello");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! under the checking-mode preprocessor it "immediately and correctly
 //! detect\[s\] a pointer arithmetic error" — the paper's `<fails>` cell.
 
+use std::fmt::Write;
+
 /// The C source of the workload.
 pub const SOURCE: &str = r#"
 /* mini-gawk: { count[$1]++; sum += $2 } END { report } */
@@ -156,7 +158,8 @@ int main(void) {
 "#;
 
 /// Generates a deterministic input of `lines` lines of `word number word…`
-/// records, like the paper's benchmark inputs.
+/// records, like the paper's benchmark inputs, written into one buffer
+/// sized for them.
 pub fn input(lines: u32) -> Vec<u8> {
     const WORDS: &[&str] = &[
         "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india",
@@ -169,17 +172,54 @@ pub fn input(lines: u32) -> Vec<u8> {
             .wrapping_add(1442695040888963407);
         (seed >> 33) as u32
     };
-    let mut out = String::new();
+    // A line averages about 17 bytes.
+    let mut out = String::with_capacity(lines as usize * 24);
     for _ in 0..lines {
         let w1 = WORDS[(next() as usize) % WORDS.len()];
         let n = next() % 1000;
         let w2 = WORDS[(next() as usize) % WORDS.len()];
-        out.push_str(w1);
-        out.push(' ');
-        out.push_str(&n.to_string());
-        out.push(' ');
-        out.push_str(w2);
-        out.push('\n');
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(out, "{w1} {n} {w2}");
     }
     out.into_bytes()
+}
+
+#[cfg(test)]
+mod tests {
+    /// The generator as it was written before it used one buffer: a
+    /// `to_string` temporary per line. It is the reference output.
+    fn reference_input(lines: u32) -> Vec<u8> {
+        const WORDS: &[&str] = &[
+            "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india",
+            "juliet", "kilo", "lima", "mike", "november", "oscar", "papa",
+        ];
+        let mut seed: u64 = 0x9e3779b97f4a7c15;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as u32
+        };
+        let mut out = String::new();
+        for _ in 0..lines {
+            let w1 = WORDS[(next() as usize) % WORDS.len()];
+            let n = next() % 1000;
+            let w2 = WORDS[(next() as usize) % WORDS.len()];
+            out.push_str(w1);
+            out.push(' ');
+            out.push_str(&n.to_string());
+            out.push(' ');
+            out.push_str(w2);
+            out.push('\n');
+        }
+        out.into_bytes()
+    }
+
+    #[test]
+    fn input_equals_the_reference_generator() {
+        // The tiny, perfbench and paper sizes.
+        for lines in [30, 1000, 6000] {
+            assert_eq!(super::input(lines), reference_input(lines), "{lines} lines");
+        }
+    }
 }

@@ -9,6 +9,8 @@
 //!
 //! The program text is read from the input stream.
 
+use std::fmt::Write;
+
 /// The C source of the workload.
 pub const SOURCE: &str = r#"
 /* mini-gs: a PostScript-flavoured token interpreter. */
@@ -315,7 +317,7 @@ int main(void) {
 "#;
 
 /// Generates a deterministic PostScript-ish program of roughly
-/// `statements` statements.
+/// `statements` statements, written into one buffer sized for them.
 pub fn input(statements: u32) -> Vec<u8> {
     let mut seed: u64 = 0x853c49e6748fea9b;
     let mut next = || {
@@ -324,48 +326,113 @@ pub fn input(statements: u32) -> Vec<u8> {
             .wrapping_add(1442695040888963407);
         (seed >> 33) as u32
     };
-    let mut out = String::new();
+    // A statement averages about 24 bytes.
+    let mut out = String::with_capacity(statements as usize * 32);
     for i in 0..statements {
-        match next() % 7 {
+        // Writing to a `String` cannot fail.
+        let _ = match next() % 7 {
             0 => {
                 let a = next() % 10_000;
                 let b = next() % 10_000;
-                out.push_str(&format!("{a} {b} add print\n"));
+                writeln!(out, "{a} {b} add print")
             }
-            1 => {
-                let a = next() % 1000;
-                out.push_str(&format!("{a} dup mul print\n"));
-            }
-            2 => {
-                out.push_str(&format!(
-                    "(w{}) (x{}) concat dup length print print\n",
-                    next() % 50,
-                    next() % 50
-                ));
-            }
+            1 => writeln!(out, "{} dup mul print", next() % 1000),
+            2 => writeln!(
+                out,
+                "(w{}) (x{}) concat dup length print print",
+                next() % 50,
+                next() % 50
+            ),
             3 => {
                 let n = 2 + next() % 5;
                 out.push('[');
                 for _ in 0..n {
-                    out.push_str(&format!(" {}", next() % 100));
+                    let _ = write!(out, " {}", next() % 100);
                 }
-                out.push_str(" ] sum print\n");
+                writeln!(out, " ] sum print")
             }
-            4 => {
-                out.push_str(&format!("/v{} {} def\n", i % 40, next() % 500));
-            }
-            5 => {
-                out.push_str(&format!("(v{}) load print\n", i % 40));
-            }
+            4 => writeln!(out, "/v{} {} def", i % 40, next() % 500),
+            5 => writeln!(out, "(v{}) load print", i % 40),
             _ => {
                 let n = 2 + next() % 4;
                 out.push('[');
                 for _ in 0..n {
-                    out.push_str(&format!(" {}", next() % 100));
+                    let _ = write!(out, " {}", next() % 100);
                 }
-                out.push_str(&format!(" ] {} index print\n", next() % n));
+                writeln!(out, " ] {} index print", next() % n)
             }
-        }
+        };
     }
     out.into_bytes()
+}
+
+#[cfg(test)]
+mod tests {
+    /// The generator as it was written before it used one buffer: a
+    /// `format!` temporary per statement. It is the reference output.
+    fn reference_input(statements: u32) -> Vec<u8> {
+        let mut seed: u64 = 0x853c49e6748fea9b;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as u32
+        };
+        let mut out = String::new();
+        for i in 0..statements {
+            match next() % 7 {
+                0 => {
+                    let a = next() % 10_000;
+                    let b = next() % 10_000;
+                    out.push_str(&format!("{a} {b} add print\n"));
+                }
+                1 => {
+                    let a = next() % 1000;
+                    out.push_str(&format!("{a} dup mul print\n"));
+                }
+                2 => {
+                    out.push_str(&format!(
+                        "(w{}) (x{}) concat dup length print print\n",
+                        next() % 50,
+                        next() % 50
+                    ));
+                }
+                3 => {
+                    let n = 2 + next() % 5;
+                    out.push('[');
+                    for _ in 0..n {
+                        out.push_str(&format!(" {}", next() % 100));
+                    }
+                    out.push_str(" ] sum print\n");
+                }
+                4 => {
+                    out.push_str(&format!("/v{} {} def\n", i % 40, next() % 500));
+                }
+                5 => {
+                    out.push_str(&format!("(v{}) load print\n", i % 40));
+                }
+                _ => {
+                    let n = 2 + next() % 4;
+                    out.push('[');
+                    for _ in 0..n {
+                        out.push_str(&format!(" {}", next() % 100));
+                    }
+                    out.push_str(&format!(" ] {} index print\n", next() % n));
+                }
+            }
+        }
+        out.into_bytes()
+    }
+
+    #[test]
+    fn input_equals_the_reference_generator() {
+        // The tiny, perfbench and paper sizes.
+        for statements in [40, 2500, 18_000] {
+            assert_eq!(
+                super::input(statements),
+                reference_input(statements),
+                "{statements} statements"
+            );
+        }
+    }
 }
