@@ -1,15 +1,10 @@
-//! The trajectory and snapshot CLI.
+//! The timeline and snapshot CLI.
 //!
 //! ```text
-//! bench compare <committed.json> <fresh.json>
 //! bench validate-timeline <timeline.json>
 //! bench snap diff <a.json> <b.json> [--budget-bytes N]
 //! ```
 //!
-//! `compare` checks a fresh `BENCH_gc.json` against the committed one:
-//! the same cells in the same order, every deterministic field equal. It
-//! prints each fresh wall-clock value beside the committed value and its
-//! MAD as advice, and exits 1 naming every cell and field that differs.
 //! `validate-timeline` checks a Perfetto timeline. `snap diff` validates
 //! two `snap/1` heap snapshots, prints per-site retained-size growth, and
 //! exits 1 when reachable growth exceeds `--budget-bytes` (default 0,
@@ -19,8 +14,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  bench compare <committed.json> <fresh.json>\n  \
-bench validate-timeline <timeline.json>\n  \
+        "usage:\n  bench validate-timeline <timeline.json>\n  \
 bench snap diff <a.json> <b.json> [--budget-bytes N]"
     );
     ExitCode::from(2)
@@ -33,18 +27,6 @@ fn read(path: &str) -> Result<String, String> {
 fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("compare") => {
-            let [committed, fresh] = &args[1..] else {
-                return Ok(usage());
-            };
-            let verdict = gcwatch::compare(&read(committed)?, &read(fresh)?)?;
-            print!("{}", verdict.report());
-            Ok(if verdict.passed() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            })
-        }
         Some("snap") => {
             if args.get(1).map(String::as_str) != Some("diff") {
                 return Ok(usage());
@@ -94,7 +76,7 @@ largest retained growth at site {} ({:+} bytes)",
             let [path] = &args[1..] else {
                 return Ok(usage());
             };
-            let n = gcwatch::validate_chrome_trace(&read(path)?)?;
+            let n = gcbench::validate_chrome_trace(&read(path)?)?;
             eprintln!("{path}: {n} events, well-formed");
             Ok(ExitCode::SUCCESS)
         }

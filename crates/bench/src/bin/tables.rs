@@ -4,14 +4,13 @@
 //!                 compare|analysis|spills|all]
 //!                [--tiny] [--jobs N] [--trace <file.jsonl>]
 //!                [--prof <file.prom>] [--folded <file.txt>]
-//!                [--bench-json <file.json>] [--repeat N]
+//!                [--bench-json <file.json>]
 //!                [--timeline <file.json>] [--snap-dir <dir>]`
 //!
 //! An unknown table or flag, a repeated flag, a flag missing its value,
 //! or a value starting with `-` exits with status 2 before anything is
 //! measured. So does any flag but `--tiny` and `--jobs` on `analysis` or
-//! `spills`, which measure no matrix for the other flags to export, and
-//! `--repeat` without the `--bench-json` trajectory it folds.
+//! `spills`, which measure no matrix for the other flags to export.
 //!
 //! The 4 workloads × 5 modes measurement matrix runs in parallel across
 //! `--jobs N` worker threads (default: all cores); every table and trace
@@ -32,13 +31,9 @@
 //! clock is virtual, so the file is byte-identical at any `--jobs`.
 //! `--timeline` implies profiling for the matrix cells.
 //!
-//! `--bench-json` writes the `gc/1` perf trajectory. `--repeat N` reruns
-//! the whole measurement N times and writes the median of every
-//! wall-clock field (the minimum for `max_pause_ns`, a per-run maximum
-//! that noise can only inflate) with a `<field>_mad` noise estimate,
-//! asserting every deterministic count identical across repeats. Cells
-//! that collected fewer than `MIN_COLLECTIONS` times are reported on
-//! stderr.
+//! `--bench-json` writes the `gc/1` trajectory: the collector's work
+//! counts per matrix cell and microbench schedule, byte-identical at any
+//! `--jobs`.
 //!
 //! With `--snap-dir`, every matrix cell records deterministic heap-graph
 //! snapshots at its first allocation (`begin`) and end of run (`end`),
@@ -78,7 +73,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--prof", true),
     ("--folded", true),
     ("--bench-json", true),
-    ("--repeat", true),
     ("--timeline", true),
     ("--snap-dir", true),
 ];
@@ -181,10 +175,6 @@ fn main() {
     if folded_path.is_some() && prof_path.is_none() {
         usage_error("--folded requires --prof (profiling must be enabled)");
     }
-    if flags.contains_key("--repeat") && bench_json_path.is_none() {
-        usage_error("--repeat requires --bench-json (it folds repeated trajectory runs)");
-    }
-    let repeat = positive(&flags, "--repeat", 1);
     let jobs = positive(&flags, "--jobs", gc_safety::default_jobs());
     let trace = match trace_path {
         Some(path) => {
@@ -208,10 +198,9 @@ fn main() {
         println!("{}", register_pressure_report());
         return;
     }
-    // The timeline and the trajectory's attribution/MMU fields are built
-    // from the per-collection log, so both exports profile the matrix
-    // cells just like --prof does (the overhead is uniform across modes,
-    // keeping the trajectory self-comparable).
+    // The timeline and the trajectory's work sums are built from the
+    // per-collection log, so both exports profile the matrix cells just
+    // like --prof does.
     let prof_on = prof_path.is_some() || timeline_path.is_some() || bench_json_path.is_some();
     let ins = Instruments {
         trace,
@@ -219,6 +208,8 @@ fn main() {
         snap: snap_dir.map(|_| SnapHandle::enabled()).unwrap_or_default(),
     };
     let data = or_exit(collect(scale, jobs, &ins));
+    // The optimizer sweep, run once for `all` and `--prof`.
+    let mut sweep = None;
     match what {
         "sparc2" => print!("{}", slowdown_table(&data, "sparc2")),
         "sparc10" => print!("{}", slowdown_table(&data, "sparc10")),
@@ -250,9 +241,9 @@ fn main() {
             );
             println!("{}", register_pressure_report());
 
-            let sweep = or_exit(opt_pass_fires());
-            println!("{}", opt_report(&sweep));
-            let zero = zero_fire_passes(&sweep);
+            let sweep = sweep.insert(or_exit(opt_pass_fires()));
+            println!("{}", opt_report(sweep));
+            let zero = zero_fire_passes(sweep);
             if !zero.is_empty() {
                 eprintln!(
                     "warning: {} registered pass(es) never fired on the paper workloads \
@@ -272,52 +263,12 @@ fn main() {
         None
     };
     if let Some(path) = bench_json_path {
-        // The perf trajectory: matrix-cell collector stats plus the
-        // heap-direct collection microbench, validated before it lands.
+        // The collector's work counts: matrix cells, then the heap-direct
+        // collection microbench, validated before they land.
         let micro = micro
             .as_deref()
             .expect("micro runs whenever bench-json is requested");
-        let mut text = bench_gc_json(&data, micro);
-        if repeat > 1 {
-            // Robust statistics: rerun the whole measurement and fold
-            // the runs (median wall-clock fields, min for the per-run
-            // maximum max_pause_ns, MAD as the noise estimate `bench
-            // compare` prints). Deterministic counts must not move
-            // between repeats; aggregate() enforces that.
-            let mut runs = Vec::with_capacity(repeat);
-            match gcwatch::stats::parse_cells(&text) {
-                Ok(cells) => runs.push(cells),
-                Err(e) => {
-                    eprintln!("error: generated gc bench json does not parse: {e}");
-                    std::process::exit(1);
-                }
-            }
-            // The reruns feed only the trajectory: no trace, no snapshots.
-            let prof_only = Instruments {
-                prof: ins.prof.clone(),
-                ..Instruments::default()
-            };
-            for r in 1..repeat {
-                let rerun = collect(scale, jobs, &prof_only).and_then(|d| {
-                    let m = gc_microbench(scale == Scale::Tiny);
-                    gcwatch::stats::parse_cells(&bench_gc_json(&d, &m))
-                });
-                match rerun {
-                    Ok(cells) => runs.push(cells),
-                    Err(e) => {
-                        eprintln!("error: repeat {r} failed: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            text = match gcwatch::aggregate(&runs) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: aggregating {repeat} repeats: {e}");
-                    std::process::exit(1);
-                }
-            };
-        }
+        let text = bench_gc_json(&data, micro);
         match validate_bench_gc_json(&text) {
             Ok(cells) => {
                 if let Err(e) = std::fs::write(path, &text) {
@@ -331,27 +282,13 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        match low_collection_cells(&text, MIN_COLLECTIONS) {
-            Ok(low) if !low.is_empty() => {
-                let cells: Vec<String> =
-                    low.iter().map(|(key, n)| format!("{key} ({n})")).collect();
-                eprintln!(
-                    "warning: {} cell(s) collected fewer than {MIN_COLLECTIONS} times — \
-                     their pause statistics are under-sampled: {}",
-                    low.len(),
-                    cells.join(", ")
-                );
-            }
-            Ok(_) => {}
-            Err(e) => eprintln!("warning: low-collection scan failed: {e}"),
-        }
     }
     if let Some(path) = timeline_path {
         let micro = micro
             .as_deref()
             .expect("micro runs whenever timeline is requested");
-        let text = gcwatch::chrome_trace(&timeline_cells(&data, micro));
-        match gcwatch::validate_chrome_trace(&text) {
+        let text = chrome_trace(&timeline_cells(&data, micro));
+        match validate_chrome_trace(&text) {
             Ok(events) => {
                 if let Err(e) = std::fs::write(path, &text) {
                     eprintln!("error: cannot write timeline '{path}': {e}");
@@ -366,7 +303,8 @@ fn main() {
         }
     }
     if let Some(path) = prof_path {
-        let prom = prometheus_export(&data);
+        let sweep = sweep.get_or_insert_with(|| or_exit(opt_pass_fires()));
+        let prom = prometheus_export(&data, sweep);
         match gc_safety::prom::validate(&prom) {
             Ok(samples) => {
                 if let Err(e) = std::fs::write(path, &prom) {

@@ -13,8 +13,10 @@
 
 #![warn(missing_docs)]
 
+pub mod chrome;
 pub mod micro;
 
+pub use chrome::{chrome_trace, validate_chrome_trace, TimelineCell};
 pub use micro::{gc_microbench, MicroCell};
 
 use gc_safety::{
@@ -527,14 +529,6 @@ pub fn trace_report(jsonl: &str) -> String {
     out
 }
 
-/// The annotated source of the paper's opening example, as the
-/// preprocessor emits it.
-pub fn annotated_example() -> String {
-    let src = "char f(char *p, long i) { return p[i - 1000]; }";
-    let annotated = gcsafe::annotate_program(src, &gcsafe::Config::gc_safe()).expect("annotates");
-    annotated.annotated_source
-}
-
 /// Snapshots every profiled (workload, mode) cell of a [`Dataset`], in
 /// the deterministic row-major order all exports share. Cells measured
 /// without profiling (disabled handles) are skipped.
@@ -627,13 +621,14 @@ type HistPick = fn(&ProfData) -> &gc_safety::Histogram;
 
 /// Prometheus text exposition for a profiled [`Dataset`]: every cell's
 /// counters, histograms, site totals, census gauges, and MMU windows,
-/// labelled `{workload=..., mode=...}`, plus the process-wide compilation
-/// cache counters. Metric families whose names start with `gcprof_pause`,
-/// `gcprof_mark`, `gcprof_sweep_ns`, `gcprof_mmu`, `gc_pause`, or
-/// `gccache_` carry wall-clock or schedule-dependent data (cache counters
-/// race across `--jobs` workers); everything else is deterministic across
-/// `--jobs` (the parallel-determinism test relies on that prefix split).
-pub fn prometheus_export(data: &Dataset) -> String {
+/// labelled `{workload=..., mode=...}`, the optimizer `sweep`'s pass
+/// fires, plus the process-wide compilation cache counters. Metric
+/// families whose names start with `gcprof_pause`, `gcprof_mark`,
+/// `gcprof_sweep_ns`, `gcprof_mmu`, or `gccache_` carry wall-clock or
+/// schedule-dependent data (cache counters race across `--jobs`
+/// workers); everything else is deterministic across `--jobs` (the
+/// parallel-determinism test relies on that prefix split).
+pub fn prometheus_export(data: &Dataset, sweep: &OptSweep) -> String {
     let cells = prof_cells(data);
     let mut w = gc_safety::PromWriter::new();
     w.family(
@@ -797,38 +792,10 @@ pub fn prometheus_export(data: &Dataset) -> String {
             );
         }
     }
-    // The SLO-facing pause families under the stable `gc_` prefix: the
-    // log2 bucket histogram alerting rules scrape, plus the p50/p99
-    // summary. Both are wall-clock (covered by the `gc_pause` prefix in
-    // the parallel-determinism strip list).
-    w.family(
-        "gc_pause_ns",
-        "Stop-the-world pause distribution (log2 buckets)",
-        "histogram",
-    );
-    for (name, mode, d) in &cells {
-        w.histogram(
-            "gc_pause_ns",
-            &[("workload", name), ("mode", mode.key())],
-            &d.pause_ns,
-        );
-    }
-    w.family(
-        "gc_pause_quantile_ns",
-        "Stop-the-world pause quantiles",
-        "summary",
-    );
-    for (name, mode, d) in &cells {
-        w.summary(
-            "gc_pause_quantile_ns",
-            &[("workload", name), ("mode", mode.key())],
-            &d.pause_ns,
-        );
-    }
     // Dominator-retained bytes per allocation site, from each cell's
     // `end` heap snapshot (top 5 sites by retained size, the same cut
     // `prof_report` applies to shallow site totals). Snapshots carry no
-    // wall-clock data, so unlike the pause families this one is
+    // wall-clock data, so unlike the pause histograms this one is
     // deterministic across `--jobs` and stays out of the strip list.
     w.family(
         "gc_retained_bytes",
@@ -853,27 +820,25 @@ pub fn prometheus_export(data: &Dataset) -> String {
     // and the pass registry — no wall-clock, no thread schedule — so the
     // families stay out of the stripped prefixes and must be
     // byte-identical at any `--jobs`.
-    if let Ok(sweep) = opt_pass_fires() {
-        w.family(
-            "opt_pass_fires",
-            "Optimizer pass fires over the matrix's optimizer modes (fixpoint driver)",
-            "counter",
-        );
-        for (pass, fires) in &sweep.fires {
-            w.sample("opt_pass_fires", &[("pass", pass)], *fires);
-        }
-        w.family(
-            "opt_fixpoint_sweeps",
-            "Fixpoint driver statistics over the matrix's optimizer modes",
-            "gauge",
-        );
-        for (stat, v) in [
-            ("functions", sweep.functions),
-            ("total", sweep.sweeps_total),
-            ("max", sweep.sweeps_max),
-        ] {
-            w.sample("opt_fixpoint_sweeps", &[("stat", stat)], v);
-        }
+    w.family(
+        "opt_pass_fires",
+        "Optimizer pass fires over the matrix's optimizer modes (fixpoint driver)",
+        "counter",
+    );
+    for (pass, fires) in &sweep.fires {
+        w.sample("opt_pass_fires", &[("pass", pass)], *fires);
+    }
+    w.family(
+        "opt_fixpoint_sweeps",
+        "Fixpoint driver statistics over the matrix's optimizer modes",
+        "gauge",
+    );
+    for (stat, v) in [
+        ("functions", sweep.functions),
+        ("total", sweep.sweeps_total),
+        ("max", sweep.sweeps_max),
+    ] {
+        w.sample("opt_fixpoint_sweeps", &[("stat", stat)], v);
     }
     // Compilation-cache counters. These are cumulative for the process
     // (not per-cell) and schedule-dependent — racing workers may both
@@ -978,173 +943,166 @@ pub fn folded_export(data: &Dataset) -> String {
     out
 }
 
-/// The GC perf trajectory (`BENCH_gc.json`): a JSON array with one flat
-/// object per line — first every (workload, mode) matrix cell's collector
-/// statistics, then the [`gc_microbench`] schedules. Schema `gc/1`; every
-/// consumer keys on `"kind"` (`"matrix"` or `"micro"`). Timing fields
-/// (`*_ns`, `allocs_per_sec`) and the MMU windows computed from them are
-/// wall-clock and move run to run; every count is deterministic, and
-/// `bench compare` checks a fresh run's counts against the committed
-/// trajectory's.
+/// The keys of every `gc/1` cell, in the order [`bench_gc_json`] writes
+/// them: the cell's identity, then the collector's work counts.
+const GC1_KEYS: [&str; 21] = [
+    "schema",
+    "kind",
+    "workload",
+    "mode",
+    "allocations",
+    "bytes_requested",
+    "collections",
+    "collections_threshold",
+    "collections_emergency",
+    "collections_explicit",
+    "collections_increment_finish",
+    "collections_nursery",
+    "objects_freed",
+    "pages_reclaimed",
+    "peak_bytes_live",
+    "mark_increments",
+    "sweep_increments",
+    "barrier_marks",
+    "words_marked",
+    "pages_swept",
+    "roots_scanned",
+];
+
+/// The collector's work trajectory (`BENCH_gc.json`): a JSON array with
+/// one flat object per line — first every (workload, mode) matrix cell,
+/// then the [`gc_microbench`] schedules. Schema `gc/1`; every consumer
+/// keys on `"kind"` (`"matrix"` or `"micro"`). A cell holds only counts
+/// (see `GC1_KEYS`): allocations, collections by cause, the collector's
+/// increments and barrier marks, and the words marked, pages swept and
+/// roots scanned summed over the cell's collection log, so every cell
+/// must be profiled. All of it is deterministic, so the document is
+/// byte-identical run to run and at any `--jobs`, and CI compares a fresh
+/// paper-scale run with the committed file byte for byte.
 pub fn bench_gc_json(data: &Dataset, micro: &[MicroCell]) -> String {
     let mut lines = Vec::new();
-    let heap_fields = |w: &mut gctrace::json::Writer, h: &gcheap::HeapStats| {
-        w.uint_field("allocations", h.allocations);
-        w.uint_field("bytes_requested", h.bytes_requested);
-        w.uint_field("collections", h.collections);
-        w.uint_field("objects_freed", h.objects_freed);
-        w.uint_field("pages_reclaimed", h.pages_reclaimed);
-        w.uint_field("total_mark_ns", h.total_mark_ns);
-        w.uint_field("total_sweep_ns", h.total_sweep_ns);
-        w.uint_field("total_root_scan_ns", h.total_root_scan_ns);
-        w.uint_field("total_heap_scan_ns", h.total_heap_scan_ns);
-        w.uint_field("total_pause_ns", h.total_pause_ns);
-        w.uint_field("max_pause_ns", h.max_pause_ns);
-        w.uint_field("peak_bytes_live", h.peak_bytes_live);
-        w.uint_field("collections_threshold", h.collections_threshold);
-        w.uint_field("collections_emergency", h.collections_emergency);
-        w.uint_field("collections_explicit", h.collections_explicit);
-        w.uint_field(
-            "collections_increment_finish",
-            h.collections_increment_finish,
-        );
-        w.uint_field("collections_nursery", h.collections_nursery);
-        w.uint_field("mark_increments", h.mark_increments);
-        w.uint_field("sweep_increments", h.sweep_increments);
-        w.uint_field("barrier_marks", h.barrier_marks);
-    };
-    // The collections' work, pause attribution and MMU windows ride
-    // along whenever the cell was profiled: the summed work counts are
-    // what the timeline's virtual clock runs on, the worst pause's
-    // cause/site answer "why" for every max_pause_ns in the trajectory,
-    // and the mmu_* fields show how much of the mutator's time it kept.
-    let prof_fields = |w: &mut gctrace::json::Writer, d: &ProfData| {
-        let log = &d.collection_log;
-        w.uint_field("words_marked", log.iter().map(|r| r.words_marked).sum());
-        w.uint_field("pages_swept", log.iter().map(|r| r.pages_swept).sum());
-        w.uint_field("roots_scanned", log.iter().map(|r| r.roots_scanned).sum());
-        if let Some(worst) = log.iter().max_by_key(|r| r.pause_ns) {
-            w.str_field("max_pause_cause", worst.cause.as_str());
-            w.str_field("max_pause_site", worst.site.as_deref().unwrap_or("-"));
-        }
-        for (window_ns, label) in gc_safety::MMU_WINDOWS_NS {
-            w.uint_field(&format!("mmu_{label}_permille"), d.mmu_permille(window_ns));
-        }
-    };
     for (name, results) in &data.rows {
         for (mode, m) in results {
             let Ok(out) = &m.outcome else { continue };
-            let mut w = gctrace::json::Writer::new();
-            w.str_field("schema", "gc/1");
-            w.str_field("kind", "matrix");
-            w.str_field("workload", name);
-            w.str_field("mode", mode.key());
-            heap_fields(&mut w, &out.heap);
-            if let Some(d) = m.instruments.prof.snapshot() {
-                prof_fields(&mut w, &d);
-            }
-            lines.push(format!("  {}", w.finish()));
+            let prof = m.instruments.prof.snapshot();
+            lines.push(gc1_cell(
+                "matrix",
+                name,
+                mode.key(),
+                &out.heap,
+                prof.as_ref(),
+            ));
         }
     }
-    for cell in micro {
-        let mut w = gctrace::json::Writer::new();
-        w.str_field("schema", "gc/1");
-        w.str_field("kind", "micro");
-        w.str_field("workload", cell.name);
-        w.str_field("mode", "heap-direct");
-        heap_fields(&mut w, &cell.stats);
-        w.uint_field("wall_ns", cell.wall_ns);
-        w.uint_field("allocs_per_sec", cell.allocs_per_sec());
-        prof_fields(&mut w, &cell.prof);
-        lines.push(format!("  {}", w.finish()));
+    for c in micro {
+        let prof = Some(&c.prof);
+        lines.push(gc1_cell("micro", c.name, "heap-direct", &c.stats, prof));
     }
     format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
-/// Validates a [`bench_gc_json`] document: every cell must carry the
-/// `gc/1` schema tag and the fields every trajectory consumer keys on.
-/// Returns the number of cells.
+/// One line of [`bench_gc_json`]: the cell's identity, its heap's counts
+/// and, when the cell was profiled, its collection log's work sums.
+fn gc1_cell(
+    kind: &str,
+    workload: &str,
+    mode: &str,
+    h: &gcheap::HeapStats,
+    prof: Option<&ProfData>,
+) -> String {
+    let mut w = gctrace::json::Writer::new();
+    w.str_field("schema", "gc/1");
+    w.str_field("kind", kind);
+    w.str_field("workload", workload);
+    w.str_field("mode", mode);
+    w.uint_field("allocations", h.allocations);
+    w.uint_field("bytes_requested", h.bytes_requested);
+    w.uint_field("collections", h.collections);
+    w.uint_field("collections_threshold", h.collections_threshold);
+    w.uint_field("collections_emergency", h.collections_emergency);
+    w.uint_field("collections_explicit", h.collections_explicit);
+    w.uint_field(
+        "collections_increment_finish",
+        h.collections_increment_finish,
+    );
+    w.uint_field("collections_nursery", h.collections_nursery);
+    w.uint_field("objects_freed", h.objects_freed);
+    w.uint_field("pages_reclaimed", h.pages_reclaimed);
+    w.uint_field("peak_bytes_live", h.peak_bytes_live);
+    w.uint_field("mark_increments", h.mark_increments);
+    w.uint_field("sweep_increments", h.sweep_increments);
+    w.uint_field("barrier_marks", h.barrier_marks);
+    if let Some(d) = prof {
+        let log = &d.collection_log;
+        w.uint_field("words_marked", log.iter().map(|r| r.words_marked).sum());
+        w.uint_field("pages_swept", log.iter().map(|r| r.pages_swept).sum());
+        w.uint_field("roots_scanned", log.iter().map(|r| r.roots_scanned).sum());
+    }
+    format!("  {}", w.finish())
+}
+
+/// Validates a [`bench_gc_json`] document: a non-empty array of `gc/1`
+/// cells, each holding exactly the `gc/1` keys, its identity as strings
+/// and its counts as non-negative integers. Returns the number of cells.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first malformed cell.
 pub fn validate_bench_gc_json(text: &str) -> Result<usize, String> {
-    let cells = gcwatch::stats::parse_cells(text)?;
-    for cell in &cells {
-        let key = gcwatch::stats::cell_key(cell);
-        for field in [
-            "schema",
-            "kind",
-            "workload",
-            "mode",
-            "collections",
-            "total_mark_ns",
-            "total_sweep_ns",
-            "max_pause_ns",
-        ] {
-            if !cell.contains_key(field) {
-                return Err(format!("cell {key} is missing {field:?}"));
-            }
-        }
-        if cell
-            .get("schema")
-            .and_then(gctrace::json::JsonValue::as_str)
-            != Some("gc/1")
-        {
-            return Err(format!("cell {key} has an unknown schema"));
-        }
-    }
+    use gctrace::json::JsonValue;
+    let JsonValue::Arr(cells) = gctrace::json::parse(text)? else {
+        return Err("not a JSON array".into());
+    };
     if cells.is_empty() {
         return Err("no cells".into());
     }
+    for (i, cell) in cells.iter().enumerate() {
+        let JsonValue::Obj(fields) = cell else {
+            return Err(format!("cell {i} is not an object"));
+        };
+        let name = |k: &str| fields.get(k).and_then(JsonValue::as_str).unwrap_or("?");
+        let key = format!("{}/{}", name("workload"), name("mode"));
+        if name("schema") != "gc/1" {
+            return Err(format!("cell {key} has an unknown schema"));
+        }
+        if let Some(extra) = fields.keys().find(|k| !GC1_KEYS.contains(&k.as_str())) {
+            return Err(format!("cell {key} has an unknown field {extra:?}"));
+        }
+        for (j, field) in GC1_KEYS.iter().enumerate() {
+            let v = fields
+                .get(*field)
+                .ok_or_else(|| format!("cell {key} is missing {field:?}"))?;
+            // The first four keys name the cell; the rest are counts.
+            let ok = if j < 4 {
+                v.as_str().is_some()
+            } else {
+                v.as_u64().is_some()
+            };
+            if !ok {
+                return Err(format!("cell {key} has a malformed {field:?}"));
+            }
+        }
+    }
     Ok(cells.len())
-}
-
-/// The minimum collections per collecting cell the harness considers
-/// paper-honest: below this, pause statistics are a handful of samples
-/// and the trajectory's percentiles are noise. Workload inputs at
-/// [`Scale::Paper`] are sized so every collecting matrix cell clears it.
-pub const MIN_COLLECTIONS: u64 = 10;
-
-/// The `(workload/mode, collections)` pairs of [`bench_gc_json`] cells
-/// that collected fewer than `min` times. The harness warns at
-/// [`MIN_COLLECTIONS`], which is how the under-pressured gs and cordtest
-/// cells were caught.
-///
-/// # Errors
-///
-/// Propagates parse errors from the document.
-pub fn low_collection_cells(text: &str, min: u64) -> Result<Vec<(String, u64)>, String> {
-    let cells = gcwatch::stats::parse_cells(text)?;
-    Ok(cells
-        .iter()
-        .filter_map(|cell| {
-            let collections = cell
-                .get("collections")
-                .and_then(gctrace::json::JsonValue::as_u64)
-                .unwrap_or(0);
-            (collections < min).then(|| (gcwatch::stats::cell_key(cell), collections))
-        })
-        .collect())
 }
 
 /// Builds the Perfetto timeline cells for `--timeline`: every profiled
 /// matrix cell followed by the microbench schedules, each carrying its
 /// per-collection attribution log. The order (row-major matrix, then
 /// micro) and every record field the Chrome trace consumes are
-/// deterministic, so [`gcwatch::chrome_trace`] over this is byte-identical
-/// at any `--jobs`.
-pub fn timeline_cells(data: &Dataset, micro: &[MicroCell]) -> Vec<gcwatch::TimelineCell> {
+/// deterministic, so [`chrome_trace`] over this is byte-identical at any
+/// `--jobs`.
+pub fn timeline_cells(data: &Dataset, micro: &[MicroCell]) -> Vec<TimelineCell> {
     let mut out = Vec::new();
     for (name, mode, d) in prof_cells(data) {
-        out.push(gcwatch::TimelineCell {
+        out.push(TimelineCell {
             workload: name.to_string(),
             mode: mode.key().to_string(),
             records: d.collection_log,
         });
     }
     for cell in micro {
-        out.push(gcwatch::TimelineCell {
+        out.push(TimelineCell {
             workload: cell.name.to_string(),
             mode: "heap-direct".to_string(),
             records: cell.prof.collection_log.clone(),
@@ -1334,24 +1292,35 @@ pub fn opt_cycles_table(cycles: &[OptCycles]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bench_gc_json_is_valid_and_covers_matrix_and_micro() {
-        // Profiled like `tables --bench-json`, so every cell carries the
-        // collection log's work totals.
-        let prof = Instruments {
+    /// Only profiling, as `tables --bench-json` runs the matrix.
+    fn profiled() -> Instruments {
+        Instruments {
             prof: ProfHandle::enabled(),
             ..Instruments::default()
+        }
+    }
+
+    /// The parsed cells of a `gc/1` document.
+    fn gc1_cells(text: &str) -> Vec<BTreeMap<String, gctrace::json::JsonValue>> {
+        let gctrace::json::JsonValue::Arr(cells) = gctrace::json::parse(text).unwrap() else {
+            panic!("not an array: {text}");
         };
-        let data =
-            collect(Scale::Tiny, gc_safety::default_jobs(), &prof).expect("all workloads run");
+        cells
+            .into_iter()
+            .map(|c| match c {
+                gctrace::json::JsonValue::Obj(fields) => fields,
+                other => panic!("not an object: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bench_gc_json_is_valid_and_covers_matrix_and_micro() {
+        let data = collect(Scale::Tiny, gc_safety::default_jobs(), &profiled())
+            .expect("all workloads run");
         let micro = gc_microbench(true);
         let text = bench_gc_json(&data, &micro);
         let cells = validate_bench_gc_json(&text).expect("parses");
-        for cell in gcwatch::stats::parse_cells(&text).unwrap() {
-            for field in ["words_marked", "pages_swept", "roots_scanned"] {
-                assert!(cell.contains_key(field), "{cell:?} lacks {field}");
-            }
-        }
         // Cells whose VM run traps (g-checked catching a hazard) carry no
         // heap stats and are skipped, so count from the dataset itself.
         let measured: usize = data
@@ -1368,6 +1337,80 @@ mod tests {
         assert!(text.contains("\"workload\":\"churn-small\""));
         assert!(validate_bench_gc_json("[\n]\n").is_err(), "empty rejected");
         assert!(validate_bench_gc_json("[\n  not json\n]\n").is_err());
+        // A wall-clock field, a missing count and a count that is not an
+        // integer are each rejected.
+        let first = text.lines().nth(1).unwrap().trim_end_matches(',');
+        let one = |cell: &str| format!("[\n{cell}\n]\n");
+        assert_eq!(validate_bench_gc_json(&one(first)), Ok(1));
+        let timed = first.replace("\"schema\"", "\"max_pause_ns\":1,\"schema\"");
+        assert!(validate_bench_gc_json(&one(&timed))
+            .unwrap_err()
+            .contains("unknown field \"max_pause_ns\""));
+        let untallied = first.replace(",\"words_marked\":", ",\"words_marked_\":");
+        assert!(validate_bench_gc_json(&one(&untallied))
+            .unwrap_err()
+            .contains("words_marked"));
+        // `0.5` prefixed to the count's digits makes it fractional.
+        let fractional = first.replace("\"collections\":", "\"collections\":0.5");
+        assert!(validate_bench_gc_json(&one(&fractional))
+            .unwrap_err()
+            .contains("malformed \"collections\""));
+    }
+
+    #[test]
+    fn bench_gc_json_is_byte_identical_at_any_jobs_and_holds_only_counts() {
+        let serial = collect(Scale::Tiny, 1, &profiled()).expect("serial collect");
+        let parallel = collect(Scale::Tiny, 4, &profiled()).expect("parallel collect");
+        // Each side runs the microbench afresh: its timings move, its
+        // counts must not.
+        let s = bench_gc_json(&serial, &gc_microbench(true));
+        let p = bench_gc_json(&parallel, &gc_microbench(true));
+        assert_eq!(s, p, "gc/1 differs between --jobs 1 and --jobs 4");
+        for cell in gc1_cells(&s) {
+            let keys: Vec<&str> = cell.keys().map(String::as_str).collect();
+            let mut want = GC1_KEYS.to_vec();
+            want.sort_unstable();
+            assert_eq!(keys, want, "a gc/1 cell holds exactly the count keys");
+        }
+    }
+
+    #[test]
+    fn committed_bench_gc_json_is_valid_and_every_cell_collects() {
+        // The committed paper-scale trajectory: the 19 matrix cells that
+        // run to the end (gawk `-g checked` traps) and the four microbench
+        // schedules. Every cell collects often enough for its work counts
+        // to measure the collector, not one stray collection.
+        let text = include_str!("../../../BENCH_gc.json");
+        assert_eq!(validate_bench_gc_json(text), Ok(23));
+        for cell in gc1_cells(text) {
+            let collections = cell["collections"].as_u64().unwrap();
+            assert!(
+                collections >= 10,
+                "{}/{} collected {collections} times",
+                cell["workload"].as_str().unwrap(),
+                cell["mode"].as_str().unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn prometheus_export_carries_the_opt_sweep() {
+        let sweep = opt_pass_fires().expect("sweep runs");
+        let prom = prometheus_export(&Dataset { rows: Vec::new() }, &sweep);
+        assert!(prom.contains("# TYPE opt_pass_fires counter\n"), "{prom}");
+        assert!(
+            prom.contains("# TYPE opt_fixpoint_sweeps gauge\n"),
+            "{prom}"
+        );
+        for (pass, fires) in &sweep.fires {
+            let line = format!("opt_pass_fires{{pass=\"{pass}\"}} {fires}\n");
+            assert!(prom.contains(&line), "missing {line}");
+        }
+        let line = format!(
+            "opt_fixpoint_sweeps{{stat=\"functions\"}} {}\n",
+            sweep.functions
+        );
+        assert!(prom.contains(&line), "missing {line}");
     }
 
     #[test]
@@ -1481,12 +1524,6 @@ mod tests {
         let l = analysis_listing();
         assert!(l.contains("[%r") && l.contains("+1]"), "indexed load: {l}");
         assert!(l.contains("keep_live"), "marker: {l}");
-    }
-
-    #[test]
-    fn annotated_example_matches_paper_form() {
-        let a = annotated_example();
-        assert!(a.contains("KEEP_LIVE"), "{a}");
     }
 
     #[test]

@@ -21,16 +21,16 @@
 //! safe point, retry through an emergency collection on OOM), reports
 //! heap pointer stores through [`GcHeap::write_barrier`], and is seeded
 //! xorshift-deterministic: the allocation *counts* are byte-identical
-//! run to run; only the nanosecond timings move. The results are the
-//! `micro` cells of `BENCH_gc.json`, the repo's perf trajectory, where
-//! `bench compare` checks their counts and only prints their timings; the
-//! tests below pin that all four schedules run and collect.
+//! run to run; only the nanosecond timings move. The counts are the
+//! `micro` cells of `BENCH_gc.json`, which CI compares byte for byte
+//! with a fresh run; the wall clock times perfbench's `heap` workload.
+//! The tests below pin that all four schedules run and collect.
 //!
 //! Unlike the VM, which hands the heap a [`gcheap::Roots::Lazy`] builder,
 //! every schedule builds its full [`RootSet`] before each allocation and
 //! passes it prebuilt. That is on purpose: the schedules define the
-//! `heap` benchmark workload and the `gc/1` trajectory, and their cost,
-//! root building included, stays what those baselines measured.
+//! `heap` benchmark workload, and their cost, root building included,
+//! stays what that baseline measured.
 
 use gcheap::{GcHeap, HeapConfig, HeapStats, Memory, RootSet};
 use gcprof::{ProfData, ProfHandle};
@@ -45,19 +45,9 @@ pub struct MicroCell {
     pub stats: HeapStats,
     /// Wall-clock time for the whole schedule, in nanoseconds.
     pub wall_ns: u64,
-    /// The schedule's profile: pause timeline (for MMU windows) and the
-    /// per-collection attribution log (for timelines and work totals).
+    /// The schedule's profile: the per-collection attribution log (for
+    /// timelines and work totals) and the pause timeline.
     pub prof: ProfData,
-}
-
-impl MicroCell {
-    /// Allocations per wall-clock second, rounded down.
-    pub fn allocs_per_sec(&self) -> u64 {
-        if self.wall_ns == 0 {
-            return 0;
-        }
-        (self.stats.allocations as u128 * 1_000_000_000 / self.wall_ns as u128) as u64
-    }
 }
 
 struct Rng(u64);
@@ -114,10 +104,8 @@ fn run_schedule(
     // out-of-memory thrash.
     let mut mem = Memory::new(1 << 16, 1 << 16, 32 << 20);
     let mut heap = GcHeap::new(&mem, HeapConfig::bounded_pause());
-    // Every schedule runs profiled: the pause timeline feeds the MMU
-    // windows in BENCH_gc.json and the collection log feeds its work
-    // totals and the timeline export. The overhead is identical across runs, so the trajectory
-    // stays comparable with itself.
+    // Every schedule runs profiled: the collection log feeds the work
+    // totals in BENCH_gc.json and the timeline export.
     let prof = ProfHandle::enabled();
     heap.set_prof(prof.clone());
     let t0 = Instant::now();

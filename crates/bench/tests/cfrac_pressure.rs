@@ -2,7 +2,7 @@
 //!
 //! The trajectory's early revisions carried cfrac cells with zero
 //! collections — 6 KB of bignum churn never crossed the 256 KiB
-//! threshold, so every cfrac `max_pause_ns` was vacuous. The workload now
+//! threshold, so every cfrac collector count was vacuous. The workload now
 //! mirrors the original cfrac's allocating `pdiv` (a scratch digit vector
 //! per `big_mod_small` call) and factors enough numbers that every mode
 //! cell collects well over ten times. This test pins that floor so input

@@ -6,8 +6,9 @@
 
 use gc_safety::{Event, Instruments, Mode, ProfHandle, TraceHandle};
 use gcbench::{
-    codesize_table, collect, folded_export, postprocessor_table, prof_report, prometheus_export,
-    slowdown_table, snap_exports, Dataset,
+    chrome_trace, codesize_table, collect, folded_export, opt_pass_fires, postprocessor_table,
+    prof_report, prometheus_export, slowdown_table, snap_exports, validate_chrome_trace, Dataset,
+    OptSweep,
 };
 use gctrace::Value;
 use workloads::Scale;
@@ -107,17 +108,16 @@ fn normalized(events: Vec<Event>) -> Vec<Event> {
 }
 
 /// Drops the Prometheus families that carry wall-clock timings
-/// (`gcprof_pause*`, `gcprof_mark*`, `gcprof_sweep_ns*`, `gcprof_mmu*`,
-/// `gc_pause*`) or process-cumulative run-history counters
-/// (`gccache_*`, which depend on what compiled earlier in the process);
-/// everything left must be byte-identical across schedules.
+/// (`gcprof_pause*`, `gcprof_mark*`, `gcprof_sweep_ns*`, `gcprof_mmu*`)
+/// or process-cumulative run-history counters (`gccache_*`, which depend
+/// on what compiled earlier in the process); everything left must be
+/// byte-identical across schedules.
 fn strip_timing_metrics(text: &str) -> String {
-    const TIMING: [&str; 6] = [
+    const TIMING: [&str; 5] = [
         "gcprof_pause",
         "gcprof_mark",
         "gcprof_sweep_ns",
         "gcprof_mmu",
-        "gc_pause",
         "gccache_",
     ];
     let mut out: String = text
@@ -133,6 +133,11 @@ fn strip_timing_metrics(text: &str) -> String {
         .join("\n");
     out.push('\n');
     out
+}
+
+/// The optimizer sweep every Prometheus export carries.
+fn sweep() -> OptSweep {
+    opt_pass_fires().expect("the optimizer sweep runs")
 }
 
 /// Drops the wall-clock lines of the human profile report.
@@ -180,8 +185,9 @@ fn instrumented_parallel_exports_match_serial_modulo_timing() {
     assert_eq!(folded, folded_export(&parallel), "folded stacks differ");
     // Prometheus exposition: valid under the independent parser, and
     // byte-identical once the wall-clock families are dropped.
-    let s_prom = prometheus_export(&serial);
-    let p_prom = prometheus_export(&parallel);
+    let sweep = sweep();
+    let s_prom = prometheus_export(&serial, &sweep);
+    let p_prom = prometheus_export(&parallel, &sweep);
     gc_safety::prom::validate(&s_prom).expect("serial export parses");
     gc_safety::prom::validate(&p_prom).expect("parallel export parses");
     let s_stripped = strip_timing_metrics(&s_prom);
@@ -195,6 +201,8 @@ fn instrumented_parallel_exports_match_serial_modulo_timing() {
         "gcprof_census_live_bytes",
         "gcprof_alloc_size_bytes_bucket",
         "gcprof_collections_total",
+        "# TYPE opt_pass_fires counter",
+        "# TYPE opt_fixpoint_sweeps gauge",
     ] {
         assert!(s_stripped.contains(needle), "missing {needle}");
     }
@@ -215,9 +223,9 @@ fn timeline_export_is_byte_identical_at_any_jobs() {
     // The microbench is rerun for each trace: its wall-clock fields move,
     // but the virtual-clock trace must not — only deterministic counters
     // reach the export.
-    let s = gcwatch::chrome_trace(&timeline_cells(&serial, &gc_microbench(true)));
-    let p = gcwatch::chrome_trace(&timeline_cells(&parallel, &gc_microbench(true)));
-    let events = gcwatch::validate_chrome_trace(&s).expect("timeline is well-formed");
+    let s = chrome_trace(&timeline_cells(&serial, &gc_microbench(true)));
+    let p = chrome_trace(&timeline_cells(&parallel, &gc_microbench(true)));
+    let events = validate_chrome_trace(&s).expect("timeline is well-formed");
     assert!(events > 0, "timeline has events");
     assert_eq!(s, p, "timeline differs between --jobs 1 and --jobs 4");
     // Every collection slice carries its attribution. The microbench
@@ -265,9 +273,10 @@ fn warm_cache_exports_are_byte_identical_to_cold() {
     let folded = folded_export(&cold);
     assert!(!folded.is_empty());
     assert_eq!(folded, folded_export(&warm), "folded stacks differ");
+    let sweep = sweep();
     assert_eq!(
-        strip_timing_metrics(&prometheus_export(&cold)),
-        strip_timing_metrics(&prometheus_export(&warm)),
+        strip_timing_metrics(&prometheus_export(&cold, &sweep)),
+        strip_timing_metrics(&prometheus_export(&warm, &sweep)),
         "deterministic metric families differ cold vs warm"
     );
     assert_eq!(
@@ -276,8 +285,8 @@ fn warm_cache_exports_are_byte_identical_to_cold() {
     );
     assert_eq!(deterministic_cells(&cold), deterministic_cells(&warm));
     assert_eq!(
-        gcwatch::chrome_trace(&timeline_cells(&cold, &gc_microbench(true))),
-        gcwatch::chrome_trace(&timeline_cells(&warm, &gc_microbench(true))),
+        chrome_trace(&timeline_cells(&cold, &gc_microbench(true))),
+        chrome_trace(&timeline_cells(&warm, &gc_microbench(true))),
         "timeline differs cold vs warm"
     );
 }
@@ -412,13 +421,15 @@ fn instruments_compose_without_disturbing_each_other() {
             .map(str::to_string)
             .partition(|l| l.starts_with("gc_retained_bytes{"))
     };
-    let (all_retained, all_rest) = split_retained(&prometheus_export(&all));
-    let (profiled_retained, profiled_rest) = split_retained(&prometheus_export(&profiled_run));
+    let sweep = sweep();
+    let (all_retained, all_rest) = split_retained(&prometheus_export(&all, &sweep));
+    let (profiled_retained, profiled_rest) =
+        split_retained(&prometheus_export(&profiled_run, &sweep));
     assert!(!all_retained.is_empty() && profiled_retained.is_empty());
     assert_eq!(all_rest, profiled_rest);
     assert_eq!(
         all_retained,
-        split_retained(&prometheus_export(&snapped_run)).0
+        split_retained(&prometheus_export(&snapped_run, &sweep)).0
     );
     assert_eq!(
         snap_exports(&all).expect("exports validate"),

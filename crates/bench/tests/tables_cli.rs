@@ -119,7 +119,7 @@ fn malformed_counts_and_repeats_are_rejected() {
     assert_rejected(
         "repeat_alone",
         &["sparc2", "--tiny", "--jobs", "2", "--repeat", "3"],
-        "--repeat requires --bench-json",
+        "unknown flag '--repeat'",
     );
 }
 

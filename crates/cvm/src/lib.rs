@@ -44,12 +44,11 @@ pub mod verify;
 pub mod vm;
 
 pub use ir::{BinIr, Block, BlockId, CallTarget, FuncIr, Instr, Operand, ProgramIr, Temp};
-pub use liveness::{gc_root_maps, Liveness, TempSet};
+pub use liveness::{Liveness, TempSet};
 pub use lower::{lower, LowerError, LowerOptions};
 pub use machine::Machine;
 pub use opt::{
-    optimize, optimize_func, optimize_func_ledger, optimize_func_traced, optimize_traced,
-    pass_names, OptOptions, PassLedger,
+    optimize_func_ledger, optimize_func_traced, optimize_traced, pass_names, OptOptions, PassLedger,
 };
 pub use verify::{verify_func, verify_program, verify_program_traced, Violation};
 pub use vm::{run, ExecOutcome, Profile, VmError, VmOptions};

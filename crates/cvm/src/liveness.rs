@@ -15,7 +15,6 @@
 //! liveness over the generated assembly (`asmpost::peephole::AsmLiveness`).
 
 use crate::ir::{BlockId, FuncIr, Instr, Temp};
-use std::collections::HashMap;
 
 /// A dense bitset of temps.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,26 +170,25 @@ pub(crate) fn visit_call_roots(func: &FuncIr, mut at_call: impl FnMut(usize, usi
     }
 }
 
-/// For every GC point (a `Call` instruction — collections happen inside
-/// allocation, per the paper's call-site model), the temps whose values
-/// must be treated as roots while the callee runs: everything live after
-/// the call, minus its own result. The VM builds its per-instruction root
-/// table from the same walk.
-pub fn gc_root_maps(func: &FuncIr) -> HashMap<(u32, u32), Vec<Temp>> {
-    let mut maps = HashMap::new();
-    visit_call_roots(func, |bi, ii, live| {
-        maps.insert((bi as u32, ii as u32), live.iter().collect());
-    });
-    maps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::*;
+    use std::collections::HashMap;
 
     fn t(n: u32) -> Temp {
         Temp(n)
+    }
+
+    /// For every GC point (a `Call` instruction — collections happen
+    /// inside allocation, per the paper's call-site model), the temps
+    /// [`visit_call_roots`] reports as roots while the callee runs.
+    fn gc_root_maps(func: &FuncIr) -> HashMap<(u32, u32), Vec<Temp>> {
+        let mut maps = HashMap::new();
+        visit_call_roots(func, |bi, ii, live| {
+            maps.insert((bi as u32, ii as u32), live.iter().collect());
+        });
+        maps
     }
 
     /// fn: t0 = 1; t1 = alloc-call(); t2 = t0 + t1; ret t2

@@ -224,14 +224,9 @@ impl PassLedger {
     }
 }
 
-/// Optimizes every function of a program in place.
-pub fn optimize(prog: &mut ProgramIr, opts: OptOptions) {
-    optimize_traced(prog, opts, &TraceHandle::disabled());
-}
-
-/// [`optimize`] with a trace: emits one `("opt", "pass")` event per
-/// registered pass that fired and one `("opt", "function")` summary per
-/// function.
+/// Optimizes every function of a program in place, emitting one
+/// `("opt", "pass")` event per registered pass that fired and one
+/// `("opt", "function")` summary per function.
 pub fn optimize_traced(prog: &mut ProgramIr, opts: OptOptions, trace: &TraceHandle) {
     if !opts.enabled {
         return;
@@ -239,11 +234,6 @@ pub fn optimize_traced(prog: &mut ProgramIr, opts: OptOptions, trace: &TraceHand
     for f in &mut prog.funcs {
         optimize_func_traced(f, opts, trace);
     }
-}
-
-/// Optimizes a single function in place.
-pub fn optimize_func(f: &mut FuncIr, opts: OptOptions) {
-    optimize_func_traced(f, opts, &TraceHandle::disabled());
 }
 
 /// Runs the fixpoint driver over the registered pipeline and returns the
@@ -272,7 +262,7 @@ pub fn optimize_func_ledger(f: &mut FuncIr, opts: OptOptions) -> PassLedger {
     ledger
 }
 
-/// [`optimize_func`] with per-pass rewrite events.
+/// Optimizes a single function in place, with per-pass rewrite events.
 pub fn optimize_func_traced(f: &mut FuncIr, opts: OptOptions, trace: &TraceHandle) {
     let instrs_before = f.instr_count();
     let ledger = optimize_func_ledger(f, opts);

@@ -391,7 +391,7 @@ fn optimizer_never_folds_through_keep_live() {
         ],
         3,
     );
-    optimize_func(&mut f, OptOptions::full());
+    optimize_func_ledger(&mut f, OptOptions::full());
     let dump = f.dump();
     assert!(dump.contains("keep_live"), "keep_live survives: {dump}");
     assert!(

@@ -7,7 +7,7 @@
 //! * the globals region and the live portion of the stack (frame slots),
 //!   scanned conservatively word-by-word, and
 //! * per suspended frame, exactly the temps *live across the active call*
-//!   (from [`crate::liveness::gc_root_maps`]) — the VM's "registers".
+//!   (from `liveness::visit_call_roots`) — the VM's "registers".
 //!
 //! Dead temps are not roots. That is what makes the paper's disguised-
 //! pointer hazard reproducible: optimize away the last live copy of a

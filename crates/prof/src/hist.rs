@@ -109,25 +109,6 @@ impl Histogram {
         }
     }
 
-    /// Upper-bound estimate of the `q`-quantile (`0.0 ..= 1.0`): the
-    /// inclusive bound of the bucket holding the `⌈q·count⌉`-th sample,
-    /// clamped to the exact observed maximum so a p99 never exceeds it.
-    /// Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cumulative = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= rank {
-                return Self::bucket_bound(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
     /// Non-empty `(bucket index, count)` pairs in ascending bucket order.
     pub fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
@@ -231,43 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_come_from_bucket_bounds() {
-        let mut h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0, "empty histogram");
-        for _ in 0..98 {
-            h.record(10); // bucket 4, bound 15
-        }
-        h.record(1000); // bucket 10, bound 1023
-        h.record(5000); // bucket 13, bound 8191
-        assert_eq!(h.quantile(0.5), 15);
-        assert_eq!(h.quantile(0.99), 1023);
-        assert_eq!(h.quantile(1.0), 5000, "clamped to the observed max");
-        let mut one = Histogram::new();
-        one.record(7);
-        assert_eq!(one.quantile(0.0), 7, "rank is clamped to at least 1");
-    }
-
-    /// Pins the empty-histogram guard in `quantile`: a cell that never
-    /// collected exports pause quantiles, and those must read 0 at every
-    /// `q` rather than indexing into a histogram with no samples. (The
-    /// rank computation divides by nothing, but an unguarded version
-    /// would scan to the fallthrough and return an uninitialized max.)
-    #[test]
-    fn empty_histogram_quantiles_are_zero_at_every_q() {
-        let h = Histogram::new();
-        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(h.quantile(q), 0, "empty histogram at q={q}");
-        }
+    fn merging_empty_histograms_keeps_them_empty() {
         // Merging an empty into an empty must not fabricate samples or
-        // disturb the min/max sentinels the guard relies on.
+        // disturb the min/max sentinels.
         let mut m = Histogram::new();
-        m.merge(&h);
+        m.merge(&Histogram::new());
         assert!(m.is_empty());
-        assert_eq!(m.quantile(0.99), 0);
         assert_eq!((m.min(), m.max()), (0, 0));
         // One sample after the empty merge behaves like a fresh record.
         m.record(42);
-        assert_eq!(m.quantile(0.5), 42);
+        assert_eq!((m.count(), m.min(), m.max()), (1, 42, 42));
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub enum CollectCause {
 }
 
 impl CollectCause {
-    /// Stable lowercase name used in trace events, JSON exports, and the
-    /// gcwatch diff tables.
+    /// Stable lowercase name used in trace events and the Perfetto
+    /// timeline.
     pub fn as_str(self) -> &'static str {
         match self {
             CollectCause::Threshold => "threshold",
@@ -212,8 +212,8 @@ pub struct ProfData {
     pub collections: u64,
     /// One attribution record per collection, in collection order: the
     /// trigger cause + site, the deterministic phase counters, and the
-    /// wall-clock phase breakdown. This is what the gcwatch timeline and
-    /// the per-cell "why" columns are built from.
+    /// wall-clock phase breakdown. The Perfetto timeline and the `gc/1`
+    /// work sums are built from it.
     pub collection_log: Vec<CollectionRecord>,
     /// Final heap census, recorded when the VM run ends.
     pub census: Option<HeapCensus>,

@@ -90,21 +90,6 @@ impl PromWriter {
         self.sample(&format!("{name}_count"), labels, h.count());
     }
 
-    /// Exports a [`crate::Histogram`] as a Prometheus summary family:
-    /// one `name{quantile="…"}` line per requested quantile (estimated
-    /// from the log2 buckets, see [`crate::Histogram::quantile`]), then
-    /// `_sum` and `_count`.
-    pub fn summary(&mut self, name: &str, labels: &[(&str, &str)], h: &crate::Histogram) {
-        for q in ["0.5", "0.99"] {
-            let v = h.quantile(q.parse().expect("literal quantile"));
-            let mut ls: Vec<(&str, &str)> = labels.to_vec();
-            ls.push(("quantile", q));
-            self.sample(name, &ls, v);
-        }
-        self.sample(&format!("{name}_sum"), labels, h.sum());
-        self.sample(&format!("{name}_count"), labels, h.count());
-    }
-
     /// The finished document.
     pub fn finish(self) -> String {
         self.out
@@ -128,7 +113,7 @@ impl Sample {
     }
 
     /// The label set minus `skip`, canonicalized for grouping the series
-    /// of one histogram/summary family by base labels.
+    /// of one histogram family by base labels.
     fn base_key(&self, skip: &str) -> String {
         let mut ls: Vec<&(String, String)> =
             self.labels.iter().filter(|(k, _)| k != skip).collect();
@@ -141,11 +126,12 @@ impl Sample {
 }
 
 /// Parses exposition text, returning the number of sample lines, or a
-/// description of the first malformed line. Families declared
-/// `# TYPE … histogram` or `# TYPE … summary` get the structural checks
-/// scrapers rely on: `_bucket` series with increasing `le` bounds and
-/// cumulative counts ending at an `+Inf` bucket that matches `_count`,
-/// quantile labels in `[0, 1]`, and `_sum`/`_count` present per series.
+/// description of the first malformed line. The metric types are the
+/// three the writer emits (`counter`, `gauge`, `histogram`) plus
+/// `untyped`. Families declared `# TYPE … histogram` get the structural
+/// checks scrapers rely on: `_bucket` series with increasing `le` bounds
+/// and cumulative counts ending at an `+Inf` bucket that matches
+/// `_count`, and `_sum` present per series.
 pub fn validate(text: &str) -> Result<usize, String> {
     let mut samples: Vec<(usize, Sample)> = Vec::new();
     let mut families: Vec<(String, String)> = Vec::new();
@@ -168,10 +154,7 @@ pub fn validate(text: &str) -> Result<usize, String> {
                 if !valid_name(name) {
                     return Err(format!("line {n}: TYPE with bad metric name {name:?}"));
                 }
-                if !matches!(
-                    kind,
-                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
-                ) {
+                if !matches!(kind, "counter" | "gauge" | "histogram" | "untyped") {
                     return Err(format!("line {n}: unknown metric type {kind:?}"));
                 }
                 families.push((name.to_string(), kind.to_string()));
@@ -183,10 +166,8 @@ pub fn validate(text: &str) -> Result<usize, String> {
         samples.push((n, s));
     }
     for (name, kind) in &families {
-        match kind.as_str() {
-            "histogram" => validate_histogram_family(name, &samples)?,
-            "summary" => validate_summary_family(name, &samples)?,
-            _ => {}
+        if kind == "histogram" {
+            validate_histogram_family(name, &samples)?;
         }
     }
     Ok(samples.len())
@@ -255,44 +236,6 @@ fn validate_histogram_family(name: &str, samples: &[(usize, Sample)]) -> Result<
             ));
         }
         find("_sum", key).ok_or_else(|| format!("histogram {name}{{{key}}} missing _sum"))?;
-    }
-    Ok(())
-}
-
-/// Structural checks for one declared summary family.
-fn validate_summary_family(name: &str, samples: &[(usize, Sample)]) -> Result<(), String> {
-    use std::collections::BTreeSet;
-    let mut keys: BTreeSet<String> = BTreeSet::new();
-    for (n, s) in samples {
-        if s.name != name {
-            continue;
-        }
-        let q = s
-            .label("quantile")
-            .ok_or_else(|| format!("line {n}: summary {name} sample without quantile label"))?;
-        let q: f64 = q
-            .parse()
-            .map_err(|_| format!("line {n}: bad quantile {q:?}"))?;
-        if !(0.0..=1.0).contains(&q) {
-            return Err(format!("line {n}: quantile {q} outside [0, 1]"));
-        }
-        keys.insert(s.base_key("quantile"));
-    }
-    if keys.is_empty() {
-        return Err(format!(
-            "summary family {name} declared but has no quantile samples"
-        ));
-    }
-    for key in &keys {
-        for suffix in ["_sum", "_count"] {
-            let full = format!("{name}{suffix}");
-            if !samples
-                .iter()
-                .any(|(_, s)| s.name == full && s.base_key("quantile") == *key)
-            {
-                return Err(format!("summary {name}{{{key}}} missing {suffix}"));
-            }
-        }
     }
     Ok(())
 }
@@ -470,57 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_writer_output_validates() {
-        let mut h = Histogram::new();
-        for _ in 0..98 {
-            h.record(1000);
-        }
-        h.record(70_000);
-        h.record(70_000);
-        let mut w = PromWriter::new();
-        w.family("gc_pause_ns_summary", "Pause quantiles", "summary");
-        w.summary("gc_pause_ns_summary", &[("mode", "g")], &h);
-        let text = w.finish();
-        validate(&text).expect("summary must parse and validate");
-        assert!(
-            text.contains(r#"gc_pause_ns_summary{mode="g",quantile="0.5"} 1023"#),
-            "{text}"
-        );
-        assert!(
-            text.contains(r#"gc_pause_ns_summary{mode="g",quantile="0.99"} 70000"#),
-            "{text}"
-        );
-        assert!(text.contains("gc_pause_ns_summary_count{mode=\"g\"} 100"));
-    }
-
-    /// The zero-collection-cell path of the `gc_pause_quantile_ns`
-    /// writer: a cell that never paused still gets a summary family, and
-    /// the empty histogram's quantiles must export as 0 rather than
-    /// panicking in `Histogram::quantile` (rank clamp on `count == 0`).
-    #[test]
-    fn summary_of_a_zero_collection_cell_exports_zeros() {
-        let h = Histogram::new();
-        let mut w = PromWriter::new();
-        w.family("gc_pause_quantile_ns", "Pause quantiles", "summary");
-        let labels = [("workload", "idle"), ("mode", "O")];
-        w.summary("gc_pause_quantile_ns", &labels, &h);
-        let text = w.finish();
-        validate(&text).expect("empty summary must parse and validate");
-        assert!(
-            text.contains(r#"gc_pause_quantile_ns{workload="idle",mode="O",quantile="0.5"} 0"#),
-            "{text}"
-        );
-        assert!(
-            text.contains(r#"gc_pause_quantile_ns{workload="idle",mode="O",quantile="0.99"} 0"#),
-            "{text}"
-        );
-        assert!(
-            text.contains(r#"gc_pause_quantile_ns_count{workload="idle",mode="O"} 0"#),
-            "{text}"
-        );
-    }
-
-    #[test]
     fn validator_enforces_histogram_family_structure() {
         // Declared histogram with no bucket samples at all.
         assert!(validate("# TYPE h histogram\nh_sum 1\nh_count 1").is_err());
@@ -551,17 +443,12 @@ mod tests {
     }
 
     #[test]
-    fn validator_enforces_summary_family_structure() {
-        assert!(validate("# TYPE s summary\ns_sum 1\ns_count 1").is_err());
-        let bad = "# TYPE s summary\ns{quantile=\"1.5\"} 2\ns_sum 2\ns_count 1";
-        assert!(validate(bad).unwrap_err().contains("outside"));
-        let bad = "# TYPE s summary\ns{quantile=\"0.5\"} 2\ns_count 1";
-        assert!(validate(bad).unwrap_err().contains("_sum"));
-        let bad = "# TYPE s summary\ns 2\ns_sum 2\ns_count 1";
-        assert!(validate(bad).unwrap_err().contains("quantile"));
-        let good = "# TYPE s summary\ns{quantile=\"0.5\"} 2\ns{quantile=\"0.99\"} 7\n\
-                    s_sum 9\ns_count 2";
-        assert_eq!(validate(good), Ok(4));
+    fn validator_rejects_summary_families() {
+        // The writer emits no summary, so the validator accepts none.
+        let text = "# TYPE s summary\ns{quantile=\"0.5\"} 2\ns_sum 2\ns_count 1";
+        assert!(validate(text)
+            .unwrap_err()
+            .contains("unknown metric type \"summary\""));
     }
 
     #[test]

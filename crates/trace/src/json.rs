@@ -1,8 +1,8 @@
 //! Hand-rolled JSON: a flat-object writer and a small recursive-descent
 //! parser. The workspace deliberately carries no external dependencies,
 //! so this module is what `Event::to_json`, `gcbench`'s `gc/1` writer
-//! and trace report, `gcwatch`'s readers and `gcsnap`'s `snap/1` validator
-//! all share.
+//! and validator, its trace report and Perfetto timeline, and `gcsnap`'s
+//! `snap/1` validator all share.
 //!
 //! The writer emits objects with fields in insertion order. The parser
 //! accepts the full JSON value grammar (objects, arrays, strings,

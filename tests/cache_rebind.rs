@@ -1,8 +1,7 @@
 //! The compilation cache's re-binding contract at the facade level: two
 //! formattings of the same program share one memoized compile, yet the
-//! gcprof exports — folded allocation stacks and the pause log's
-//! `max_pause_site` attribution — report each formatting's own source
-//! coordinates. This is the bug-class the cache's unconditional re-bind
+//! gcprof exports — folded allocation stacks and the collection log's
+//! site attribution — report each formatting's own source coordinates. This is the bug-class the cache's unconditional re-bind
 //! exists to prevent: profiles stamped with the donor program's line
 //! numbers.
 
@@ -25,7 +24,7 @@ fn pos_of(src: &str, needle: &str) -> (usize, usize) {
 }
 
 // Enough garbage to cross the 256 KiB collection threshold several
-// times, so the pause log is populated and max_pause_site meaningful.
+// times, so the collection log is populated and its sites meaningful.
 const SRC_A: &str = "int main(void) {\n    long i;\n    for (i = 0; i < 20000; i = i + 1) {\n        char *p = (char *) malloc(64);\n        p[0] = (char) i;\n    }\n    return 0;\n}\n";
 const SRC_B: &str = "/* same program, reflowed: the churn site moves */\nint main(void)\n{\n        long i;\n        for (i = 0; i < 20000; i = i + 1)\n        {\n                char *p = (char *) malloc(64);\n                p[0] = (char) i;\n        }\n        return 0;\n}\n";
 
@@ -87,7 +86,7 @@ fn shared_cache_entries_still_profile_under_each_formattings_labels() {
         let site = worst.site.as_deref().expect("worst pause is attributed");
         assert!(
             site.contains(mine.as_str()) && !site.contains(theirs.as_str()),
-            "max_pause_site {site:?} must carry this formatting's label {mine}"
+            "the worst pause's site {site:?} must carry this formatting's label {mine}"
         );
     }
 }

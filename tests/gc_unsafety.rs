@@ -110,25 +110,37 @@ fn the_disguise_is_visible_in_the_ir() {
 #[test]
 fn safe_ir_keeps_the_base_alive_across_the_call() {
     use cvm::ir::Instr;
-    use cvm::liveness::gc_root_maps;
+    use cvm::Liveness;
     let prog = compile(SRC, &CompileOptions::optimized_safe()).expect("compiles");
     let fi = prog.func_index("hazard").expect("defined");
     let f = &prog.funcs[fi];
     // Find the param temp (p) and the allocation call.
     let p = f.param_temps[0];
-    let maps = gc_root_maps(f);
+    let lv = Liveness::compute(f);
     let mut found_alloc = false;
+    let mut uses = Vec::new();
     for (bi, b) in f.blocks.iter().enumerate() {
-        for (ii, ins) in b.instrs.iter().enumerate() {
+        // Walk each block backwards from its live-out set: what is live
+        // after a call, minus its result, is the frame's roots during it.
+        let mut live = lv.live_out[bi].clone();
+        for ins in b.instrs.iter().rev() {
+            if let Some(d) = ins.dst() {
+                live.remove(d);
+            }
             if let Instr::Call { .. } = ins {
                 found_alloc = true;
-                let roots = &maps[&(bi as u32, ii as u32)];
+                let roots: Vec<_> = live.iter().collect();
                 assert!(
-                    roots.contains(&p),
+                    live.contains(p),
                     "KEEP_LIVE must keep p (t{}) live across the call; live: {roots:?}\n{}",
                     p.0,
                     f.dump()
                 );
+            }
+            uses.clear();
+            ins.uses(&mut uses);
+            for &u in &uses {
+                live.insert(u);
             }
         }
     }
