@@ -1,7 +1,7 @@
 //! Component microbenchmarks: the substrates' hot paths (parser, sema,
 //! annotator, collector, page-map lookups), an ablation of the
-//! annotator's optimizations, the VM's per-step cost, and code
-//! generation.
+//! annotator's optimizations, the VM's per-step cost, the fuzz oracle's
+//! cost per program, and code generation.
 
 mod timing;
 
@@ -106,6 +106,37 @@ fn paranoid_cost() {
     );
 }
 
+/// The oracle kernel's draw: the first [`ORACLE_PROGRAMS`] programs of
+/// this gcfuzz seed.
+const ORACLE_SEED: u64 = 41;
+
+/// Programs in the oracle kernel's draw.
+const ORACLE_PROGRAMS: u64 = 20;
+
+/// Times [`gcfuzz::check`] over a fixed gcfuzz draw, each pass on an
+/// empty compile cache as a perfbench `fuzz` pass runs it, printing the
+/// median microseconds per check.
+fn oracle_cost() {
+    println!("== oracle cost ==");
+    let sources: Vec<String> = (0..ORACLE_PROGRAMS)
+        .map(|case| gcfuzz::generate(ORACLE_SEED, case))
+        .collect();
+    let pass = || {
+        cvm::compile_cache_clear();
+        sources
+            .iter()
+            .filter(|s| gcfuzz::check(s).is_some())
+            .count()
+    };
+    assert_eq!(pass(), 0, "every program of the draw passes the oracle");
+    let ns = bench("oracle", 2, 20, pass);
+    println!(
+        "{:<28} {ORACLE_PROGRAMS} checks, {:.1} µs/check",
+        "",
+        ns as f64 / ORACLE_PROGRAMS as f64 / 1e3
+    );
+}
+
 /// Times code generation (register allocation and instruction selection,
 /// before the peephole) of two workloads' `-g, checked` builds for each
 /// machine.
@@ -130,6 +161,7 @@ fn codegen_costs() {
 fn main() {
     step_costs();
     paranoid_cost();
+    oracle_cost();
     codegen_costs();
 
     let src = workloads::by_name("gs").expect("exists").source;

@@ -88,10 +88,9 @@ fn parallel_collect_equals_serial_cell_for_cell() {
 /// Strips the wall-clock fields (collection pauses) that legitimately
 /// differ between two runs of the same deterministic pipeline.
 fn normalized(events: Vec<Event>) -> Vec<Event> {
-    const WALL_CLOCK: [&str; 8] = [
+    const WALL_CLOCK: [&str; 7] = [
         "pause_ns",
         "total_pause_ns",
-        "max_pause_ns",
         "mark_ns",
         "sweep_ns",
         "root_scan_ns",

@@ -51,7 +51,7 @@ pub use opt::{
     optimize_func_ledger, optimize_func_traced, optimize_traced, pass_names, OptOptions, PassLedger,
 };
 pub use verify::{verify_func, verify_program, verify_program_traced, Violation};
-pub use vm::{run, ExecOutcome, Profile, VmError, VmOptions};
+pub use vm::{run, ExecOutcome, Image, Profile, VmError, VmOptions};
 
 pub use gctrace::TraceHandle;
 
@@ -186,18 +186,20 @@ fn compile_ast(
     trace: &TraceHandle,
 ) -> Result<ProgramIr, String> {
     let key = (cfront::program_hash(&parsed), options.clone());
-    let spans = node_spans(&parsed);
     let cached = if trace.is_enabled() {
         None
     } else {
         compile_cache().get(&key)
     };
-    let mut ir = match cached {
-        Some(ir) => (*ir).clone(),
+    // A hit's alloc sites carry the spans of whichever formatting filled
+    // the entry, so they take this AST's. A miss's were lowered from this
+    // AST, so an empty table keeps them and only line/col are resolved.
+    let (mut ir, spans) = match cached {
+        Some(ir) => ((*ir).clone(), node_spans(&parsed)),
         None => {
             let ir = compile_live(parsed.into_owned(), source, options, trace)?;
             compile_cache().insert(key, Arc::new(ir.clone()));
-            ir
+            (ir, HashMap::new())
         }
     };
     ir.rebind_alloc_sites(&spans, source);
@@ -268,13 +270,14 @@ fn node_spans(program: &cfront::Program) -> HashMap<cfront::NodeId, usize> {
     spans
 }
 
-/// Runs a compiled program.
+/// Runs a compiled program once: `Image::new(prog).run(opts)`. A caller
+/// that runs one program several times decodes it once with [`Image`].
 ///
 /// # Errors
 ///
 /// Propagates [`VmError`].
 pub fn run_compiled(prog: &ProgramIr, opts: &VmOptions) -> Result<ExecOutcome, VmError> {
-    vm::run(prog, opts)
+    Image::new(prog).run(opts)
 }
 
 /// Compiles and runs in one call.
@@ -294,6 +297,7 @@ pub fn compile_and_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcheap::HeapConfig;
 
     /// The step budget of every run here: a few times the longest run's
     /// 500,009 steps (`gc_reclaims_garbage_during_run`), so a change that
@@ -782,6 +786,106 @@ mod tests {
             census.live_objects,
             census.classes.iter().map(|c| c.live_objects).sum::<u64>()
         );
+    }
+
+    /// What a run reports, with the heap's wall-clock totals zeroed.
+    type Seen = Result<(Vec<u8>, i64, Vec<Vec<u64>>, u64, gcheap::HeapStats), VmError>;
+
+    fn seen(r: Result<ExecOutcome, VmError>) -> Seen {
+        r.map(|o| {
+            let heap = gcheap::HeapStats {
+                total_pause_ns: 0,
+                total_mark_ns: 0,
+                total_sweep_ns: 0,
+                ..o.heap
+            };
+            (o.output, o.exit_code, o.profile.block_counts, o.steps, heap)
+        })
+    }
+
+    /// One image serves runs under the default, profiled, paranoid and
+    /// bounded-paranoid options, in either order, and after a run that
+    /// ran out of steps or faulted: each run equals a run of a fresh
+    /// decode.
+    #[test]
+    fn an_image_runs_like_a_fresh_decode() {
+        let src = r#"
+            struct cell { long v; struct cell *next; };
+            int main(void) {
+                struct cell *head = 0;
+                long i;
+                long s = 0;
+                for (i = 0; i < 60; i++) {
+                    struct cell *c = (struct cell *) malloc(sizeof(struct cell));
+                    c->v = i;
+                    c->next = head;
+                    head = c;
+                }
+                if (getchar() == 'x') { long *wild = (long *) 8; s = *wild; }
+                while (head) { s += head->v; head = head->next; }
+                putint(s);
+                return 0;
+            }
+        "#;
+        let paranoid = HeapConfig {
+            gc_threshold: 1,
+            ..HeapConfig::default()
+        };
+        let bounded = HeapConfig {
+            gc_threshold: 1,
+            mark_budget_bytes: 64,
+            ..HeapConfig::bounded_pause()
+        };
+        let options = [
+            opts(),
+            VmOptions {
+                prof: gcprof::ProfHandle::enabled(),
+                ..opts()
+            },
+            VmOptions {
+                heap_config: paranoid.clone(),
+                snapshot_oracle: true,
+                ..opts()
+            },
+            VmOptions {
+                heap_config: bounded,
+                snapshot_oracle: true,
+                ..opts()
+            },
+        ];
+        for copts in [CompileOptions::optimized_safe(), CompileOptions::debug()] {
+            let prog = compile(src, &copts).unwrap();
+            let fresh: Vec<Seen> = options
+                .iter()
+                .map(|o| seen(run_compiled(&prog, o)))
+                .collect();
+            assert!(fresh
+                .iter()
+                .all(|r| r.as_ref().is_ok_and(|o| o.0 == b"1770")));
+            let steps = fresh[0].as_ref().unwrap().3;
+            let image = Image::new(&prog);
+            let stalled = VmOptions {
+                max_steps: steps / 2,
+                heap_config: paranoid.clone(),
+                ..opts()
+            };
+            let faulting = VmOptions {
+                input: b"x".to_vec(),
+                heap_config: paranoid.clone(),
+                ..opts()
+            };
+            assert_eq!(image.run(&stalled).unwrap_err(), VmError::StepLimit);
+            assert!(matches!(image.run(&faulting), Err(VmError::Fault(_))));
+            for i in (0..options.len()).chain((0..options.len()).rev()) {
+                assert_eq!(seen(image.run(&options[i])), fresh[i], "options {i}");
+            }
+            for before in [&stalled, &faulting] {
+                for (o, want) in options.iter().zip(&fresh) {
+                    let _ = image.run(before);
+                    assert_eq!(&seen(image.run(o)), want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,6 +41,12 @@
 //! loop, schedule_early finds every instruction already in its earliest
 //! slot). The cap is a backstop, not a crutch — the idempotence property
 //! test asserts a second driver run reports zero fires for every pass.
+//!
+//! A fire counts a pass's own rewrites. Reassociate's slot ends with
+//! [`dce`], whether or not the rewrite is on, and does not count dce's
+//! removals as fires, so that slot can report zero while it changes the
+//! IR: the last sweep of a fixpoint may still remove dead instructions
+//! that the sweep before it left.
 
 mod cfg;
 mod gvn;

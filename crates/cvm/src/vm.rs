@@ -15,14 +15,15 @@
 //!
 //! # The interpreter
 //!
-//! A run first decodes each function into a flat table of small `Copy`
-//! ops, its blocks laid end to end, so a position in a function is one
-//! program counter and dispatching an instruction is one index and one
-//! match. Decoding settles once what the IR would otherwise be asked on
-//! every step: whether each operand is a temp or an immediate, a load's
-//! width and extension, `KeepLive` as the move it is at run time, and
-//! each jump's target as its first slot and its block. A block that does
-//! not end in a terminator gets one extra op, and reaching it is
+//! An [`Image`] decodes a program once for all of its runs: each
+//! function becomes a flat table of small `Copy` ops, its blocks laid
+//! end to end, so a position in a function is one program counter and
+//! dispatching an instruction is one index and one match. Decoding
+//! settles once what the IR would otherwise be asked on every step:
+//! whether each operand is a temp or an immediate, a load's width and
+//! extension, `KeepLive` as the move it is at run time, and each jump's
+//! target as its first slot and its block. A block that does not end in
+//! a terminator gets one extra op, and reaching it is
 //! [`VmError::Malformed`] ("fell off block bbN"). Beside the ops, the
 //! table keeps each block's first slot and, per `Call` slot, the temps
 //! live across that call: the precise roots above. The block-count
@@ -60,7 +61,8 @@
 //! a root builder that runs only if the allocation collects or steps a
 //! mark cycle, and a function's per-call root table is solved the first
 //! time such a root scan reaches one of its frames, so a run that never
-//! collects never solves liveness.
+//! collects never solves liveness. The table is kept with the image's
+//! decoded code, so later runs of the same image solve it no more.
 //!
 //! The step count, the block counts, every error and its text, and the
 //! order of root words (globals, then the stack, then each frame's live
@@ -275,7 +277,8 @@ impl From<MemFault> for VmError {
     }
 }
 
-/// Runs a lowered program to completion.
+/// Runs a lowered program to completion: [`Image::new`] and one
+/// [`Image::run`].
 ///
 /// # Errors
 ///
@@ -283,17 +286,44 @@ impl From<MemFault> for VmError {
 /// checking mode catching bad pointer arithmetic, and `UseAfterFree`
 /// observes premature collection caused by disguised pointers.
 pub fn run(prog: &ProgramIr, opts: &VmOptions) -> Result<ExecOutcome, VmError> {
-    let mut first_block = 0;
-    let code: Vec<Code> = prog
-        .funcs
-        .iter()
-        .map(|func| {
-            let code = Code::new(func, first_block);
-            first_block += func.blocks.len() as u32;
-            code
-        })
-        .collect();
-    Vm::new(prog, &code, opts)?.run()
+    Image::new(prog).run(opts)
+}
+
+/// A program decoded once for any number of runs. Every run of an image
+/// reads the same decoded tables, and a function's per-call root table,
+/// solved the first time a root scan of any run reaches one of its
+/// frames, serves every later run too. A run's outcome does not depend
+/// on the runs before it: an image holds no run state.
+pub struct Image<'p> {
+    prog: &'p ProgramIr,
+    code: Vec<Code<'p>>,
+}
+
+impl<'p> Image<'p> {
+    /// Decodes every function of `prog`.
+    pub fn new(prog: &'p ProgramIr) -> Self {
+        let mut first_block = 0;
+        let code = prog
+            .funcs
+            .iter()
+            .map(|func| {
+                let code = Code::new(func, first_block);
+                first_block += func.blocks.len() as u32;
+                code
+            })
+            .collect();
+        Image { prog, code }
+    }
+
+    /// Runs the program to completion under `opts`, in a fresh address
+    /// space and heap.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`].
+    pub fn run(&self, opts: &VmOptions) -> Result<ExecOutcome, VmError> {
+        Vm::new(self.prog, &self.code, opts)?.run()
+    }
 }
 
 /// An operand of a call, a block copy or a check, which read theirs from
@@ -750,7 +780,7 @@ struct Code<'a> {
     /// function's other blocks follow it.
     first_block: u32,
     /// The temps live across each call, solved the first time a root
-    /// scan reaches a frame of this function.
+    /// scan of any run of the image reaches a frame of this function.
     roots: OnceCell<CallRoots>,
 }
 

@@ -261,7 +261,8 @@ fn prof_consistency(
 /// `Some` carries the first divergence in deterministic mode order.
 ///
 /// The source is parsed once, and every build starts from that AST
-/// ([`cvm::compile_parsed`]). A mode whose compile options and safety
+/// ([`cvm::compile_parsed`]). Each build is decoded once, into one
+/// [`cvm::Image`] that all of its runs share. A mode whose compile options and safety
 /// repeat an earlier mode's takes that mode's verdict without a build of
 /// its own: its checks would run the same IR under the same VM options,
 /// on a VM whose determinism the earlier mode's checks already showed.
@@ -302,14 +303,12 @@ pub fn check(source: &str) -> Option<Divergence> {
                 });
             }
         }
+        let image = cvm::Image::new(&prog);
         let prof = gc_safety::ProfHandle::enabled();
-        let r1 = match cvm::run_compiled(
-            &prog,
-            &cvm::VmOptions {
-                prof: prof.clone(),
-                ..default_vm()
-            },
-        ) {
+        let r1 = match image.run(&cvm::VmOptions {
+            prof: prof.clone(),
+            ..default_vm()
+        }) {
             Ok(r) => r,
             Err(e) => {
                 return Some(Divergence::Run {
@@ -321,7 +320,7 @@ pub fn check(source: &str) -> Option<Divergence> {
         if let Some(d) = prof_consistency(mode, &prof, &r1) {
             return Some(d);
         }
-        match cvm::run_compiled(&prog, &default_vm()) {
+        match image.run(&default_vm()) {
             Ok(r2)
                 if r2.exit_code == r1.exit_code
                     && r2.output == r1.output
@@ -330,7 +329,7 @@ pub fn check(source: &str) -> Option<Divergence> {
         }
         if mode.is_safe() {
             for opts in [paranoid_vm(), bounded_paranoid_vm()] {
-                match cvm::run_compiled(&prog, &opts) {
+                match image.run(&opts) {
                     Ok(rp) if rp.exit_code == r1.exit_code && rp.output == r1.output => {}
                     Ok(_) => return Some(Divergence::ParanoidDiffers { mode }),
                     Err(e) => {

@@ -336,7 +336,8 @@ struct Cycle {
     grey: Vec<(u64, u64)>,
     /// Nursery cycle: only young pages are traced and swept.
     young_only: bool,
-    /// Site label of the allocation that triggered the collection.
+    /// Site label of the allocation that triggered the collection, kept
+    /// only for a trace or a profile.
     site: Option<String>,
     /// Allocation debt captured (and reset) when the cycle began.
     bytes_since_gc: u64,
@@ -774,11 +775,19 @@ impl GcHeap {
     }
 
     /// Whether an attached trace, profile, or snapshot consumer will use
-    /// attribution detail (trigger cause, site label, per-class sweep
-    /// timing). Callers use this to skip building site strings on the
-    /// fast path; the heap uses it to skip per-page sweep timing.
+    /// allocation-site labels. Callers use this to skip building site
+    /// strings on the fast path; the heap tags objects with their sites
+    /// only while it holds.
     pub fn attribution_enabled(&self) -> bool {
-        self.trace.is_enabled() || self.prof.is_enabled() || self.snap_sites
+        self.records_enabled() || self.snap_sites
+    }
+
+    /// Whether a trace or a profile will read per-collection records:
+    /// the trigger's site, per-class sweep timing and the
+    /// [`CollectionRecord`] itself are built only then. Snapshot site
+    /// tagging alone reads none of them.
+    fn records_enabled(&self) -> bool {
+        self.trace.is_enabled() || self.prof.is_enabled()
     }
 
     /// Declares that heap snapshots will be taken, so allocation sites
@@ -1015,7 +1024,7 @@ impl GcHeap {
         let mut c = Cycle {
             grey: Vec::new(),
             young_only,
-            site: site.map(str::to_string),
+            site: site.filter(|_| self.records_enabled()).map(str::to_string),
             bytes_since_gc: std::mem::take(&mut self.bytes_since_gc),
             roots_scanned: 0,
             words_marked: 0,
@@ -1071,7 +1080,8 @@ impl GcHeap {
     /// of root words scanned. Like [`GcHeap::drain`], it tests each word
     /// against the heap range in place and calls
     /// [`GcHeap::mark_candidate`], which does nothing outside it, only
-    /// for a word inside; the count still includes every word.
+    /// for a word inside; the count still includes every word, the
+    /// uncommitted ones that [`Memory::scan_words`] counts in bulk too.
     fn scan_roots(&mut self, mem: &Memory, roots: &RootSet, c: &mut Cycle) -> u64 {
         let t0 = Instant::now();
         let (mut scanned, mut marked) = (0u64, 0u64);
@@ -1084,10 +1094,12 @@ impl GcHeap {
                 marked += u64::from(self.mark_candidate(word, true, young_only, grey));
             }
         };
+        let mut zeros = 0;
         for &(start, end) in &roots.ranges {
-            mem.scan_words(start, end, &mut scan);
+            zeros += mem.scan_words(start, end, &mut scan);
         }
         roots.words.iter().for_each(|&word| scan(word));
+        scanned += zeros;
         let ns = elapsed_ns(&t0);
         c.roots_scanned += scanned;
         c.objects_marked += marked;
@@ -1115,12 +1127,13 @@ impl GcHeap {
             if take < size {
                 grey.push((start + take, size - take));
             }
-            mem.scan_words(start, start + take, |word| {
+            let zeros = mem.scan_words(start, start + take, |word| {
                 words += 1;
                 if word.wrapping_sub(base) < span {
                     marked += u64::from(self.mark_candidate(word, false, young_only, grey));
                 }
             });
+            words += zeros;
             scanned += take;
         }
         let ns = elapsed_ns(&t0);
@@ -1191,7 +1204,7 @@ impl GcHeap {
     /// most one oversized object instead of a chunkful of them. The
     /// stop that exhausts the list promotes the nursery.
     fn sweep_pages(&mut self, mem: &mut Memory, c: &mut Cycle, budget: usize) -> bool {
-        let timed = self.attribution_enabled();
+        let timed = self.records_enabled();
         let (objects, bytes) = (c.swept.objects_swept, c.swept.bytes_swept);
         let mut touched = 0usize;
         while touched < budget && c.pos < c.pages.len() {
@@ -1343,7 +1356,7 @@ impl GcHeap {
     fn complete_cycle(&mut self, c: Cycle, cause: CollectCause) {
         self.stats.collections += 1;
         self.bump_cause(cause);
-        if !self.attribution_enabled() {
+        if !self.records_enabled() {
             return;
         }
         let stats = self.stats;
@@ -1726,6 +1739,7 @@ impl GcHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::GLOBAL_BASE;
 
     fn setup() -> (Memory, GcHeap) {
         let mem = Memory::new(1 << 16, 1 << 16, 1 << 22);
@@ -2510,6 +2524,192 @@ mod tests {
         heap.collect(&mut mem, &RootSet::new());
         let s = heap.stats();
         assert_eq!(s.collections_explicit, 1);
+    }
+
+    /// Snapshot site tagging alone builds no collection records, yet
+    /// changes nothing the collector decides or counts: one schedule
+    /// driven with only [`GcHeap::set_snap_sites`], with a profile and
+    /// with a trace ends in the same counts, census and snapshot, site
+    /// labels included. The profile logs a record, and the trace an
+    /// event, per collection, each with its per-class sweep times.
+    #[test]
+    fn records_are_built_only_for_a_trace_or_a_profile() {
+        let drive = |config: &HeapConfig, attach: &dyn Fn(&mut GcHeap)| {
+            let mut mem = Memory::new(1 << 12, 1 << 12, 1 << 22);
+            let mut heap = GcHeap::new(&mem, config.clone());
+            attach(&mut heap);
+            let mut keep: Vec<u64> = Vec::new();
+            let mut roots = RootSet::new();
+            for i in 0..600u64 {
+                roots = RootSet::new();
+                for &k in &keep {
+                    roots.add_word(k);
+                }
+                let site = ["a@1:1", "b@2:2", "c@3:3"][i as usize % 3];
+                let size = [24, 40, 200, 5000][i as usize % 4];
+                let obj = heap
+                    .alloc_with_roots_sited(&mut mem, size, &roots, Some(site))
+                    .unwrap();
+                if let Some(&prev) = keep.last() {
+                    mem.write(obj, 8, prev).unwrap();
+                    heap.write_barrier(obj, prev);
+                }
+                if i % 5 == 0 {
+                    keep.push(obj);
+                    if keep.len() > 8 {
+                        keep.remove(0);
+                    }
+                }
+            }
+            heap.collect(&mut mem, &roots);
+            let snap = heap.snapshot(&mem, &roots, &["root"]);
+            (heap, snap)
+        };
+        let untimed = |s: HeapStats| HeapStats {
+            total_pause_ns: 0,
+            total_mark_ns: 0,
+            total_sweep_ns: 0,
+            ..s
+        };
+        let stop_the_world = HeapConfig {
+            gc_threshold: 16 << 10,
+            ..HeapConfig::default()
+        };
+        let bounded = HeapConfig {
+            mark_budget_bytes: 256,
+            ..HeapConfig::bounded_pause()
+        };
+        for config in [stop_the_world, bounded] {
+            let (snapped, snap) = drive(&config, &|h| h.set_snap_sites(true));
+            assert!(snapped.attribution_enabled() && !snapped.records_enabled());
+            let prof = ProfHandle::enabled();
+            let (profiled, prof_snap) = drive(&config, &|h| h.set_prof(prof.clone()));
+            let (trace, sink) = TraceHandle::memory();
+            let (traced, trace_snap) = drive(&config, &|h| h.set_trace(trace.clone()));
+            let stats = untimed(snapped.stats());
+            assert!(stats.collections > 3, "{stats:?}");
+            assert_eq!(stats, untimed(profiled.stats()));
+            assert_eq!(stats, untimed(traced.stats()));
+            assert_eq!(snapped.census(), profiled.census());
+            assert_eq!(snapped.census(), traced.census());
+            let mut sites = snap.sites.clone();
+            sites.sort();
+            assert_eq!(sites, ["a@1:1", "b@2:2", "c@3:3"]);
+            assert!(
+                snap.nodes.iter().all(|n| n.site.is_some()),
+                "every object tagged"
+            );
+            assert_eq!(snap, prof_snap);
+            assert_eq!(snap, trace_snap);
+            let log = prof.snapshot().expect("enabled").collection_log;
+            assert_eq!(log.len() as u64, stats.collections);
+            // A collection that swept pages times them, per class.
+            assert!(log
+                .iter()
+                .all(|r| r.class_sweep_ns.is_empty() == (r.pages_swept == 0)));
+            let timed = log.iter().filter(|r| r.pages_swept > 0).count();
+            assert!(timed > 3, "{timed} collections swept pages");
+            let events = sink.snapshot();
+            let collections: Vec<_> = events
+                .iter()
+                .filter(|e| e.stage == "gc" && e.kind == "collection")
+                .collect();
+            assert_eq!(collections.len() as u64, stats.collections);
+            let timed_events = collections
+                .iter()
+                .filter(|e| match e.get("class_sweep_ns") {
+                    Some(gctrace::Value::Str(c)) => c != "-",
+                    other => panic!("collection event without class_sweep_ns: {other:?}"),
+                })
+                .count();
+            assert_eq!(timed_events, timed);
+        }
+    }
+
+    /// The root scan and the drain count the uncommitted words of a range
+    /// in bulk ([`Memory::scan_words`]). Scanning the globals (a small
+    /// image and its 4 KiB of slop) and a partly committed stack, and a
+    /// large object written only in its first page, must count, mark and
+    /// blacklist exactly what a per-word scan does: the reference heap is
+    /// handed every root word read one at a time by `Memory::read`, and
+    /// `words_marked` is every word of every survivor.
+    #[test]
+    fn bulk_counted_scans_match_a_per_word_reference() {
+        let config = HeapConfig {
+            blacklisting: true,
+            ..HeapConfig::default()
+        };
+        let build = || {
+            let mut mem = Memory::new(1 << 16, 1 << 16, 1 << 20);
+            let mut heap = GcHeap::new(&mem, config.clone());
+            let mut objs = Vec::new();
+            for size in [48, 48, 48, 48, 3 * PAGE_SIZE] {
+                objs.push(heap.alloc(&mut mem, size).unwrap());
+            }
+            let [a, b, dead, c, big] = objs[..] else {
+                unreachable!()
+            };
+            let top = mem.stack_top();
+            // globals → a → b; the stack → inside big → c. Two false
+            // pointers, one in the globals' slop and one on the stack,
+            // hit free pages.
+            mem.write(GLOBAL_BASE + 16, 8, a).unwrap();
+            mem.write(GLOBAL_BASE + 4000, 8, HEAP_BASE + 100 * PAGE_SIZE)
+                .unwrap();
+            mem.write(a + 8, 8, b).unwrap();
+            mem.write(dead, 8, c).unwrap();
+            mem.write(top - 16, 8, big + 100).unwrap();
+            mem.write(top - 40, 8, HEAP_BASE + 200 * PAGE_SIZE + 8)
+                .unwrap();
+            mem.write(big + PAGE_SIZE / 2, 8, c).unwrap();
+            let mut roots = RootSet::new();
+            roots.add_range(GLOBAL_BASE, GLOBAL_BASE + 64 + 4096);
+            roots.add_range(top - 12 * 1024, top);
+            (mem, heap, roots, [a, b, dead, c, big])
+        };
+        let (mut mem, mut heap, roots, objs) = build();
+        let prof = ProfHandle::enabled();
+        heap.set_prof(prof.clone());
+        for &(start, end) in &roots.ranges {
+            assert!(mem.scan_words(start, end, |_| ()) > 0, "bulk-counted words");
+        }
+        let big = objs[4];
+        assert!(mem.scan_words(big, big + 3 * PAGE_SIZE, |_| ()) > 0);
+        heap.collect(&mut mem, &roots);
+
+        let (mut ref_mem, mut ref_heap, ref_ranges, _) = build();
+        let mut words = RootSet::new();
+        for &(start, end) in &ref_ranges.ranges {
+            let mut at = (start + 7) & !7;
+            while at + 8 <= end {
+                words.add_word(ref_mem.read(at, 8).expect("a root word is mapped"));
+                at += 8;
+            }
+        }
+        let root_words = words.words.len() as u64;
+        ref_heap.collect(&mut ref_mem, &words);
+
+        let survivors: Vec<bool> = objs.iter().map(|&o| heap.is_allocated(o)).collect();
+        assert_eq!(survivors, [true, true, false, true, true]);
+        let ref_survivors: Vec<bool> = objs.iter().map(|&o| ref_heap.is_allocated(o)).collect();
+        assert_eq!(survivors, ref_survivors);
+        let marked_words: u64 = objs
+            .iter()
+            .filter(|&&o| heap.is_allocated(o))
+            .map(|&o| heap.extent(o).expect("survivor").1 / 8)
+            .sum();
+        let rec = &prof.snapshot().expect("enabled").collection_log[0];
+        assert_eq!(
+            (rec.roots_scanned, rec.words_marked),
+            (root_words, marked_words)
+        );
+        let (stats, ref_stats) = (heap.stats(), ref_heap.stats());
+        assert_eq!(stats.blacklisted_pages, 2);
+        assert_eq!(stats.blacklisted_pages, ref_stats.blacklisted_pages);
+        assert_eq!(
+            (stats.objects_live, stats.bytes_live),
+            (ref_stats.objects_live, ref_stats.bytes_live)
+        );
     }
 
     #[test]

@@ -177,6 +177,42 @@ impl Segment {
         }
         (addr - self.start) as usize
     }
+
+    /// [`Memory::scan_words`] of `[w, stop)`, aligned words wholly inside
+    /// the reserved range.
+    fn scan_words(&self, mut w: u64, stop: u64, f: &mut impl FnMut(u64)) -> u64 {
+        let (lo, hi) = self.overlap(w, stop);
+        if lo >= hi {
+            return (stop - w) / 8;
+        }
+        let edge = |w: u64| {
+            let mut word = [0; 8];
+            self.load(w, &mut word);
+            u64::from_le_bytes(word)
+        };
+        // Uncommitted words below the run, then any word across its
+        // start.
+        let below = (lo - w) / 8;
+        w += below * 8;
+        if w < lo {
+            f(edge(w));
+            w += 8;
+        }
+        if w < hi {
+            let n = (hi - w) & !7;
+            let off = (w - self.start) as usize;
+            for chunk in self.bytes[off..off + n as usize].chunks_exact(8) {
+                f(u64::from_le_bytes(chunk.try_into().expect("width 8")));
+            }
+            w += n;
+            if w < hi {
+                f(edge(w));
+                w += 8;
+            }
+        }
+        // Uncommitted words above the run.
+        below + (stop - w) / 8
+    }
 }
 
 /// Decodes the first `width` (1, 2, 4, or 8) bytes of `b`, little-endian.
@@ -516,17 +552,21 @@ impl Memory {
         self.segs.each_ref().map(|s| s.bytes.len())
     }
 
-    /// Calls `f` with each 8-byte-aligned full word of the range, without
-    /// materialising a buffer. This is the collector's scan primitive: the
-    /// range is located once, its committed words are walked as a byte
-    /// slice and the rest passed as zeros, so `f` sees every word exactly
-    /// once and a traced object costs no per-word region lookups and no
-    /// allocation. Ranges that leave mapped memory fall back to per-word
-    /// reads, skipping faulting words.
-    pub fn scan_words<F: FnMut(u64)>(&self, start: u64, end: u64, mut f: F) {
+    /// Calls `f` with each committed 8-byte-aligned full word of the
+    /// range, in address order and without materialising a buffer, and
+    /// returns how many of the range's words are uncommitted. Those read
+    /// as zero, and zero is never a heap address, so the collector counts
+    /// them without visiting them. This is the collector's scan primitive:
+    /// a region's share of the range is located once and its committed
+    /// words are walked as a byte slice, so a traced object costs no
+    /// per-word region lookups and no allocation. A word only partly
+    /// committed is visited, assembled from its committed bytes and
+    /// zeros. A word that is not wholly inside one region faults on a
+    /// read; it is neither visited nor counted.
+    pub fn scan_words<F: FnMut(u64)>(&self, start: u64, end: u64, mut f: F) -> u64 {
         let a = (start + 7) & !7;
         if a + 8 > end {
-            return;
+            return 0;
         }
         let stop = a + ((end - a) & !7);
         let len = (stop - a) as usize;
@@ -534,51 +574,21 @@ impl Memory {
             for chunk in self.seg(region).bytes[off..off + len].chunks_exact(8) {
                 f(u64::from_le_bytes(chunk.try_into().expect("width 8")));
             }
-            return;
+            return 0;
         }
-        let Ok(region) = self.locate(a, len, false) else {
-            let mut a = a;
-            while a + 8 <= end {
-                if let Ok(w) = self.read(a, 8) {
-                    f(w);
+        // Each region's whole words of the range, in address order.
+        self.segs
+            .iter()
+            .map(|seg| {
+                let lo = a + seg.base.saturating_sub(a).next_multiple_of(8);
+                let hi = a + (stop.min(seg.end()).saturating_sub(a) & !7);
+                if lo < hi {
+                    seg.scan_words(lo, hi, &mut f)
+                } else {
+                    0
                 }
-                a += 8;
-            }
-            return;
-        };
-        let seg = self.seg(region);
-        let (lo, hi) = seg.overlap(a, stop);
-        let edge = |w: u64| {
-            let mut word = [0; 8];
-            seg.load(w, &mut word);
-            u64::from_le_bytes(word)
-        };
-        let mut w = a;
-        if lo < hi {
-            // Uncommitted words below the run, then any word across its
-            // start.
-            let below = (lo - w) / 8;
-            (0..below).for_each(|_| f(0));
-            w += below * 8;
-            if w < lo {
-                f(edge(w));
-                w += 8;
-            }
-            if w < hi {
-                let n = (hi - w) & !7;
-                let off = (w - seg.start) as usize;
-                for chunk in seg.bytes[off..off + n as usize].chunks_exact(8) {
-                    f(u64::from_le_bytes(chunk.try_into().expect("width 8")));
-                }
-                w += n;
-                if w < hi {
-                    f(edge(w));
-                    w += 8;
-                }
-            }
-        }
-        // Uncommitted words above the run, or the whole range.
-        (0..(stop - w) / 8).for_each(|_| f(0));
+            })
+            .sum()
     }
 }
 
@@ -954,38 +964,108 @@ mod tests {
         assert!(committed(&m)[1] as u64 >= top - deep);
     }
 
-    #[test]
-    fn scan_words_yields_committed_words_then_zeros() {
-        let mut m = Memory::new(4 * COMMIT_STEP, 4096, 4096);
-        for i in 0..8u64 {
-            m.write(GLOBAL_BASE + 8 * i, 8, 100 + i).unwrap();
+    /// The reference for [`Memory::scan_words`]: one `read(a, 8)` per
+    /// aligned word of the range. Returns the words with a committed
+    /// byte, in address order, the count of the other readable words,
+    /// each of which must read zero, and the count of words that fault.
+    fn scan_reference(m: &Memory, start: u64, end: u64) -> (Vec<u64>, u64, u64) {
+        let (mut words, mut zeros, mut faults) = (Vec::new(), 0, 0);
+        let mut a = (start + 7) & !7;
+        while a + 8 <= end {
+            match m.read(a, 8) {
+                Ok(w) => {
+                    let seg = m.seg(m.region_of(a).expect("a readable word is mapped"));
+                    let (lo, hi) = seg.overlap(a, a + 8);
+                    if lo < hi {
+                        words.push(w);
+                    } else {
+                        assert_eq!(w, 0, "an uncommitted word at {a:#x} reads zero");
+                        zeros += 1;
+                    }
+                }
+                Err(_) => faults += 1,
+            }
+            a += 8;
         }
-        let run = committed(&m)[0] as u64;
-        assert!(
-            run < 4 * COMMIT_STEP as u64,
-            "only part of the range is committed"
-        );
-        let end = GLOBAL_BASE + run + 64;
-        let mut words = Vec::new();
-        m.scan_words(GLOBAL_BASE, end, |w| words.push(w));
-        assert_eq!(words.len() as u64, (end - GLOBAL_BASE) / 8);
-        assert_eq!(words[..8], (100..108).collect::<Vec<u64>>());
-        assert!(words[8..].iter().all(|&w| w == 0));
+        (words, zeros, faults)
+    }
 
-        // A stack whose top is not word-aligned: the committed run starts
-        // mid-word, and the word across its edge is assembled from its
-        // committed bytes and zeros.
-        let mut m = Memory::new(4096, COMMIT_STEP + 4, 4096);
-        m.write(m.stack_top() - 8, 8, u64::MAX).unwrap();
-        m.write(m.stack_top() - COMMIT_STEP as u64, 4, 0x0102_0304)
-            .unwrap();
-        let mut words = Vec::new();
-        m.scan_words(STACK_BASE, m.stack_top(), |w| words.push(w));
-        assert_eq!(words.len(), (COMMIT_STEP + 4) / 8);
-        assert_eq!(words[0], 0x0102_0304 << 32);
-        let expected: Vec<u64> = (0..words.len() as u64)
-            .map(|i| m.read(STACK_BASE + 8 * i, 8).unwrap())
-            .collect();
-        assert_eq!(words, expected);
+    #[test]
+    fn scan_words_visits_committed_words_and_counts_the_rest() {
+        // Two address spaces. In the first, each region commits one run
+        // inside a larger reserve (the stack's top, and so its run's
+        // start, is not word-aligned) and unmapped holes lie between the
+        // regions. In the second, the globals end 12 bytes below the
+        // stack, so a range can cross straight from one into the other.
+        let mut small = Memory::new(4 * COMMIT_STEP, 2 * COMMIT_STEP + 4, 4 * COMMIT_STEP);
+        let mut wide = Memory::new((STACK_BASE - GLOBAL_BASE) as usize - 12, COMMIT_STEP, 4096);
+        for m in [&mut small, &mut wide] {
+            let last = m.seg(Region::Globals).end() - 16;
+            m.write(GLOBAL_BASE + 24, 8, 1).unwrap();
+            m.write(last, 8, 1).unwrap();
+            m.write(m.stack_top() - 8, 8, 1).unwrap();
+            m.write(HEAP_BASE + 8, 8, 1).unwrap();
+            // Every committed byte holds its address's low byte with the
+            // low bit set, so no committed byte is zero.
+            for seg in &mut m.segs {
+                let start = seg.start;
+                for (i, b) in seg.bytes.iter_mut().enumerate() {
+                    *b = (start + i as u64) as u8 | 1;
+                }
+            }
+        }
+        let mut cases = 0;
+        let (mut edges, mut faults, mut mixed) = (0, 0, 0);
+        for m in [&small, &wide] {
+            let mut points = Vec::new();
+            for seg in &m.segs {
+                let run_end = seg.start + seg.bytes.len() as u64;
+                for at in [seg.base, seg.start, run_end, seg.end()] {
+                    for d in [-16i64, -9, -8, -3, 0, 1, 5, 8, 13] {
+                        points.push(at.saturating_add_signed(d));
+                    }
+                }
+            }
+            points.sort_unstable();
+            points.dedup();
+            for &start in &points {
+                for &end in &points {
+                    // Empty and reversed ranges included; no range spans a
+                    // whole hole between regions.
+                    if end > start + (1 << 16) {
+                        continue;
+                    }
+                    let mut seen = Vec::new();
+                    let zeros = m.scan_words(start, end, |w| seen.push(w));
+                    let (words, ref_zeros, ref_faults) = scan_reference(m, start, end);
+                    assert_eq!(
+                        (&seen, zeros),
+                        (&words, ref_zeros),
+                        "scan_words({start:#x}, {end:#x})"
+                    );
+                    cases += 1;
+                    faults += u32::from(
+                        ref_faults > 0 && ref_faults < ref_zeros + ref_faults + words.len() as u64,
+                    );
+                    mixed += u32::from(!seen.is_empty() && zeros > 0);
+                    edges += u32::from(seen.iter().any(|&w| w & 0xFF == 0));
+                }
+            }
+        }
+        // The cases reach every branch: ranges that leave mapped memory,
+        // ranges that are part committed and part not, and words across
+        // a run's unaligned start, whose uncommitted bytes read zero.
+        assert!(cases > 1000, "{cases} cases");
+        assert!(
+            faults > 0 && mixed > 0 && edges > 0,
+            "{faults} {mixed} {edges}"
+        );
+        let mut seen = Vec::new();
+        assert_eq!(
+            small.scan_words(GLOBAL_BASE + 8, GLOBAL_BASE + 15, |w| seen.push(w)),
+            0
+        );
+        assert_eq!(small.scan_words(HEAP_BASE, HEAP_BASE, |w| seen.push(w)), 0);
+        assert!(seen.is_empty(), "an empty range visits nothing");
     }
 }
